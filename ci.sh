@@ -10,6 +10,11 @@ cd "$(dirname "$0")"
 go build ./...
 go test ./...
 
+# The benchmark under perfbench/ is its own module, so the root build
+# never compiles it; vet it here so an engine API change that breaks
+# it fails CI instead of the next benchmark run.
+(cd perfbench && go vet ./...)
+
 go vet ./...
 go test -race ./...
 
@@ -29,29 +34,6 @@ for proto in bitvector dyn_ptr sci coma rac common; do
         > "$tmp/warm.$proto" || true
     cmp "$tmp/cold.$proto" "$tmp/warm.$proto"
 done
-
-# Fused-checking gate: the product automaton (-fused) walks each
-# function once for all nine checkers, so (a) its report stream must be
-# byte-identical to the sequential engine's over every protocol, (b) a
-# fused warm run over the sequential depot above must replay the cold
-# bytes (de-fused artifact keys make the caches interchangeable), and
-# (c) the fused walk must touch strictly fewer CFG nodes than nine
-# sequential walks — otherwise the fusion silently degenerated into
-# per-checker runs and the gate is vacuous.
-for proto in bitvector dyn_ptr sci coma rac common; do
-    "$tmp/mcheck" -flash -stats "$tmp/corpus/$proto"/*.c \
-        > "$tmp/fseq.$proto" 2> "$tmp/fseq-stats.$proto" || true
-    "$tmp/mcheck" -flash -fused -stats "$tmp/corpus/$proto"/*.c \
-        > "$tmp/ffus.$proto" 2> "$tmp/ffus-stats.$proto" || true
-    cmp "$tmp/fseq.$proto" "$tmp/ffus.$proto"
-    "$tmp/mcheck" -flash -fused -cache "$tmp/depot" "$tmp/corpus/$proto"/*.c \
-        > "$tmp/ffus-warm.$proto" || true
-    cmp "$tmp/cold.$proto" "$tmp/ffus-warm.$proto"
-done
-seq_visits=$(awk '$1=="engine_node_visits_total"{s+=$2} END{printf "%.0f", s}' "$tmp"/fseq-stats.*)
-fus_visits=$(awk '$1=="engine_node_visits_total"{s+=$2} END{printf "%.0f", s}' "$tmp"/ffus-stats.*)
-echo "fused gate: node visits sequential=$seq_visits fused=$fus_visits"
-test "$fus_visits" -lt "$seq_visits"
 
 # Depot-churn gate: fill a tiny sharded depot past its byte budget and
 # let LRU eviction run between a cold and a warm pass of every
@@ -202,10 +184,8 @@ grep -q " oc=0 dep=0 ev=0 rem=0" "$tmp/prov-salt-line.txt"
 grep -q "producer=pid:" "$tmp/prov-explain.txt"
 grep -q "decision=hit" "$tmp/prov-explain.txt"
 # The bench trajectory must be appendable: one more entry than
-# committed, and the appended entry must carry the fused-vs-sequential
-# comparison with identical report streams.
+# committed.
 base_entries=$(grep -c '"unix"' BENCH_PR10.json)
 cp BENCH_PR10.json "$tmp/traj.json"
 go run ./cmd/paperbench -append "$tmp/traj.json"
 test "$(grep -c '"unix"' "$tmp/traj.json")" -eq "$((base_entries + 1))"
-test "$(grep -c '"identical": true' "$tmp/traj.json")" -eq "$((base_entries + 1))"

@@ -101,7 +101,6 @@ func main() {
 	emit := flag.String("emit", "", "local pass: write annotated flow-graph summaries to this file")
 	link := flag.Bool("link", false, "global pass: arguments are summary files; run the lane checker")
 	workers := flag.Int("j", 0, "parallel analysis workers (default GOMAXPROCS)")
-	fused := flag.Bool("fused", false, "fuse all state-machine checkers into one product automaton: each function is walked once for every checker, with byte-identical reports")
 	cacheDir := flag.String("cache", "", "artifact depot directory; reuses results for unchanged functions across runs")
 	cacheShards := flag.Int("cache-shards", 0, "depot shard count (0: adopt the directory's existing layout)")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "if set, evict least-recently-used depot artifacts beyond this many bytes after the run")
@@ -295,7 +294,7 @@ func main() {
 		covSet = cover.NewSet()
 	}
 	analyzer := &sched.Analyzer{Depot: store, Workers: *workers, Tracer: tracer, Coverage: covSet}
-	req := sched.Request{Prog: prog, Spec: spec, Jobs: jobs, Fused: *fused}
+	req := sched.Request{Prog: prog, Spec: spec, Jobs: jobs}
 	res, err := analyzer.Check(req)
 	if err != nil {
 		fail("%v", err)

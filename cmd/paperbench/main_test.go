@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -148,5 +150,63 @@ func TestMeasure(t *testing.T) {
 	}
 	if bench.ConfigsExplored <= 0 || bench.RulesFired <= 0 {
 		t.Errorf("no engine work attributed: %+v", bench)
+	}
+}
+
+// -append keeps earlier trajectory entries byte-for-byte, including
+// fields this paperbench no longer records (BENCH_PR10.json's fused
+// comparison).
+func TestAppendKeepsHistory(t *testing.T) {
+	orig, err := os.ReadFile("../../BENCH_PR10.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "traj.json")
+	if err := os.WriteFile(path, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bench := benchResult{BenchSchema: benchSchema, Seed: 1, WallSeconds: 1.5, ConfigsExplored: 466160}
+	n, err := appendTrajectory(path, trajectoryEntry{benchResult: bench, Unix: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after []json.RawMessage
+	if err := json.Unmarshal(orig, &before); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(got, &after); err != nil {
+		t.Fatalf("appended trajectory is not a JSON array: %v", err)
+	}
+	if n != len(before)+1 || len(after) != n {
+		t.Fatalf("entries: before %d, after %d, reported %d", len(before), len(after), n)
+	}
+	if !bytes.Equal(after[0], before[0]) {
+		t.Errorf("first entry rewritten:\n%s\nwant:\n%s", after[0], before[0])
+	}
+	if !bytes.Contains(after[0], []byte(`"fused_visit_ratio"`)) {
+		t.Error("first entry lost its fused comparison")
+	}
+	var last trajectoryEntry
+	if err := json.Unmarshal(after[n-1], &last); err != nil {
+		t.Fatal(err)
+	}
+	if last.Unix != 1 || last.ConfigsExplored != bench.ConfigsExplored {
+		t.Errorf("appended entry = %+v", last)
+	}
+	// Appending to a file this function wrote is stable too: the two
+	// prior entries come back unchanged.
+	if _, err := appendTrajectory(path, trajectoryEntry{benchResult: bench, Unix: 2}); err != nil {
+		t.Fatal(err)
+	}
+	again, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(again, got[:len(got)-len("\n]\n")]) {
+		t.Error("second append rewrote earlier entries")
 	}
 }

@@ -175,39 +175,6 @@ func (p *Program) RunSMCov(sm *engine.SM) ([]engine.Report, []*engine.Coverage) 
 	return out, kept
 }
 
-// RunFusedCov applies a fused product automaton to every function —
-// one shared-match-index walk per function — and de-fuses the results:
-// the m-th slices of the returns are exactly what RunSMCov of
-// f.Members[m] alone would produce (same report order, same non-empty
-// coverages in function order).
-func (p *Program) RunFusedCov(f *engine.Fused) ([][]engine.Report, [][]*engine.Coverage) {
-	perFn := make([][][]engine.Report, len(p.Graphs))
-	covFn := make([][]*engine.Coverage, len(p.Graphs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, g := range p.Graphs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, g *cfg.Graph) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			perFn[i], covFn[i] = f.RunCov(g, nil)
-		}(i, g)
-	}
-	wg.Wait()
-	reports := make([][]engine.Report, len(f.Members))
-	covs := make([][]*engine.Coverage, len(f.Members))
-	for m := range f.Members {
-		for i := range p.Graphs {
-			reports[m] = append(reports[m], perFn[i][m]...)
-			if c := covFn[i][m]; c != nil && !c.Empty() {
-				covs[m] = append(covs[m], c)
-			}
-		}
-	}
-	return reports, covs
-}
-
 // Count returns the number of sub-expressions matching pat across all
 // functions (the tables' "Applied" columns).
 func (p *Program) Count(pat ast.Expr) int {

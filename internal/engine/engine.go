@@ -43,8 +43,8 @@ var (
 	mPruned  = obs.NewCounter("engine_infeasible_pruned_total", "configurations dropped by the correlated-branch pruner")
 	mReports = obs.NewCounter("engine_reports_total", "diagnostics emitted by runs")
 	mPaths   = obs.NewCounter("engine_paths_walked_total", "paths enumerated by the every-path executor")
-	mVisits  = obs.NewCounter("engine_node_visits_total", "node events swept against a rule vocabulary (a fused run sweeps each node once per distinct binding environment; a sequential run sweeps once per configuration per worklist visit)")
-	mEvals   = obs.NewCounter("engine_pattern_evals_total", "pattern alternatives evaluated against node events (fused runs serve repeated evaluations from the shared match index)")
+	mVisits  = obs.NewCounter("engine_node_visits_total", "event-node transfers: one per configuration each time the worklist reaches a statement or branch node")
+	mEvals   = obs.NewCounter("engine_pattern_evals_total", "pattern evaluations: one per rule alternative tried against a node event and one per branch-cond pattern tried against a branch condition")
 )
 
 // Stop is the reserved target state that kills a configuration (stops
@@ -421,6 +421,29 @@ func (s *configSet) add(c config) bool {
 
 func (s *configSet) configs() []config { return s.list }
 
+// smPlan is the compile-time shape of one SM: its rules partitioned by
+// owning state, so transfer need not rescan every rule per event.
+type smPlan struct {
+	byState  map[string][]*Rule
+	allRules []*Rule
+}
+
+// buildPlan partitions an SM's rules by owning state. All-state rules
+// go to allRules; transfer fires byState first, then allRules, which
+// keeps the SM's firing order (including the degenerate case of a rule
+// literally owned by state "all").
+func buildPlan(sm *SM) *smPlan {
+	p := &smPlan{byState: map[string][]*Rule{}}
+	for _, rule := range sm.Rules {
+		if rule.State == All {
+			p.allRules = append(p.allRules, rule)
+		} else {
+			p.byState[rule.State] = append(p.byState[rule.State], rule)
+		}
+	}
+	return p
+}
+
 // runner executes one SM over one graph.
 type runner struct {
 	sm      *SM
@@ -434,12 +457,8 @@ type runner struct {
 	ruleKeys map[*Rule]string
 	condKeys []string
 
-	// plan is the compile-time rules-by-state partition; mi, when
-	// non-nil, is the shared match index of a fused run (the runner then
-	// matches through interned vocabulary alternatives and leaves visit
-	// accounting to the index).
+	// plan is the SM's rules partitioned by owning state.
 	plan *smPlan
-	mi   *matchIndex
 
 	// local metric shadows, flushed once by flushMetrics.
 	nConfigs int
@@ -526,8 +545,7 @@ func RunCov(g *cfg.Graph, sm *SM) ([]Report, *Coverage) {
 }
 
 // runToFixpoint drives the worklist to a fixed point, runs the at-exit
-// hooks, and flushes metrics. It is the shared body of RunCov and the
-// per-member phase of Fused.RunCov; callers have already resolved a
+// hooks, and flushes metrics. The caller has already resolved a
 // non-empty start state.
 func (r *runner) runToFixpoint() {
 	t0 := time.Now()
@@ -629,29 +647,16 @@ func (r *runner) refine(c config, e *cfg.Edge) (config, bool) {
 			}
 		}
 	}
-	ek := ""
-	if r.mi != nil && len(r.sm.Cond) > 0 {
-		ek = envKeyOf(c.env)
-	}
 	for ci, cr := range r.sm.Cond {
 		if cr.State != c.state && cr.State != All {
 			continue
 		}
-		var matched match.Env
-		if r.mi != nil {
-			env, _, ok := r.mi.eval(r.plan.condAlts[ci], e.From.ID, cond, c.env, ek)
-			if !ok {
-				continue
-			}
-			matched = env
-		} else {
-			r.nEvals++
-			results := match.Find(cr.Pattern, cond, c.env)
-			if len(results) == 0 {
-				continue
-			}
-			matched = results[0].Env
+		r.nEvals++
+		results := match.Find(cr.Pattern, cond, c.env)
+		if len(results) == 0 {
+			continue
 		}
+		matched := results[0].Env
 		r.cov.hitCond(r.condKeys[ci])
 		isTrue := e.Label == cfg.True
 		if negated {
@@ -739,17 +744,11 @@ func (r *runner) transfer(n *cfg.Node, c config) []config {
 	}
 
 	// State-specific rules first, then all-state rules (paper §5).
-	ek := ""
-	if r.mi == nil {
-		r.nVisits++
-	} else {
-		ek = envKeyOf(c.env)
-		r.mi.visit(n.ID, ek)
-	}
+	r.nVisits++
 	t0 := time.Now()
 	fire := func(rules []*Rule) ([]config, bool) {
 		for _, rule := range rules {
-			env, pos, alt, ok := r.matchRule(rule, n.ID, event, c.env, ek)
+			env, pos, alt, ok := r.matchRule(rule, event, c.env)
 			if !ok {
 				continue
 			}
@@ -794,20 +793,8 @@ func (r *runner) transfer(n *cfg.Node, c config) []config {
 
 // matchRule tries each alternative of a rule against the event. The
 // int result is the index of the alternative that matched, for
-// per-alternative coverage. In a fused run the evaluation is memoized
-// in the shared match index, keyed by (node, interned alternative,
-// environment render), so other members asking the same question get
-// the cached answer.
-func (r *runner) matchRule(rule *Rule, nodeID int, event ast.Node, env match.Env, ek string) (match.Env, token.Pos, int, bool) {
-	if r.mi != nil {
-		alts := r.plan.ruleAlts[rule]
-		for i := range rule.Patterns {
-			if env2, pos, ok := r.mi.eval(alts[i], nodeID, event, env, ek); ok {
-				return env2, pos, i, true
-			}
-		}
-		return nil, token.Pos{}, 0, false
-	}
+// per-alternative coverage.
+func (r *runner) matchRule(rule *Rule, event ast.Node, env match.Env) (match.Env, token.Pos, int, bool) {
 	for i, p := range rule.Patterns {
 		r.nEvals++
 		if env2, pos, ok := evalPattern(p, event, env); ok {

@@ -1,327 +1,33 @@
-// Fused execution: several SMs compiled into one product automaton
-// that checks a function in a single pass.
-//
-// The product deliberately does NOT merge the members' worklists. Each
-// member still runs its own fixed-point schedule, because everything
-// observable — report rank order, which configuration donates a
-// witness trace, per-rule and per-pattern coverage tallies — depends
-// on that schedule, and the fused mode's contract is byte-identical
-// output to the sequential engine (ISSUE 10). What the members share
-// is the expensive part: pattern matching. CompileFused interns every
-// rule alternative and branch-cond pattern of every member into one
-// union vocabulary (structurally identical patterns collapse to one
-// slot), and a per-function match index memoizes each evaluation by
-// (CFG node, vocabulary slot, binding-environment render). A node is
-// thus matched once against the union vocabulary instead of once per
-// checker per configuration per worklist revisit.
-//
-// Caching by environment *render* is exactly as sound as the engine's
-// own config.key(), which already merges configurations whose
-// environments render equal; and match.Expr/match.Find never mutate
-// the environments they return, so cached Env maps can be handed to
-// several members safely (keepTracked/envFor always build fresh maps).
 package engine
 
-import (
-	"sort"
-	"strings"
+import "flashmc/internal/cfg"
 
-	"flashmc/internal/cc/ast"
-	"flashmc/internal/cc/token"
-	"flashmc/internal/cfg"
-	"flashmc/internal/match"
-)
-
-// smPlan is the compile-time shape of one SM: its rules partitioned by
-// owning state (the partition transfer() previously rebuilt on every
-// call), plus — in a fused product — the interned vocabulary slot of
-// each pattern alternative.
-type smPlan struct {
-	byState  map[string][]*Rule
-	allRules []*Rule
-	// ruleAlts[rule][i] is the vocabulary slot of rule.Patterns[i];
-	// condAlts[ci] that of SM.Cond[ci].Pattern. Both are nil outside a
-	// fused product.
-	ruleAlts map[*Rule][]int32
-	condAlts []int32
-}
-
-// buildPlan partitions an SM's rules by owning state. All-state rules
-// go to allRules; transfer fires byState first, then allRules, which
-// preserves the sequential engine's firing order (including the
-// degenerate case of a rule literally owned by state "all").
-func buildPlan(sm *SM) *smPlan {
-	p := &smPlan{byState: map[string][]*Rule{}}
-	for _, rule := range sm.Rules {
-		if rule.State == All {
-			p.allRules = append(p.allRules, rule)
-		} else {
-			p.byState[rule.State] = append(p.byState[rule.State], rule)
-		}
-	}
-	return p
-}
-
-// vocabAlt is one interned pattern alternative. Exactly one of pat
-// (rule alternative, evaluated against the node event) and cond
-// (branch-cond pattern, evaluated against the stripped condition) is
-// set; the two spaces never share slots because they evaluate against
-// different targets.
-type vocabAlt struct {
-	pat  Pattern
-	cond ast.Expr
-}
-
-// Fused is a product automaton over several member SMs.
+// Fused groups several member SMs so one call checks a function with
+// all of them. Members run one after another, each through its own
+// RunCov, exactly as xg++ applies extensions in sequence; the group
+// exists so callers holding a fixed member list can pass an active
+// mask instead of re-selecting SMs per function.
 type Fused struct {
 	Members []*SM
-	plans   []*smPlan
-	vocab   []vocabAlt
-	nAlts   int
 }
 
-// VocabSize is the number of distinct pattern alternatives in the
-// union vocabulary; AltCount the total before interning. The gap is
-// the cross-checker pattern overlap the shared index exploits.
-func (f *Fused) VocabSize() int { return len(f.vocab) }
-func (f *Fused) AltCount() int  { return f.nAlts }
-
-// patIntern builds the canonical key a pattern alternative is interned
-// under: a kind tag, the pattern's source render, and every wildcard's
-// name and constraint in traversal order (the printer renders a
-// wildcard as "$name" only, so constraints must be appended for two
-// same-shaped patterns with different constraints to stay distinct).
-func patIntern(kind byte, render string, root ast.Node) string {
-	var b strings.Builder
-	b.WriteByte(kind)
-	b.WriteByte(0)
-	b.WriteString(render)
-	ast.Inspect(root, func(n ast.Node) bool {
-		if w, ok := n.(*ast.Wildcard); ok {
-			b.WriteByte(0)
-			b.WriteString(w.Name)
-			b.WriteByte(':')
-			b.WriteString(w.Constraint)
-		}
-		return true
-	})
-	return b.String()
-}
-
-// CompileFused compiles member SMs into a product automaton with a
-// shared, structurally deduplicated pattern vocabulary. Member order
-// is the order reports are later concatenated in, so callers pass the
-// same order they would run sequentially.
+// CompileFused groups member SMs. Member order is the order RunCov
+// returns results in.
 func CompileFused(members ...*SM) *Fused {
-	f := &Fused{Members: members}
-	slots := map[string]int32{}
-	intern := func(key string, alt vocabAlt) int32 {
-		f.nAlts++
-		if id, ok := slots[key]; ok {
-			return id
-		}
-		id := int32(len(f.vocab))
-		slots[key] = id
-		f.vocab = append(f.vocab, alt)
-		return id
-	}
-	for _, sm := range members {
-		plan := buildPlan(sm)
-		plan.ruleAlts = make(map[*Rule][]int32, len(sm.Rules))
-		for _, rule := range sm.Rules {
-			ids := make([]int32, len(rule.Patterns))
-			for i, p := range rule.Patterns {
-				if p.Stmt != nil {
-					ids[i] = intern(patIntern('s', ast.StmtString(p.Stmt), p.Stmt), vocabAlt{pat: p})
-				} else {
-					ids[i] = intern(patIntern('e', ast.ExprString(p.Expr), p.Expr), vocabAlt{pat: p})
-				}
-			}
-			plan.ruleAlts[rule] = ids
-		}
-		plan.condAlts = make([]int32, len(sm.Cond))
-		for ci, cr := range sm.Cond {
-			plan.condAlts[ci] = intern(patIntern('c', ast.ExprString(cr.Pattern), cr.Pattern), vocabAlt{cond: cr.Pattern})
-		}
-		f.plans = append(f.plans, plan)
-	}
-	return f
+	return &Fused{Members: members}
 }
 
-// envKeyOf renders a binding environment for index keys. Environments
-// that render equal are already merged by config.key(), so this loses
-// no precision the sequential engine had.
-func envKeyOf(env match.Env) string {
-	if len(env) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(env))
-	for k := range env {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		b.WriteString(n)
-		b.WriteByte('=')
-		b.WriteString(ast.ExprString(env[n]))
-		b.WriteByte('|')
-	}
-	return b.String()
-}
-
-type mval struct {
-	env match.Env
-	pos token.Pos
-	ok  bool
-}
-
-type visitKey struct {
-	node int
-	env  string
-}
-
-// Empty-env answer states in matchIndex.zero.
-const (
-	zUnknown = uint8(iota)
-	zFail
-	zMatch
-)
-
-// matchIndex is the shared memo table of one fused function run. It
-// is deliberately per-(product, function): positions and AST pointers
-// in cached results are only meaningful within one graph.
-//
-// The empty-environment answer of every (node, alternative) pair lives
-// in a dense array — one byte each, filled on first demand — with the
-// (rare) successful results in a side map. Environment-carrying
-// questions are not cached: they are pre-filtered through the
-// empty-env table (see eval) and otherwise evaluated directly, because
-// a binding environment rarely recurs but the pre-filter answers most
-// asks for free.
-type matchIndex struct {
-	vocab []vocabAlt
-	// zero[node*len(vocab)+alt] is the empty-env answer at that node.
-	zero    []uint8
-	zeroRes map[int32]mval // empty-env match results, keyed like zero
-	// visit accounting: a dense bitmap for the common empty-env sweeps,
-	// a map for environment-carrying ones.
-	visitedZero []bool
-	nVisitZero  int
-	visited     map[visitKey]struct{}
-	nEvals      int
-}
-
-func newMatchIndex(vocab []vocabAlt, nNodes int) *matchIndex {
-	return &matchIndex{
-		vocab:       vocab,
-		zero:        make([]uint8, nNodes*len(vocab)),
-		zeroRes:     map[int32]mval{},
-		visitedZero: make([]bool, nNodes),
-		visited:     map[visitKey]struct{}{},
-	}
-}
-
-// visit records one (node, environment) sweep for the visits metric;
-// transfer calls it once per invocation, however many alternatives the
-// member then asks about.
-func (mi *matchIndex) visit(node int, ek string) {
-	if ek == "" {
-		if !mi.visitedZero[node] {
-			mi.visitedZero[node] = true
-			mi.nVisitZero++
-		}
-		return
-	}
-	mi.visited[visitKey{node: node, env: ek}] = struct{}{}
-}
-
-// eval answers "does vocabulary slot alt match target under env at
-// node?". The target is a pure function of (node, slot kind) — the
-// node's event for rule alternatives, the node's stripped branch
-// condition for cond patterns — so it is not part of the key; ek is
-// the caller's precomputed envKeyOf(env).
-//
-// Environment-carrying questions go through a monotone pre-filter: a
-// binding can only constrain a match (bindWildcard with a prior
-// binding demands structural equality, every other matcher case
-// ignores the environment), so a pattern that finds nothing under the
-// empty environment finds nothing under any environment. The empty-env
-// answer is computed once per (node, alt) and shared by every member,
-// configuration and environment that asks.
-func (mi *matchIndex) eval(alt int32, node int, target ast.Node, env match.Env, ek string) (match.Env, token.Pos, bool) {
-	idx := int32(node)*int32(len(mi.vocab)) + alt
-	st := mi.zero[idx]
-	if st == zUnknown {
-		mi.nEvals++
-		v := evalAlt(mi.vocab[alt], target, nil)
-		st = zFail
-		if v.ok {
-			st = zMatch
-			mi.zeroRes[idx] = v
-		}
-		mi.zero[idx] = st
-	}
-	if st == zFail {
-		return nil, token.Pos{}, false
-	}
-	if ek == "" {
-		v := mi.zeroRes[idx]
-		return v.env, v.pos, v.ok
-	}
-	mi.nEvals++
-	v := evalAlt(mi.vocab[alt], target, env)
-	return v.env, v.pos, v.ok
-}
-
-// evalAlt performs one actual pattern evaluation.
-func evalAlt(a vocabAlt, target ast.Node, env match.Env) mval {
-	if a.cond != nil {
-		if results := match.Find(a.cond, target, env); len(results) > 0 {
-			return mval{env: results[0].Env, pos: results[0].Expr.Pos(), ok: true}
-		}
-		return mval{}
-	}
-	if env2, pos, ok := evalPattern(a.pat, target, env); ok {
-		return mval{env: env2, pos: pos, ok: true}
-	}
-	return mval{}
-}
-
-// flush publishes the index's visit/eval tallies: one node visit per
-// distinct (node, environment) the product swept, however many members
-// and worklist revisits asked about it.
-func (mi *matchIndex) flush() {
-	mVisits.Add(float64(mi.nVisitZero + len(mi.visited)))
-	mEvals.Add(float64(mi.nEvals))
-}
-
-// RunCov runs every active member over g, in member order, through one
-// shared match index, and returns per-member reports and coverage.
-// active==nil runs every member; an inactive member is skipped
-// entirely (nil coverage). Each member's reports, witness traces and
-// coverage are byte-identical to a sequential RunCov of that member
-// alone: the members share only the match index, never a schedule.
+// RunCov runs every active member over g, in member order, and returns
+// per-member reports and coverage, each exactly what RunCov(g, member)
+// returns. active==nil runs every member; an inactive member gets nil
+// reports and nil coverage.
 func (f *Fused) RunCov(g *cfg.Graph, active []bool) ([][]Report, []*Coverage) {
-	mi := newMatchIndex(f.vocab, len(g.Nodes))
 	reports := make([][]Report, len(f.Members))
 	covs := make([]*Coverage, len(f.Members))
 	for m, sm := range f.Members {
-		if active != nil && !active[m] {
-			continue
+		if active == nil || active[m] {
+			reports[m], covs[m] = RunCov(g, sm)
 		}
-		cov := &Coverage{SM: sm.Name, Fn: g.Fn.Name}
-		covs[m] = cov
-		if startState(sm, g.Fn) == "" {
-			continue
-		}
-		r := newRunner(sm, g)
-		r.cov = cov
-		r.plan = f.plans[m]
-		r.mi = mi
-		r.runToFixpoint()
-		reports[m] = r.reports
 	}
-	mi.flush()
 	return reports, covs
 }

@@ -109,13 +109,6 @@ type Request struct {
 	// identity (mcheckd derives it from X-Request-Id); workers echo
 	// their execution spans only for traced descriptors.
 	TraceID string
-	// Fused compiles every SM job into one product automaton and walks
-	// each function once for all of them (engine.CompileFused), instead
-	// of once per checker. Artifacts are de-fused back to the same
-	// per-checker depot keys the sequential mode writes, so warm reads,
-	// triage, provenance and the fleet wire format are unchanged, and
-	// the report stream stays byte-identical either way.
-	Fused bool
 }
 
 // Stats describes one Check call.
@@ -377,33 +370,6 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 		}})
 	}
 
-	// Fused mode: compile every SM job into one product automaton and
-	// replace the per-(job, function) tasks with one task per function
-	// that advances all members through a shared match index
-	// (engine.CompileFused). Each member still resolves its own
-	// sequential depot key and writes its own artifact — the de-fusing
-	// — so cache state, provenance, triage and the fleet wire format
-	// are indistinguishable from a sequential run. With fewer than two
-	// SM jobs there is nothing to fuse and the flag is a no-op.
-	var fusedJobs []int
-	var fusedProd *engine.Fused
-	if req.Fused {
-		for ji, job := range req.Jobs {
-			if job.SM != nil {
-				fusedJobs = append(fusedJobs, ji)
-			}
-		}
-		if len(fusedJobs) >= 2 {
-			sms := make([]*engine.SM, len(fusedJobs))
-			for m, ji := range fusedJobs {
-				sms[m] = req.Jobs[ji].SM
-			}
-			fusedProd = engine.CompileFused(sms...)
-		} else {
-			fusedJobs = nil
-		}
-	}
-
 	// Per-job result slots, assembled in job order after the run. The
 	// ref slots record which artifact each slot's reports came from
 	// (each task writes only its own index, so no locking).
@@ -419,9 +385,6 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 		case job.SM != nil:
 			smResults[ji] = make([][]engine.Report, len(p.Fns))
 			smRefs[ji] = make([]ArtifactRef, len(p.Fns))
-			if fusedProd != nil {
-				continue // runs inside the per-function fused tasks below
-			}
 			for i := range p.Fns {
 				i := i
 				key := depot.Key{Kind: reportsKind, Source: fps[i], Checker: job.Name,
@@ -582,108 +545,6 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 
 		default:
 			return nil, fmt.Errorf("sched: job %s: no SM, Run, RunCov, or Lanes", job.Name)
-		}
-	}
-
-	if fusedProd != nil {
-		// The folded checker-version vector: one fingerprint over every
-		// member's name/version/options, stamped on each fused task so a
-		// trace names exactly which product ran. Depot keys stay
-		// per-member — the vector never reaches the cache.
-		verVec := make([]string, 0, len(fusedJobs)*3)
-		for _, ji := range fusedJobs {
-			j := req.Jobs[ji]
-			verVec = append(verVec, j.Name, j.Version, j.Options)
-		}
-		fusedFP := hashStrings(verVec...)
-		for i := range p.Fns {
-			i := i
-			id := fmt.Sprintf("fused:%d", i)
-			t := &Task{ID: id}
-			t.Run = func() error {
-				t.Annotate("fused", fusedFP[:12])
-				active := make([]bool, len(fusedJobs))
-				reasons := make([]string, len(fusedJobs))
-				keys := make([]depot.Key, len(fusedJobs))
-				hits := 0
-				for m, ji := range fusedJobs {
-					job := req.Jobs[ji]
-					keys[m] = depot.Key{Kind: reportsKind, Source: fps[i], Checker: job.Name,
-						Version: job.Version, Options: job.Options}
-					var cached artifact
-					ok, reason := rs.lookup(job.Name, "sm:"+p.Fns[i].Name, keys[m], &cached)
-					reasons[m] = reason
-					if ok {
-						hits++
-						rs.countDecision(reason)
-						smRefs[ji][i] = ArtifactRef{Task: id, Key: keys[m], Decision: reason}
-						smResults[ji][i] = cached.Reports
-						a.recordCoverage(job.Name, cached.Coverage)
-						continue
-					}
-					active[m] = true
-				}
-				if hits == len(fusedJobs) {
-					t.Annotate("cache", DecisionHit)
-					return nil
-				}
-				rs.markFn(p.Fns[i].Name)
-				// Missed members are offered to the fleet one by one
-				// through the unchanged per-checker descriptors; a member
-				// a worker satisfies drops out of the local product walk.
-				if rem != nil {
-					for m, ji := range fusedJobs {
-						if !active[m] {
-							continue
-						}
-						job := req.Jobs[ji]
-						desc := rem.desc(fleet.KindSM, keys[m], id)
-						desc.Checker, desc.CheckerVersion, desc.AdhocSrc = job.Name, job.Version, job.AdhocSrc
-						desc.FnIndex, desc.Fn = i, p.Fns[i].Name
-						if art := rem.artifactTask(desc); art != nil {
-							rs.countDecision(DecisionRemote)
-							smRefs[ji][i] = ArtifactRef{Task: id, Key: keys[m], Decision: DecisionRemote}
-							smResults[ji][i] = art.Reports
-							a.recordCoverage(job.Name, art.Coverage)
-							active[m] = false
-						}
-					}
-				}
-				locals := 0
-				for _, on := range active {
-					if on {
-						locals++
-					}
-				}
-				if locals == 0 {
-					t.Annotate("cache", DecisionRemote)
-					return nil
-				}
-				t.Annotate("cache", fmt.Sprintf("fused-miss:%d", locals))
-				t0 := time.Now()
-				reports, covs := fusedProd.RunCov(p.Graphs[i], active)
-				wall := time.Since(t0).Microseconds()
-				for m, ji := range fusedJobs {
-					if !active[m] {
-						continue
-					}
-					job := req.Jobs[ji]
-					rs.countDecision(reasons[m])
-					smRefs[ji][i] = ArtifactRef{Task: id, Key: keys[m], Decision: reasons[m]}
-					smResults[ji][i] = reports[m]
-					art := mkArtifact(reports[m], covs[m])
-					a.recordCoverage(job.Name, art.Coverage)
-					if err := d.PutJSON(keys[m], art); err != nil {
-						return err
-					}
-					// WallUS is the fused walk's wall clock: the joint cost
-					// of producing every member artifact in this task.
-					_ = d.PutProv(keys[m], &depot.Provenance{Producer: localProducer,
-						TraceID: req.TraceID, WallUS: wall})
-				}
-				return nil
-			}
-			tasks = append(tasks, t)
 		}
 	}
 
