@@ -93,56 +93,24 @@ done
 # default spends 60s shrinking every new interesting input).
 go test -run FuzzSymEval -fuzz FuzzSymEval -fuzztime 15s -fuzzminimizetime 1x ./internal/sym/
 
-# Distributed-fleet gate: two mcheckworker processes over one shared
-# depot, behind mcheckd -workers, must answer the whole corpus
-# byte-identically to a plain local mcheckd — and the dispatch counter
-# must prove the work actually went over the wire (a fleet that
-# silently ran everything locally would pass the diff vacuously).
+# Daemon trace gate: one local mcheckd must serve a valid Chrome
+# trace for a /check it answered (fetched by mcheckclient -trace from
+# /debug/trace/<X-Trace-Id>), and obscheck's per-process breakdown
+# must name the mcheckd process — a trace without it means the
+# per-request tracer lost its process metadata.
 go build -o "$tmp/mcheckd" ./cmd/mcheckd
-go build -o "$tmp/mcheckworker" ./cmd/mcheckworker
 go build -o "$tmp/mcheckclient" ./cmd/mcheckclient
-"$tmp/mcheckworker" -addr 127.0.0.1:18286 -cache "$tmp/fleet-depot" &
-w1=$!
-"$tmp/mcheckworker" -addr 127.0.0.1:18287 -cache "$tmp/fleet-depot" &
-w2=$!
-# -j 4 keeps several tasks in flight so both workers stay busy even
-# on a single-core leader (the trace gate below needs spans from two
-# distinct worker processes).
-"$tmp/mcheckd" -addr 127.0.0.1:18288 -cache "$tmp/fleet-depot" -j 4 \
-    -workers 127.0.0.1:18286,127.0.0.1:18287 &
-fd=$!
-"$tmp/mcheckd" -addr 127.0.0.1:18289 -j 4 &
+"$tmp/mcheckd" -addr 127.0.0.1:18288 -j 2 &
 ld=$!
-trap 'kill $w1 $w2 $fd $ld 2>/dev/null || true; rm -rf "$tmp"' EXIT
-for port in 18286 18287 18288 18289; do
-    "$tmp/mcheckclient" -addr "127.0.0.1:$port" -wait 15s
-done
-for proto in bitvector dyn_ptr sci coma rac common; do
-    "$tmp/mcheckclient" -addr 127.0.0.1:18288 -trace "$tmp/fleet-trace.$proto.json" \
-        "$tmp/corpus/$proto"/*.c > "$tmp/fleet.$proto"
-    "$tmp/mcheckclient" -addr 127.0.0.1:18289 "$tmp/corpus/$proto"/*.c \
-        > "$tmp/fleet-ref.$proto"
-    cmp "$tmp/fleet.$proto" "$tmp/fleet-ref.$proto"
-done
-"$tmp/mcheckclient" -addr 127.0.0.1:18288 -get /metrics > "$tmp/fleet-metrics.txt"
-grep "^fleet_tasks_dispatched_total" "$tmp/fleet-metrics.txt"
-! grep -qx "fleet_tasks_dispatched_total 0" "$tmp/fleet-metrics.txt"
-
-# Distributed-tracing gate: the merged per-request trace fetched over
-# the fleet path must be a valid Chrome trace containing dispatcher
-# spans (cat "fleet" on the leader) and execution spans from both
-# worker processes — obscheck's per-process breakdown names them, so
-# one named mcheckworker lane would mean the fleet traced as a single
-# process. The federated /metrics must also parse as one exposition
-# with per-worker labeled families.
-go run ./cmd/obscheck -trace "$tmp/fleet-trace.sci.json" > "$tmp/fleet-obscheck.txt"
-cat "$tmp/fleet-obscheck.txt"
-test "$(grep -c 'name="mcheckworker' "$tmp/fleet-obscheck.txt")" -ge 2
-grep -q '"cat":"fleet"' "$tmp/fleet-trace.sci.json"
-go run ./cmd/obscheck -prom "$tmp/fleet-metrics.txt"
-grep -q '^fleet_worker_tasks_total{worker=' "$tmp/fleet-metrics.txt"
-kill $w1 $w2 $fd $ld 2>/dev/null || true
-wait $w1 $w2 $fd $ld 2>/dev/null || true
+trap 'kill $ld 2>/dev/null || true; rm -rf "$tmp"' EXIT
+"$tmp/mcheckclient" -addr 127.0.0.1:18288 -wait 15s
+"$tmp/mcheckclient" -addr 127.0.0.1:18288 -trace "$tmp/daemon-trace.json" \
+    "$tmp/corpus/sci"/*.c > /dev/null
+go run ./cmd/obscheck -trace "$tmp/daemon-trace.json" > "$tmp/daemon-obscheck.txt"
+cat "$tmp/daemon-obscheck.txt"
+grep -q 'name="mcheckd"' "$tmp/daemon-obscheck.txt"
+kill $ld 2>/dev/null || true
+wait $ld 2>/dev/null || true
 trap 'rm -rf "$tmp"' EXIT
 
 # Provenance gate: a fresh depot, three runs of the same corpus.
@@ -166,7 +134,7 @@ test "$(wc -l < "$tmp/prov-runs.txt")" -eq 2
 cold_id=$(sed -n '1s/ .*//p' "$tmp/prov-runs.txt")
 warm_id=$(sed -n '2s/ .*//p' "$tmp/prov-runs.txt")
 grep -q "hit=0 " "$tmp/prov-runs.txt"            # cold line: no hits
-sed -n 2p "$tmp/prov-runs.txt" | grep -q " new=0 vb=0 oc=0 dep=0 ev=0 rem=0"
+sed -n 2p "$tmp/prov-runs.txt" | grep -q " new=0 vb=0 oc=0 dep=0 ev=0"
 "$tmp/mcheck" -cache "$tmp/prov-depot" -diff "$cold_id,$warm_id" \
     > "$tmp/prov-diff.out" 2> "$tmp/prov-diff.err"
 cat "$tmp/prov-diff.err"
@@ -176,7 +144,7 @@ test ! -s "$tmp/prov-diff.out"
 cmp "$tmp/prov-cold.out" "$tmp/prov-salt.out"
 "$tmp/mcheck" -cache "$tmp/prov-depot" -runs | sed -n 3p | tee "$tmp/prov-salt-line.txt"
 grep -q " hit=0 new=0 " "$tmp/prov-salt-line.txt"
-grep -q " oc=0 dep=0 ev=0 rem=0" "$tmp/prov-salt-line.txt"
+grep -q " oc=0 dep=0 ev=0" "$tmp/prov-salt-line.txt"
 ! grep -q " vb=0 " "$tmp/prov-salt-line.txt"
 # -explain must name a producer and checker version for a warm report.
 "$tmp/mcheck" -flash -cache "$tmp/prov-depot" -explain "$tmp/corpus/sci"/*.c \

@@ -35,7 +35,7 @@
 //
 // Provenance: -explain prints, for every report, the artifact it was
 // assembled from, this run's cache decision for that artifact, the
-// producer (local pid or worker address), checker version, and wall
+// producer (the computing process's pid), checker version, and wall
 // cost. Each run against a persistent -cache appends an entry to the
 // depot's run ledger; -runs lists the ledger and -diff OLD,NEW
 // compares two entries — appeared/disappeared reports (with witness

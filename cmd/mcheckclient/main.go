@@ -1,5 +1,5 @@
 // mcheckclient is a small CLI client for mcheckd, used by scripts and
-// the CI fleet gate: it posts source files to /check and prints the
+// the CI daemon gates: it posts source files to /check and prints the
 // ranked reports (stats omitted — they differ run to run), or fetches
 // an arbitrary path, or polls /healthz until a daemon is ready.
 //
@@ -9,9 +9,8 @@
 //	mcheckclient -addr host:port -get /metrics
 //	mcheckclient -addr host:port -wait 10s   poll /healthz until 200
 //	mcheckclient -addr host:port -trace FILE file.c...
-//	             also fetch the request's merged Chrome trace (from
-//	             /debug/trace/<X-Trace-Id>) into FILE, then print the
-//	             request's flight-recorder events (/debug/fleet?trace=)
+//	             also fetch the request's Chrome trace (from
+//	             /debug/trace/<X-Trace-Id>) into FILE
 //	mcheckclient -addr host:port -runs       list the server's run ledger
 //	mcheckclient -addr host:port -diff A,B   compare two ledger entries
 package main
@@ -34,7 +33,7 @@ func main() {
 	get := flag.String("get", "", "GET this path and print the body instead of posting a check")
 	wait := flag.Duration("wait", 0, "poll /healthz until it answers 200 (or this long elapses)")
 	triageMode := flag.String("triage", "", "triage_mode for /check (\"slice\" or \"sym\")")
-	traceOut := flag.String("trace", "", "after /check, fetch the merged request trace into this file and print the request's flight events")
+	traceOut := flag.String("trace", "", "after /check, fetch the request's trace into this file")
 	runsList := flag.Bool("runs", false, "list the server's run ledger (/debug/runs) and exit")
 	diffSpec := flag.String("diff", "", "compare two server ledger runs OLD,NEW (/debug/runs/diff) and exit")
 	flag.Parse()
@@ -118,7 +117,8 @@ func main() {
 		os.Exit(1)
 	}
 	// Print only the reports: stats vary between servers and runs, so
-	// scripts comparing fleet output against a local run diff this.
+	// scripts comparing two daemons' (or a cold and a warm run's)
+	// output diff this.
 	var parsed struct {
 		Reports json.RawMessage `json:"reports"`
 	}
@@ -159,6 +159,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "mcheckclient: trace %s written to %s\n", id, *traceOut)
-		printFlight(base, id)
 	}
 }

@@ -3,8 +3,8 @@ package main
 // Thin clients for mcheckd's run-ledger routes (cmd/mcheckd/runs.go):
 // -runs prints the same greppable lines as `mcheck -runs`, and -diff
 // mirrors `mcheck -diff` — report changes to stdout (empty stdout ⇒
-// byte-identical streams), perf deltas to stderr — so fleet scripts
-// can gate on either binary interchangeably.
+// byte-identical streams), perf deltas to stderr — so scripts can
+// gate on either binary interchangeably.
 
 import (
 	"encoding/json"
@@ -36,9 +36,9 @@ func getLedgerJSON(base, path string, v any) error {
 // ledgerReport mirrors engine.Report's wire shape, decoupled from the
 // internal package — this client speaks only JSON.
 type ledgerReport struct {
-	SM    string `json:"SM"`
-	Msg   string `json:"Msg"`
-	Pos   struct {
+	SM  string `json:"SM"`
+	Msg string `json:"Msg"`
+	Pos struct {
 		File string `json:"File"`
 		Line int    `json:"Line"`
 		Col  int    `json:"Col"`
@@ -111,38 +111,4 @@ func diffCmd(base, spec string) int {
 		float64(diff.ElapsedDeltaUS)/1000, float64(diff.TaskDeltaUS)/1000,
 		diff.HitDelta, diff.MissDelta)
 	return 0
-}
-
-// printFlight fetches the request's flight-recorder events (the fleet
-// dispatch/steal/retry sequence stamped with this trace id) and
-// prints them to stderr after the trace summary.
-func printFlight(base, traceID string) {
-	var resp struct {
-		FlightEvents []struct {
-			Time   string `json:"time"`
-			Kind   string `json:"kind"`
-			Task   string `json:"task"`
-			Worker string `json:"worker"`
-			Detail string `json:"detail"`
-		} `json:"flight_events"`
-	}
-	path := "/debug/fleet?trace=" + url.QueryEscape(traceID)
-	if err := getLedgerJSON(base, path, &resp); err != nil {
-		fmt.Fprintf(os.Stderr, "mcheckclient: flight: %v\n", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "flight events for trace %s: %d\n", traceID, len(resp.FlightEvents))
-	for _, e := range resp.FlightEvents {
-		line := fmt.Sprintf("  %s %s", e.Time, e.Kind)
-		if e.Task != "" {
-			line += " task=" + e.Task
-		}
-		if e.Worker != "" {
-			line += " worker=" + e.Worker
-		}
-		if e.Detail != "" {
-			line += " (" + e.Detail + ")"
-		}
-		fmt.Fprintln(os.Stderr, line)
-	}
 }

@@ -36,11 +36,6 @@
 // artifacts evicted first. Either option sweeps once at startup and
 // then by write pressure: the Put that crosses -gc-pressure-bytes of
 // writes since the last sweep runs the next one.
-//
-// -workers host:port,... fans cache-missed analysis tasks out over a
-// fleet of mcheckworker processes sharing the -cache depot, with
-// work-stealing, retry, and transparent local fallback; responses
-// stay byte-identical to local runs.
 package main
 
 import (
@@ -53,7 +48,6 @@ import (
 	"strings"
 
 	"flashmc/internal/depot"
-	"flashmc/internal/fleet"
 )
 
 func main() {
@@ -65,8 +59,6 @@ func main() {
 	workers := flag.Int("j", 0, "parallel analysis workers (default GOMAXPROCS)")
 	gcAge := flag.Duration("gc", 0, "if set, evict depot entries unused for this long (swept at startup and under write pressure)")
 	gcPressure := flag.Int64("gc-pressure-bytes", 0, "bytes written between GC sweeps (default: -cache-max-bytes/8, else 8MiB)")
-	fleetAddrs := flag.String("workers", "", "comma-separated mcheckworker addresses (host:port) sharing the -cache depot")
-	taskTimeout := flag.Duration("task-timeout", 0, "per-attempt deadline for remote fleet tasks (default 2m)")
 	flag.Parse()
 
 	// -j must be a positive worker count; unset means every CPU.
@@ -118,16 +110,6 @@ func main() {
 	}
 
 	srv := newServer(store, *workers)
-	if *fleetAddrs != "" {
-		if *cacheDir == "" {
-			fmt.Fprintln(os.Stderr, "mcheckd: -workers requires -cache (the fleet shares artifacts through the depot)")
-			os.Exit(2)
-		}
-		addrs := strings.Split(*fleetAddrs, ",")
-		disp := fleet.New(addrs, fleet.Options{TaskTimeout: *taskTimeout})
-		srv.setFleet(disp)
-		log.Printf("mcheckd: dispatching to %d workers: %s", disp.Workers(), *fleetAddrs)
-	}
 	log.Printf("mcheckd: listening on %s (cache=%q workers=%d)", *addr, *cacheDir, *workers)
 	log.Fatal(http.ListenAndServe(*addr, srv))
 }

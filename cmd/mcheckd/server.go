@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -21,7 +22,6 @@ import (
 	"flashmc/internal/depot"
 	"flashmc/internal/engine"
 	"flashmc/internal/flash"
-	"flashmc/internal/fleet"
 	"flashmc/internal/lint"
 	"flashmc/internal/obs"
 	"flashmc/internal/sched"
@@ -120,8 +120,14 @@ type flight struct {
 	traceID string // the leader's request id; followers echo it in X-Trace-Id
 }
 
-// traceRingCap bounds how many merged request traces the server keeps
-// for /debug/trace; the oldest is evicted FIFO.
+// maxCheckBodyBytes caps a POST /check body. The whole generated
+// FLASH corpus (six protocols, ~81.5k lines, ~1.3 MB) fits many times
+// over; beyond the cap the daemon answers 413 instead of buffering
+// whatever a client sends.
+const maxCheckBodyBytes = 32 << 20
+
+// traceRingCap bounds how many request traces the server keeps for
+// /debug/trace; the oldest is evicted FIFO.
 const traceRingCap = 32
 
 // server owns one analyzer over one depot; every request shares the
@@ -136,7 +142,6 @@ type server struct {
 	mux       *http.ServeMux
 	reg       *obs.Registry
 	coverage  *cover.Set
-	fleet     *fleet.Dispatcher
 
 	requests    *obs.Counter
 	errored     *obs.Counter
@@ -157,8 +162,8 @@ type server struct {
 	flightMu sync.Mutex
 	flights  map[string]*flight
 
-	// traceMu guards the bounded ring of merged request traces served
-	// by /debug/trace/<id>.
+	// traceMu guards the bounded ring of request traces served by
+	// /debug/trace/<id>.
 	traceMu    sync.Mutex
 	traces     map[string][]obs.Event
 	traceOrder []string
@@ -216,7 +221,6 @@ func newServer(store *depot.Depot, workers int) *server {
 	s.mux.HandleFunc("/debug/coverage", s.handleCoverage)
 	s.mux.HandleFunc("/debug/timings", s.handleTimings)
 	s.mux.HandleFunc("/debug/trace/", s.handleTrace)
-	s.mux.HandleFunc("/debug/fleet", s.handleFleet)
 	s.mux.HandleFunc("/debug/runs", s.handleRuns)
 	s.mux.HandleFunc("/debug/runs/", s.handleRuns)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -228,13 +232,6 @@ func newServer(store *depot.Depot, workers int) *server {
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// setFleet routes cache-missed scheduler tasks through the worker
-// dispatcher. Must be called before serving traffic.
-func (s *server) setFleet(d *fleet.Dispatcher) {
-	s.fleet = d
-	s.analyzer.Remote = d
-}
 
 func (s *server) fail(w http.ResponseWriter, code int, format string, args ...any) {
 	s.errored.Inc()
@@ -267,7 +264,14 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	var req checkRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxCheckBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+			s.fail(w, status, "request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		status = http.StatusBadRequest
 		s.fail(w, status, "bad request body: %v", err)
 		return
@@ -351,7 +355,7 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		srcHash := sha256.Sum256([]byte(src))
 		version := "adhoc-" + hex.EncodeToString(srcHash[:8])
 		jobs = append(jobs, sched.Job{Name: mp.Name, Version: version,
-			Options: specOpt, SM: mp.SM, AdhocSrc: src})
+			Options: specOpt, SM: mp.SM})
 		smByName[mp.SM.Name] = mp.SM
 		smVersions[mp.SM.Name] = version
 	}
@@ -404,25 +408,13 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.testLeaderHook()
 	}
 
-	// Every leader request runs under its own tracer: the leader is
-	// process 1 in the merged trace, workers claim higher pids as the
-	// dispatcher folds their spans in (see Dispatcher.mergeWorkerSpans).
+	// Every leader request runs under its own tracer, so concurrent
+	// requests' spans never interleave in one trace.
 	tracer := obs.NewTracer()
 	tracer.SetProcess(1, "mcheckd")
 	creq := sched.Request{Prog: prog, Spec: spec, Jobs: jobs,
 		Fingerprints: cp.Fingerprints, ProgramFP: cp.ProgramFP,
 		Tracer: tracer, TraceID: reqID}
-	// With a fleet configured, publish the source bundle so stateless
-	// workers can parse this exact tree, then let the scheduler
-	// dispatch cache-missed tasks remotely. A failed publish just runs
-	// the request locally — never worse than no fleet.
-	if s.fleet != nil {
-		if err := sched.PutBundle(s.store, srcHash, req.Files, roots, spec); err != nil {
-			log.Printf("mcheckd: id=%s bundle: %v (running locally)", reqID, err)
-		} else {
-			creq.SrcHash = srcHash
-		}
-	}
 	res, err := s.analyzer.Check(creq)
 	if err != nil {
 		status = http.StatusInternalServerError
@@ -470,7 +462,7 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// storeTrace retains the merged trace of one completed request for
+// storeTrace retains the trace of one completed request for
 // /debug/trace/<id>, evicting the oldest beyond traceRingCap.
 func (s *server) storeTrace(id string, events []obs.Event) {
 	s.traceMu.Lock()
@@ -485,10 +477,9 @@ func (s *server) storeTrace(id string, events []obs.Event) {
 	}
 }
 
-// handleTrace serves one request's merged Chrome trace_event file:
-// leader dispatch spans plus the execution spans of every worker that
-// ran one of its tasks, aligned onto the leader's clock. Open it in
-// chrome://tracing or Perfetto.
+// handleTrace serves one request's Chrome trace_event file: the check
+// span plus one span per scheduler task, laid out per worker lane.
+// Open it in chrome://tracing or Perfetto.
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
 	s.traceMu.Lock()
@@ -502,45 +493,6 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if err := obs.WriteTraceJSON(w, events); err != nil {
 		log.Printf("mcheckd: /debug/trace/%s: %v", id, err)
 	}
-}
-
-// fleetDebugResponse is the /debug/fleet body: live dispatcher state
-// plus the tail of the task flight recorder.
-type fleetDebugResponse struct {
-	Fleet        bool                 `json:"fleet"`
-	Workers      []fleet.WorkerStatus `json:"workers,omitempty"`
-	FlightTotal  uint64               `json:"flight_total"`
-	FlightEvents []obs.FlightEvent    `json:"flight_events"`
-}
-
-// handleFleet reports what the dispatcher is doing right now and what
-// it recently did: per-worker queue depth, inflight count and health,
-// and the flight recorder's task lifecycle tail (dispatched, stolen,
-// retried, rejected, completed, fell-back, worker-down/up). With
-// ?trace=<id> the flight tail is filtered to one request's events
-// (FlightTotal stays the ring-wide count).
-func (s *server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	resp := fleetDebugResponse{
-		FlightTotal:  fleet.FlightTotal(),
-		FlightEvents: fleet.FlightEvents(),
-	}
-	if want := r.URL.Query().Get("trace"); want != "" {
-		kept := resp.FlightEvents[:0]
-		for _, e := range resp.FlightEvents {
-			if e.Trace == want {
-				kept = append(kept, e)
-			}
-		}
-		resp.FlightEvents = kept
-	}
-	if resp.FlightEvents == nil {
-		resp.FlightEvents = []obs.FlightEvent{}
-	}
-	if s.fleet != nil {
-		resp.Fleet = true
-		resp.Workers = s.fleet.Status()
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // flightKey content-addresses one /check computation. The program
@@ -652,28 +604,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.shardBytes.With(fmt.Sprint(i)).Set(float64(ss.Bytes))
 	}
 	s.reg.WritePrometheus(w)
-	if s.fleet == nil {
-		// Process-global metrics (engine, sched, depot) follow the
-		// per-server families; the name spaces are disjoint.
-		obs.Default.WritePrometheus(w)
-		return
-	}
-	// Metrics federation: scrape every configured worker on demand and
-	// re-export its fleet_worker_* families with a worker label, so one
-	// scrape of the daemon sees the whole fleet. Families the
-	// federation re-emits are excluded from this process's own
-	// exposition — the fleet_worker_* namespace belongs to worker
-	// processes, and a family may not be declared twice.
-	scrapes, errs := s.fleet.ScrapeWorkers(r.Context())
-	for addr, err := range errs {
-		log.Printf("mcheckd: /metrics scrape %s: %v", addr, err)
-	}
-	keep := func(name string) bool { return strings.HasPrefix(name, "fleet_worker_") }
-	fed := obs.FederatedNames(scrapes, keep)
-	obs.Default.WritePrometheusFiltered(w, func(name string) bool { return !fed[name] })
-	if err := obs.WriteFederated(w, scrapes, "worker", keep); err != nil {
-		log.Printf("mcheckd: /metrics federate: %v", err)
-	}
+	// Process-global metrics (engine, sched, depot) follow the
+	// per-server families; the name spaces are disjoint.
+	obs.Default.WritePrometheus(w)
 }
 
 // handleCoverage serves the accumulated coverage/v1 artifact: every
@@ -699,39 +632,21 @@ func (s *server) handleTimings(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, timings)
 }
 
-// healthResponse is the /healthz readiness report: depot reachability
-// plus per-worker fleet liveness, so a load balancer can drain a
-// daemon whose cache volume or worker fleet is gone.
+// healthResponse is the /healthz readiness report, so a load
+// balancer can drain a daemon whose cache volume is gone.
 type healthResponse struct {
-	Status  string               `json:"status"` // "ok" or "degraded"
-	Depot   string               `json:"depot"`  // "ok" or the ping error
-	Workers []fleet.WorkerStatus `json:"workers,omitempty"`
+	Status string `json:"status"` // "ok" or "degraded"
+	Depot  string `json:"depot"`  // "ok" or the ping error
 }
 
 // handleHealthz reports readiness, not just liveness: 200 only while
-// the depot is reachable and, with a fleet configured, at least one
-// worker is live (a fleet daemon with zero workers still answers
-// correctly via local fallback, but it is the worst-provisioned
-// instance in the pool — the balancer should prefer its peers).
+// the depot is reachable.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := healthResponse{Status: "ok", Depot: "ok"}
 	code := http.StatusOK
 	if err := s.store.Ping(); err != nil {
 		resp.Status, resp.Depot = "degraded", err.Error()
 		code = http.StatusServiceUnavailable
-	}
-	if s.fleet != nil {
-		resp.Workers = s.fleet.Status()
-		up := 0
-		for _, ws := range resp.Workers {
-			if ws.Up {
-				up++
-			}
-		}
-		if up == 0 {
-			resp.Status = "degraded"
-			code = http.StatusServiceUnavailable
-		}
 	}
 	writeJSON(w, code, resp)
 }

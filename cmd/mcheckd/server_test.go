@@ -175,6 +175,59 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// fill is an endless run of 'x' bytes.
+type fill struct{}
+
+func (fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestServerRejectsOversizedBody: a /check body past maxCheckBodyBytes
+// is answered 413 and counted as a request error, and the daemon stops
+// reading at the cap instead of buffering the rest.
+func TestServerRejectsOversizedBody(t *testing.T) {
+	store, _ := depot.Open("")
+	srv := newServer(store, 1)
+
+	size := int64(2 * maxCheckBodyBytes)
+	body := &countingReader{r: io.MultiReader(
+		strings.NewReader(`{"files": {"big.c": "`),
+		io.LimitReader(fill{}, size),
+		strings.NewReader(`"}}`))}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/check", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: got %d, want 413", rec.Code)
+	}
+	if !strings.Contains(rec.Body.String(), "request body exceeds") {
+		t.Fatalf("413 body = %q", rec.Body)
+	}
+	if body.n >= size {
+		t.Fatalf("daemon read %d bytes of a %d-byte body; want it to stop at the cap", body.n, size)
+	}
+
+	mrec := httptest.NewRecorder()
+	srv.ServeHTTP(mrec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if got := metricValue(t, mrec.Body.String(), "mcheckd_request_errors_total"); got != 1 {
+		t.Fatalf("mcheckd_request_errors_total = %v, want 1", got)
+	}
+}
+
 func mustQuote(s string) string {
 	b, _ := json.Marshal(s)
 	return string(b)

@@ -12,7 +12,7 @@
 // JSON with at least one complete ("ph":"X") span and monotone
 // per-lane timestamps, and prints the span count plus a per-process
 // breakdown (pid, process_name metadata, span count) — CI greps it to
-// assert a fleet trace really contains several workers. -coverage
+// assert a daemon trace names its mcheckd process. -coverage
 // checks kind, key shapes and count invariants of a
 // coverage artifact (mcheck -coverage-out, mcheckd /debug/coverage)
 // and prints the checker count. Any flag may be repeated; any failure

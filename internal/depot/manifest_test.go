@@ -161,8 +161,8 @@ func TestPutPressureGC(t *testing.T) {
 
 // TestConcurrentFreshOpen: N goroutines racing Open on the same fresh
 // directory must all succeed — a reader must never observe a
-// truncated manifest mid-write (two mcheckworkers sharing one new
-// depot volume start exactly this way).
+// truncated manifest mid-write (an mcheck and an mcheckd sharing one
+// new depot volume start exactly this way).
 func TestConcurrentFreshOpen(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		dir := filepath.Join(t.TempDir(), "depot")

@@ -4,7 +4,7 @@ package depot
 // sidecar record — stored as a normal depot artifact under a derived
 // prov/v1 key — answering "who produced this, from what, and at what
 // cost". Warm reads then explain themselves: mcheck -explain resolves
-// a report back to the worker, checker version, input fingerprints
+// a report back to the process, checker version, input fingerprints
 // and wall cost that produced it, which is the lineage substrate the
 // ROADMAP's cross-version cache-aliasing item needs.
 //
@@ -33,8 +33,8 @@ type Provenance struct {
 	// Deps are the key ids of artifacts consumed while producing this
 	// one (a lanes task's function summaries, for example).
 	Deps []string `json:"deps,omitempty"`
-	// Producer identifies who computed the artifact: "pid:<n>" for a
-	// local run, the worker address for a fleet run.
+	// Producer identifies who computed the artifact: "pid:<n>" of the
+	// process that ran the check.
 	Producer string `json:"producer,omitempty"`
 	// TraceID is the request trace the computation ran under.
 	TraceID string `json:"trace_id,omitempty"`

@@ -280,46 +280,6 @@ func (v *CounterVec) snapshot() ([]string, map[string]*Counter) {
 	return vals, out
 }
 
-// HistogramVec is a family of histograms split by one label — the
-// fleet's per-worker task latencies, for example. Children render as
-// name_bucket{label="value",le="bound"} series, sorted by label value.
-type HistogramVec struct {
-	label   string
-	buckets []float64
-	mu      sync.Mutex
-	children map[string]*Histogram
-}
-
-// With returns the child histogram for one label value, creating it
-// if needed.
-func (v *HistogramVec) With(value string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	h, ok := v.children[value]
-	if !ok {
-		h = MakeHistogram(v.buckets)
-		v.children[value] = h
-	}
-	return h
-}
-
-// snapshot returns the child label values (sorted) and histograms.
-func (v *HistogramVec) snapshot() ([]string, map[string]*Histogram) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	vals := make([]string, 0, len(v.children))
-	out := make(map[string]*Histogram, len(v.children))
-	for val, h := range v.children {
-		vals = append(vals, val)
-		out[val] = h
-	}
-	sort.Strings(vals)
-	return vals, out
-}
-
 // metric kinds for registry bookkeeping.
 const (
 	kindCounter   = "counter"
@@ -331,13 +291,12 @@ const (
 type family struct {
 	name, help, kind string
 
-	counter      *Counter
-	counterVec   *CounterVec
-	gauge        *Gauge
-	gaugeFn      func() float64
-	gaugeVec     *GaugeVec
-	histogram    *Histogram
-	histogramVec *HistogramVec
+	counter    *Counter
+	counterVec *CounterVec
+	gauge      *Gauge
+	gaugeFn    func() float64
+	gaugeVec   *GaugeVec
+	histogram  *Histogram
 }
 
 // Registry holds named metrics and renders them in Prometheus text
@@ -438,25 +397,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	f := r.lookup(name, help, kindHistogram, func(f *family) {
 		f.histogram = MakeHistogram(buckets)
 	})
-	if f.histogram == nil {
-		panic(fmt.Sprintf("obs: metric %s re-registered as plain histogram (was labeled)", name))
-	}
 	return f.histogram
-}
-
-// HistogramVec returns the labeled histogram family registered under
-// name, creating it with the given label name and buckets if needed
-// (nil buckets use DefBuckets). Registering a name already held by a
-// plain histogram (or vice versa) panics — mixing labeled and
-// unlabeled samples in one family is malformed exposition.
-func (r *Registry) HistogramVec(name, help, label string, buckets []float64) *HistogramVec {
-	f := r.lookup(name, help, kindHistogram, func(f *family) {
-		f.histogramVec = &HistogramVec{label: label, buckets: buckets, children: map[string]*Histogram{}}
-	})
-	if f.histogramVec == nil {
-		panic(fmt.Sprintf("obs: metric %s re-registered as labeled histogram (was plain)", name))
-	}
-	return f.histogramVec
 }
 
 // MakeHistogram returns a standalone histogram that is not registered
@@ -492,12 +433,6 @@ func NewHistogram(name, help string, buckets []float64) *Histogram {
 	return Default.Histogram(name, help, buckets)
 }
 
-// NewHistogramVec registers a labeled histogram family in the Default
-// registry.
-func NewHistogramVec(name, help, label string, buckets []float64) *HistogramVec {
-	return Default.HistogramVec(name, help, label, buckets)
-}
-
 // formatFloat renders a sample value the way Prometheus does.
 func formatFloat(v float64) string {
 	switch {
@@ -518,20 +453,9 @@ func escapeHelp(s string) string {
 // WritePrometheus renders every registered metric in text exposition
 // format, families sorted by name.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.WritePrometheusFiltered(w, nil)
-}
-
-// WritePrometheusFiltered renders the registered metrics whose family
-// name passes keep (nil keeps everything). mcheckd uses it to exclude
-// the families its metrics federation re-exports with a worker label —
-// emitting both would re-declare the TYPE.
-func (r *Registry) WritePrometheusFiltered(w io.Writer, keep func(name string) bool) error {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
 	for n := range r.families {
-		if keep != nil && !keep(n) {
-			continue
-		}
 		names = append(names, n)
 	}
 	fams := make([]*family, 0, len(names))
@@ -542,18 +466,6 @@ func (r *Registry) WritePrometheusFiltered(w io.Writer, keep func(name string) b
 	r.mu.Unlock()
 
 	for _, f := range fams {
-		// A labeled histogram with no children yet has no series to
-		// render; emitting its TYPE line alone would be a histogram
-		// family with no buckets, so the family is omitted entirely
-		// until a child exists (as the Prometheus client does).
-		var vecVals []string
-		var vecChildren map[string]*Histogram
-		if f.histogramVec != nil {
-			vecVals, vecChildren = f.histogramVec.snapshot()
-			if len(vecVals) == 0 {
-				continue
-			}
-		}
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, escapeHelp(f.help), f.name, f.kind); err != nil {
 			return err
 		}
@@ -574,21 +486,6 @@ func (r *Registry) WritePrometheusFiltered(w io.Writer, keep func(name string) b
 			}
 		case f.gauge != nil:
 			fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.gauge.Value()))
-		case f.histogramVec != nil:
-			for _, v := range vecVals {
-				h := vecChildren[v]
-				cum := uint64(0)
-				for i, b := range h.bounds {
-					cum += h.buckets[i].Load()
-					fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d\n", f.name, f.histogramVec.label, v, formatFloat(b), cum)
-				}
-				cum += h.buckets[len(h.bounds)].Load()
-				fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", f.name, f.histogramVec.label, v, cum)
-				fmt.Fprintf(w, "%s_sum{%s=%q} %s\n", f.name, f.histogramVec.label, v, formatFloat(h.Sum()))
-				if _, err := fmt.Fprintf(w, "%s_count{%s=%q} %d\n", f.name, f.histogramVec.label, v, h.count.Load()); err != nil {
-					return err
-				}
-			}
 		case f.histogram != nil:
 			h := f.histogram
 			cum := uint64(0)
@@ -637,13 +534,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 			}
 		case f.gauge != nil:
 			out[f.name] = f.gauge.Value()
-		case f.histogramVec != nil:
-			vals, children := f.histogramVec.snapshot()
-			for _, v := range vals {
-				series := fmt.Sprintf("{%s=%q}", f.histogramVec.label, v)
-				out[f.name+"_count"+series] = float64(children[v].Count())
-				out[f.name+"_sum"+series] = children[v].Sum()
-			}
 		case f.histogram != nil:
 			out[f.name+"_count"] = float64(f.histogram.Count())
 			out[f.name+"_sum"] = f.histogram.Sum()

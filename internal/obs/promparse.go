@@ -315,8 +315,8 @@ type histSeries struct {
 // checkHistogram enforces the histogram series contract per series
 // (series = one set of labels excluding "le"): a +Inf bucket whose
 // count equals name_count, and cumulative, ascending bucket counts.
-// Labeled families — one series per label value, like the fleet's
-// per-worker latencies — validate each series independently.
+// Labeled families — one series per label value — validate each
+// series independently.
 func checkHistogram(f *PromFamily) error {
 	series := map[string]*histSeries{}
 	get := func(labels map[string]string) *histSeries {

@@ -12,11 +12,9 @@ import (
 // Event is one Chrome trace_event record. Complete spans use phase
 // "X" with a microsecond timestamp and duration; chrome://tracing and
 // Perfetto render them as nested bars per (pid, tid). Phase "M"
-// carries process metadata (process_name), which is how a merged
-// multi-process trace renders one named lane per worker.
+// carries process metadata (process_name), which names a pid's lane.
 type Event struct {
 	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
 	TS   float64        `json:"ts"`            // microseconds since trace start
 	Dur  float64        `json:"dur,omitempty"` // microseconds
@@ -56,9 +54,8 @@ func (t *Tracer) SetProcess(pid int, name string) {
 	t.ProcessMeta(pid, name)
 }
 
-// ProcessMeta records a process_name metadata event for an arbitrary
-// pid lane (deduplicated per tracer) — the leader uses it to name the
-// lanes it merges remote worker spans into.
+// ProcessMeta records a process_name metadata event for a pid lane
+// (deduplicated per tracer).
 func (t *Tracer) ProcessMeta(pid int, name string) {
 	if t == nil {
 		return
@@ -78,20 +75,10 @@ func (t *Tracer) ProcessMeta(pid int, name string) {
 	})
 }
 
-// NowUS returns microseconds elapsed since the tracer's start — the
-// time base remote spans are aligned against.
-func (t *Tracer) NowUS() float64 {
-	if t == nil {
-		return 0
-	}
-	return float64(time.Since(t.t0)) / float64(time.Microsecond)
-}
-
 // Span is one in-flight span; End records it.
 type Span struct {
 	t     *Tracer
 	name  string
-	cat   string
 	tid   int
 	start time.Time
 	args  map[string]any
@@ -118,16 +105,6 @@ func (s *Span) Arg(key string, value any) *Span {
 	return s
 }
 
-// Cat sets the span's category, which viewers use for filtering (and
-// ci.sh greps for to prove dispatcher spans exist).
-func (s *Span) Cat(cat string) *Span {
-	if s == nil {
-		return nil
-	}
-	s.cat = cat
-	return s
-}
-
 // End closes the span, recording a complete ("X") event.
 func (s *Span) End() {
 	if s == nil {
@@ -135,7 +112,6 @@ func (s *Span) End() {
 	}
 	s.t.record(Event{
 		Name: s.name,
-		Cat:  s.cat,
 		Ph:   "X",
 		TS:   float64(s.start.Sub(s.t.t0)) / float64(time.Microsecond),
 		Dur:  float64(time.Since(s.start)) / float64(time.Microsecond),
@@ -146,66 +122,14 @@ func (s *Span) End() {
 
 // Instant records a zero-duration instant event (phase "i").
 func (t *Tracer) Instant(name string, tid int) {
-	t.Mark(name, "", tid, nil)
-}
-
-// Mark records an instant event (phase "i") with a category and
-// arguments — the dispatcher uses it for enqueue/steal/retry marks.
-func (t *Tracer) Mark(name, cat string, tid int, args map[string]any) {
 	if t == nil {
 		return
 	}
 	t.record(Event{
-		Name: name, Cat: cat, Ph: "i",
-		TS:   float64(time.Since(t.t0)) / float64(time.Microsecond),
-		TID:  tid,
-		Args: args,
+		Name: name, Ph: "i",
+		TS:  float64(time.Since(t.t0)) / float64(time.Microsecond),
+		TID: tid,
 	})
-}
-
-// RecordSpan records a complete ("X") span for an interval measured
-// outside the Span helper — e.g. a queue wait whose start predates the
-// claim that observes it.
-func (t *Tracer) RecordSpan(name, cat string, tid int, start time.Time, dur time.Duration, args map[string]any) {
-	if t == nil {
-		return
-	}
-	ts := float64(start.Sub(t.t0)) / float64(time.Microsecond)
-	if ts < 0 {
-		ts = 0
-	}
-	if dur < 0 {
-		dur = 0
-	}
-	t.record(Event{
-		Name: name, Cat: cat, Ph: "X",
-		TS: ts, Dur: float64(dur) / float64(time.Microsecond),
-		TID: tid, Args: args,
-	})
-}
-
-// MergeRemote appends spans recorded by another process's tracer,
-// shifting their timestamps by offsetUS (the estimated position of the
-// remote tracer's t0 on this tracer's clock) and rewriting their
-// process/thread ids so each remote task gets its own lane. Metadata
-// events are dropped — the merging side names the lanes it assigns.
-func (t *Tracer) MergeRemote(events []Event, offsetUS float64, pid, tid int) {
-	if t == nil || len(events) == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, e := range events {
-		if e.Ph == "M" {
-			continue
-		}
-		e.PID, e.TID = pid, tid
-		e.TS += offsetUS
-		if e.TS < 0 {
-			e.TS = 0
-		}
-		t.events = append(t.events, e)
-	}
 }
 
 func (t *Tracer) record(e Event) {
@@ -303,9 +227,9 @@ func ValidateTrace(r io.Reader) (int, error) {
 
 // ValidateTraceStats validates a trace like ValidateTrace and returns
 // the per-process breakdown. Beyond well-formedness it asserts the
-// timestamp discipline merged multi-process traces rely on: every
-// timestamp non-negative, every complete span's duration non-negative,
-// and timestamps monotone per (pid, tid) lane in file order (the order
+// timestamp discipline trace viewers rely on: every timestamp
+// non-negative, every complete span's duration non-negative, and
+// timestamps monotone per (pid, tid) lane in file order (the order
 // WriteTraceJSON emits).
 func ValidateTraceStats(r io.Reader) (*TraceStats, error) {
 	raw, err := io.ReadAll(r)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -42,64 +43,46 @@ func TestSetProcessNamesLane(t *testing.T) {
 }
 
 // TestProcessMetaForeignLane: ProcessMeta names a lane the tracer's
-// own events never use — how the leader labels merged worker pids.
+// own events never use.
 func TestProcessMetaForeignLane(t *testing.T) {
 	tr := NewTracer()
-	tr.ProcessMeta(4, "mcheckworker 127.0.0.1:9999")
+	tr.ProcessMeta(4, "other")
 	events := tr.Events()
 	if len(events) != 1 || events[0].Ph != "M" || events[0].PID != 4 {
 		t.Fatalf("events = %+v", events)
 	}
 }
 
-// TestMergeRemoteRewritesAndShifts: merged remote events land on the
-// assigned (pid, tid) lane with timestamps shifted onto the leader's
-// clock, metadata dropped, and negative results clamped to zero.
-func TestMergeRemoteRewritesAndShifts(t *testing.T) {
-	tr := NewTracer()
-	remote := []Event{
-		{Name: "process_name", Ph: "M", PID: 12345, Args: map[string]any{"name": "worker"}},
-		{Name: "frontend", Ph: "X", TS: 10, Dur: 5, PID: 12345, TID: 0},
-		{Name: "run", Ph: "X", TS: 20, Dur: 30, PID: 12345, TID: 0},
-	}
-	tr.MergeRemote(remote, 1000, 3, 42)
-
-	events := tr.Events()
-	if len(events) != 2 {
-		t.Fatalf("merged %d events, want 2 (metadata dropped): %+v", len(events), events)
-	}
-	for i, want := range []struct{ name string; ts float64 }{{"frontend", 1010}, {"run", 1020}} {
-		e := events[i]
-		if e.Name != want.name || e.TS != want.ts || e.PID != 3 || e.TID != 42 {
-			t.Fatalf("event %d = %+v, want name=%s ts=%v pid=3 tid=42", i, e, want.name, want.ts)
-		}
-	}
-
-	// A pathological negative offset must not produce negative
-	// timestamps — ValidateTrace rejects those.
-	tr2 := NewTracer()
-	tr2.MergeRemote([]Event{{Name: "x", Ph: "X", TS: 5, Dur: 1}}, -100, 2, 1)
-	if ts := tr2.Events()[0].TS; ts != 0 {
-		t.Fatalf("clamped TS = %v, want 0", ts)
-	}
-}
-
-// TestWriteTraceJSONSortsLanes: events recorded out of lane order come
-// out grouped per (pid, tid) with monotone timestamps, so a merged
-// multi-process trace passes validation no matter the arrival order of
-// worker replies.
+// TestWriteTraceJSONSortsLanes: spans are recorded when they end, so
+// a parent lands after the children it encloses and lanes interleave
+// in completion order. The raw recording order fails validation;
+// WriteTraceJSON must group events per (pid, tid) with monotone
+// timestamps so the written trace passes.
 func TestWriteTraceJSONSortsLanes(t *testing.T) {
 	tr := NewTracer()
-	tr.SetProcess(1, "leader")
-	sp := tr.StartSpan("dispatch", 0)
+	tr.SetProcess(1, "mcheckd")
+	check := tr.StartSpan("check", 0)
 	time.Sleep(time.Millisecond)
-	sp.End()
-	// Worker spans arrive after the leader span but started earlier on
-	// their own lane; a second worker merges before the first.
-	tr.ProcessMeta(3, "worker-b")
-	tr.MergeRemote([]Event{{Name: "run-b", Ph: "X", TS: 0, Dur: 2}}, 50, 3, 1)
-	tr.ProcessMeta(2, "worker-a")
-	tr.MergeRemote([]Event{{Name: "run-a", Ph: "X", TS: 0, Dur: 2}}, 10, 2, 1)
+	a := tr.StartSpan("a", 1)
+	time.Sleep(time.Millisecond)
+	b := tr.StartSpan("b", 2)
+	time.Sleep(time.Millisecond)
+	inner := tr.StartSpan("inner", 0)
+	time.Sleep(time.Millisecond)
+	// Reverse arrival: the innermost span and the higher lane finish
+	// first.
+	inner.End()
+	b.End()
+	a.End()
+	check.End()
+
+	raw, err := json.Marshal(tr.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidateTraceStats(bytes.NewReader(raw)); err == nil {
+		t.Fatal("recording order validated; the test no longer exercises sorting")
+	}
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -107,23 +90,22 @@ func TestWriteTraceJSONSortsLanes(t *testing.T) {
 	}
 	stats, err := ValidateTraceStats(strings.NewReader(buf.String()))
 	if err != nil {
-		t.Fatalf("merged trace invalid: %v", err)
+		t.Fatalf("written trace invalid: %v", err)
 	}
-	if stats.Spans != 3 {
-		t.Fatalf("spans = %d, want 3", stats.Spans)
+	want := []ProcessStats{{PID: 1, Name: "mcheckd", Spans: 4}}
+	if stats.Spans != 4 || len(stats.Processes) != 1 || stats.Processes[0] != want[0] {
+		t.Fatalf("stats = %+v, want 4 spans on %+v", stats, want)
 	}
-	want := []ProcessStats{
-		{PID: 1, Name: "leader", Spans: 1},
-		{PID: 2, Name: "worker-a", Spans: 1},
-		{PID: 3, Name: "worker-b", Spans: 1},
+	var file traceFile
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
 	}
-	if len(stats.Processes) != len(want) {
-		t.Fatalf("processes = %+v", stats.Processes)
+	var order []string
+	for _, e := range file.TraceEvents {
+		order = append(order, e.Name)
 	}
-	for i, w := range want {
-		if stats.Processes[i] != w {
-			t.Fatalf("process %d = %+v, want %+v", i, stats.Processes[i], w)
-		}
+	if got := strings.Join(order, " "); got != "process_name check inner a b" {
+		t.Fatalf("written order = %q, want lanes grouped and parents first", got)
 	}
 }
 

@@ -26,13 +26,8 @@ package sched
 // depot shared across different programs the identities can collide,
 // so attribution is best-effort there — counts, not invariants.
 //
-// The decision is counted only once a task's resolution is known
-// (runState.countDecision): a hit counts as "hit", a local recompute
-// counts under its classified miss reason, and a miss whose artifact a
-// fleet worker computed counts under the explicit "remote" reason —
-// the leader never guesses which local reason a worker's recompute
-// would have had, so sched_cache_decisions_total never lies about
-// where work ran.
+// Each lookup counts exactly one decision (runState.lookup): "hit",
+// or the classified reason for the recompute that follows the miss.
 
 import (
 	"fmt"
@@ -52,11 +47,6 @@ const (
 	DecisionOptionsChanged = "options-changed"
 	DecisionDepInvalidated = "dep-invalidated"
 	DecisionEvicted        = "evicted"
-	// DecisionRemote marks a cache miss whose artifact was computed by
-	// a fleet worker. The classified local reason is discarded on the
-	// leader: the work did not run here, and pretending it did would
-	// misattribute every fleet recompute.
-	DecisionRemote = "remote"
 )
 
 // DecisionReasons lists every reason in display order (ledger lines,
@@ -64,7 +54,6 @@ const (
 var DecisionReasons = []string{
 	DecisionHit, DecisionNew, DecisionVersionBump,
 	DecisionOptionsChanged, DecisionDepInvalidated, DecisionEvicted,
-	DecisionRemote,
 }
 
 var decisionCounts = obs.NewCounterVec("sched_cache_decisions_total",
@@ -117,14 +106,13 @@ func writeMarker(d *depot.Depot, checker, identity string, key depot.Key) {
 	})
 }
 
-// localProducer identifies this process in provenance records; fleet
-// workers use their listen address instead.
+// localProducer identifies this process in provenance records and
+// ledger entries.
 var localProducer = fmt.Sprintf("pid:%d", os.Getpid())
 
 // summaryDepKeys returns the sorted depot key ids of the per-function
 // summary artifacts a handler's lane traversal consumed — its
-// provenance dep list. Shared by the local pipeline and the worker
-// executor so both sides record identical lineage.
+// provenance dep list.
 func summaryDepKeys(reach map[string]bool, fpByFn map[string]string, version, options string) []string {
 	var deps []string
 	for fn := range reach {

@@ -47,7 +47,7 @@ type RunEntry struct {
 	ID string `json:"id"`
 	// Unix is the run's completion time (seconds since epoch).
 	Unix int64 `json:"unix"`
-	// Producer is who ran the check: "pid:<n>" or a daemon address.
+	// Producer is who ran the check: "pid:<n>".
 	Producer string `json:"producer,omitempty"`
 	// TraceID is the request's trace identity, when traced.
 	TraceID string `json:"trace_id,omitempty"`
@@ -84,12 +84,12 @@ type RunEntry struct {
 }
 
 // DecisionLine renders the entry's cache breakdown in a fixed,
-// greppable order: "hit=H new=N vb=V oc=O dep=D ev=E rem=R".
+// greppable order: "hit=H new=N vb=V oc=O dep=D ev=E". Unknown
+// reasons (an older depot's "remote") are not rendered.
 func (e *RunEntry) DecisionLine() string {
 	short := map[string]string{
 		DecisionHit: "hit", DecisionNew: "new", DecisionVersionBump: "vb",
 		DecisionOptionsChanged: "oc", DecisionDepInvalidated: "dep", DecisionEvicted: "ev",
-		DecisionRemote: "rem",
 	}
 	parts := make([]string, 0, len(DecisionReasons))
 	for _, r := range DecisionReasons {

@@ -46,8 +46,23 @@ func TestRunLedger(t *testing.T) {
 	if !ok || got.ReportHash != "h1" || len(got.Reports) != 2 {
 		t.Fatalf("entry round-trip wrong: %+v", got)
 	}
-	if line := got.DecisionLine(); line != "hit=3 new=1 vb=0 oc=0 dep=0 ev=0 rem=0" {
+	if line := got.DecisionLine(); line != "hit=3 new=1 vb=0 oc=0 dep=0 ev=0" {
 		t.Fatalf("decision line wrong: %q", line)
+	}
+
+	// An entry written by an older depot may carry a decision reason
+	// this code no longer produces ("remote"); it still decodes and
+	// renders, the unknown reason ignored.
+	if err := d.Put(runKey("20250101T000000Z-0123456789ab"), []byte(`{"id":"20250101T000000Z-0123456789ab","report_hash":"h0",`+
+		`"request_fp":"req","hits":3,"misses":2,"decisions":{"hit":3,"remote":2}}`)); err != nil {
+		t.Fatal(err)
+	}
+	legacy, ok := GetRun(d, "20250101T000000Z-0123456789ab")
+	if !ok || legacy.Decisions["remote"] != 2 {
+		t.Fatalf("legacy entry did not decode: %+v", legacy)
+	}
+	if line := legacy.DecisionLine(); line != "hit=3 new=0 vb=0 oc=0 dep=0 ev=0" {
+		t.Fatalf("legacy decision line wrong: %q", line)
 	}
 
 	diff := DiffRuns(a, b)

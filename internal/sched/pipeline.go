@@ -16,7 +16,6 @@ import (
 	"flashmc/internal/depot"
 	"flashmc/internal/engine"
 	"flashmc/internal/flash"
-	"flashmc/internal/fleet"
 	"flashmc/internal/global"
 	"flashmc/internal/obs"
 )
@@ -74,11 +73,6 @@ type Job struct {
 	Run    func(p *core.Program) []engine.Report
 	RunCov func(p *core.Program) ([]engine.Report, []*engine.Coverage)
 	Lanes  bool
-	// AdhocSrc is the metal source of an ad-hoc SM job. It rides in
-	// fleet descriptors so a remote worker can compile the same
-	// checker; built-in jobs leave it empty and workers resolve the
-	// checker from their registry.
-	AdhocSrc string
 }
 
 // Request is one analysis of one loaded program.
@@ -96,18 +90,13 @@ type Request struct {
 	// cache. Left empty, Check computes them.
 	Fingerprints []string
 	ProgramFP    string
-	// SrcHash is the request's SourceHash. Required for remote
-	// dispatch (descriptors address the source bundle by it, and
-	// PutBundle must have published the bundle under it first); left
-	// empty, every task runs locally even with a Remote configured.
-	SrcHash string
 	// Tracer, when non-nil, overrides the analyzer's tracer for this
 	// request — mcheckd records one tracer per /check so traces do not
 	// interleave across concurrent requests.
 	Tracer *obs.Tracer
-	// TraceID stamps remote descriptors with the request's trace
-	// identity (mcheckd derives it from X-Request-Id); workers echo
-	// their execution spans only for traced descriptors.
+	// TraceID is the request's trace identity (mcheckd derives it from
+	// X-Request-Id); it is stamped on the provenance of every artifact
+	// the request computes and on its ledger entry.
 	TraceID string
 }
 
@@ -186,11 +175,6 @@ type Analyzer struct {
 	// artifact, so the merged counts are identical warm or cold and at
 	// any worker count (the set's merge is additive and commutative).
 	Coverage *cover.Set
-	// Remote, when non-nil, executes cache-missed tasks on the worker
-	// fleet (requires Request.SrcHash and a published bundle). Any
-	// remote failure falls back to local execution, so results are
-	// byte-identical with or without a fleet.
-	Remote Remote
 }
 
 // runState accumulates one Check call's cache traffic.
@@ -204,38 +188,30 @@ type runState struct {
 	globals    int
 }
 
-// lookup resolves key and classifies the cache decision for the task
-// identified by (checker, identity). On a miss the task's marker is
-// rewritten to the new key, so the *next* run's miss (if any) can be
-// attributed; a warm run writes nothing. The decision is NOT counted
-// here: the caller knows only after resolution whether the classified
-// reason stands (local recompute) or the work went to a fleet worker
-// (DecisionRemote), and calls countDecision with the truth.
-func (rs *runState) lookup(checker, identity string, key depot.Key, v any) (bool, string) {
+// lookup resolves key for task t, identified by (checker, identity),
+// and records the cache decision: counted in the run's stats and
+// sched_cache_decisions_total, and annotated on the task's trace span.
+// On a miss the task's marker is rewritten to the new key, so the
+// *next* run's miss (if any) can be attributed; a warm run writes
+// nothing.
+func (rs *runState) lookup(t *Task, checker, identity string, key depot.Key, v any) (bool, string) {
 	ok := rs.d.GetJSON(key, v)
 	reason := DecisionHit
 	if !ok {
 		reason = classifyMiss(rs.d, checker, identity, key)
 		writeMarker(rs.d, checker, identity, key)
 	}
+	t.Annotate("cache", reason)
+	decisionCounts.With(reason).Inc()
 	rs.mu.Lock()
 	if ok {
 		rs.hits++
 	} else {
 		rs.misses++
 	}
-	rs.mu.Unlock()
-	return ok, reason
-}
-
-// countDecision records a task's final cache decision once its
-// resolution is known: DecisionHit, a classified local-recompute
-// reason, or DecisionRemote when a fleet worker computed the artifact.
-func (rs *runState) countDecision(reason string) {
-	decisionCounts.With(reason).Inc()
-	rs.mu.Lock()
 	rs.decisions[reason]++
 	rs.mu.Unlock()
+	return ok, reason
 }
 
 func (rs *runState) markFn(name string) {
@@ -287,18 +263,6 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 		}
 	}
 
-	// Remote dispatch context: with a fleet configured and the source
-	// bundle published under req.SrcHash, cache-missed tasks are tried
-	// on the fleet first. Workers write the same artifact to the same
-	// depot key local execution would, and every failure falls back to
-	// the local computation, so the report stream is byte-identical
-	// with or without workers.
-	var rem *remoteRun
-	if a.Remote != nil && req.SrcHash != "" {
-		rem = &remoteRun{r: a.Remote, srcHash: req.SrcHash, specOpt: SpecHash(req.Spec),
-			traceID: req.TraceID, tr: tracer}
-	}
-
 	var tasks []*Task
 
 	// Per-function summary tasks (the lane pass's local half). The
@@ -323,27 +287,11 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 			t := &Task{ID: id}
 			t.Run = func() error {
 				var s global.Summary
-				ok, reason := rs.lookup("lanes", "sum:"+p.Fns[i].Name, key, &s)
-				if ok {
-					t.Annotate("cache", reason)
-					rs.countDecision(reason)
+				if ok, _ := rs.lookup(t, "lanes", "sum:"+p.Fns[i].Name, key, &s); ok {
 					summaries[i] = &s
 					return nil
 				}
 				rs.markFn(p.Fns[i].Name)
-				if rem != nil {
-					desc := rem.desc(fleet.KindSummary, key, id)
-					desc.Checker, desc.CheckerVersion = "lanes", lanesVersion
-					desc.FnIndex, desc.Fn = i, p.Fns[i].Name
-					if s := rem.summaryTask(desc); s != nil {
-						t.Annotate("cache", DecisionRemote)
-						rs.countDecision(DecisionRemote)
-						summaries[i] = s
-						return nil
-					}
-				}
-				t.Annotate("cache", reason)
-				rs.countDecision(reason)
 				t0 := time.Now()
 				summaries[i] = global.FromCFG(p.Graphs[i], checkers.LaneAnnotator)
 				if err := d.PutJSON(key, summaries[i]); err != nil {
@@ -393,32 +341,14 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 				t := &Task{ID: id}
 				t.Run = func() error {
 					var cached artifact
-					ok, reason := rs.lookup(job.Name, "sm:"+p.Fns[i].Name, key, &cached)
+					ok, reason := rs.lookup(t, job.Name, "sm:"+p.Fns[i].Name, key, &cached)
+					smRefs[ji][i] = ArtifactRef{Task: id, Key: key, Decision: reason}
 					if ok {
-						t.Annotate("cache", reason)
-						rs.countDecision(reason)
-						smRefs[ji][i] = ArtifactRef{Task: id, Key: key, Decision: reason}
 						smResults[ji][i] = cached.Reports
 						a.recordCoverage(job.Name, cached.Coverage)
 						return nil
 					}
 					rs.markFn(p.Fns[i].Name)
-					if rem != nil {
-						desc := rem.desc(fleet.KindSM, key, id)
-						desc.Checker, desc.CheckerVersion, desc.AdhocSrc = job.Name, job.Version, job.AdhocSrc
-						desc.FnIndex, desc.Fn = i, p.Fns[i].Name
-						if art := rem.artifactTask(desc); art != nil {
-							t.Annotate("cache", DecisionRemote)
-							rs.countDecision(DecisionRemote)
-							smRefs[ji][i] = ArtifactRef{Task: id, Key: key, Decision: DecisionRemote}
-							smResults[ji][i] = art.Reports
-							a.recordCoverage(job.Name, art.Coverage)
-							return nil
-						}
-					}
-					t.Annotate("cache", reason)
-					rs.countDecision(reason)
-					smRefs[ji][i] = ArtifactRef{Task: id, Key: key, Decision: reason}
 					t0 := time.Now()
 					reports, cov := engine.RunCov(p.Graphs[i], job.SM)
 					smResults[ji][i] = reports
@@ -450,31 +380,14 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 						Source:  reachFingerprint(h, reach, fpByFn),
 						Checker: job.Name, Version: job.Version, Options: job.Options}
 					var cached artifact
-					ok, reason := rs.lookup(job.Name, "lanes:"+h, key, &cached)
+					ok, reason := rs.lookup(t, job.Name, "lanes:"+h, key, &cached)
+					slot.setRef(h, ArtifactRef{Task: id, Key: key, Decision: reason})
 					if ok {
-						t.Annotate("cache", reason)
-						rs.countDecision(reason)
-						slot.setRef(h, ArtifactRef{Task: id, Key: key, Decision: reason})
 						slot.set(h, cached.Reports)
 						a.recordCoverage(job.Name, cached.Coverage)
 						return nil
 					}
 					rs.markFn(h)
-					if rem != nil {
-						desc := rem.desc(fleet.KindLanes, key, id)
-						desc.Checker, desc.CheckerVersion, desc.Handler = job.Name, job.Version, h
-						if art := rem.artifactTask(desc); art != nil {
-							t.Annotate("cache", DecisionRemote)
-							rs.countDecision(DecisionRemote)
-							slot.setRef(h, ArtifactRef{Task: id, Key: key, Decision: DecisionRemote})
-							slot.set(h, art.Reports)
-							a.recordCoverage(job.Name, art.Coverage)
-							return nil
-						}
-					}
-					t.Annotate("cache", reason)
-					rs.countDecision(reason)
-					slot.setRef(h, ArtifactRef{Task: id, Key: key, Decision: reason})
 					one := &flash.Spec{Hardware: []string{h}, Allowance: specAllowance(req.Spec)}
 					t0 := time.Now()
 					got, cov := checkers.CheckLanesCov(linked, one)
@@ -500,31 +413,14 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 			t := &Task{ID: id}
 			t.Run = func() error {
 				var cached artifact
-				ok, reason := rs.lookup(job.Name, "glob", key, &cached)
+				ok, reason := rs.lookup(t, job.Name, "glob", key, &cached)
+				globalRefs[ji] = ArtifactRef{Task: id, Key: key, Decision: reason}
 				if ok {
-					t.Annotate("cache", reason)
-					rs.countDecision(reason)
-					globalRefs[ji] = ArtifactRef{Task: id, Key: key, Decision: reason}
 					globalResults[ji] = cached.Reports
 					a.recordCoverage(job.Name, cached.Coverage)
 					return nil
 				}
 				rs.markGlobal()
-				if rem != nil {
-					desc := rem.desc(fleet.KindGlobal, key, id)
-					desc.Checker, desc.CheckerVersion = job.Name, job.Version
-					if art := rem.artifactTask(desc); art != nil {
-						t.Annotate("cache", DecisionRemote)
-						rs.countDecision(DecisionRemote)
-						globalRefs[ji] = ArtifactRef{Task: id, Key: key, Decision: DecisionRemote}
-						globalResults[ji] = art.Reports
-						a.recordCoverage(job.Name, art.Coverage)
-						return nil
-					}
-				}
-				t.Annotate("cache", reason)
-				rs.countDecision(reason)
-				globalRefs[ji] = ArtifactRef{Task: id, Key: key, Decision: reason}
 				t0 := time.Now()
 				var covs []*engine.Coverage
 				if job.RunCov != nil {
