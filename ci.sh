@@ -35,17 +35,17 @@ for proto in bitvector dyn_ptr sci coma rac common; do
     cmp "$tmp/cold.$proto" "$tmp/warm.$proto"
 done
 
-# Depot-churn gate: fill a tiny sharded depot past its byte budget and
+# Depot-churn gate: fill a tiny depot past its byte budget and
 # let LRU eviction run between a cold and a warm pass of every
 # protocol. Evicted artifacts recompute, surviving ones replay, and
 # either way the warm report stream must stay byte-identical to cold;
 # the -stats dump must attribute a nonzero depot_gc_evicted_bytes_total
 # or the budget never actually evicted and the gate is vacuous.
 for proto in bitvector dyn_ptr sci coma rac common; do
-    "$tmp/mcheck" -flash -cache "$tmp/churn-depot" -cache-shards 4 \
+    "$tmp/mcheck" -flash -cache "$tmp/churn-depot" \
         -cache-max-bytes 65536 "$tmp/corpus/$proto"/*.c \
         > "$tmp/churn-cold.$proto" || true
-    "$tmp/mcheck" -flash -cache "$tmp/churn-depot" -cache-shards 4 \
+    "$tmp/mcheck" -flash -cache "$tmp/churn-depot" \
         -cache-max-bytes 65536 -stats "$tmp/corpus/$proto"/*.c \
         > "$tmp/churn-warm.$proto" 2> "$tmp/churn-stats.$proto" || true
     cmp "$tmp/churn-cold.$proto" "$tmp/churn-warm.$proto"

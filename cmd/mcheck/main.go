@@ -4,7 +4,7 @@
 // Usage:
 //
 //	mcheck [-I dir]... [-checker file.metal]... [-flash] [-j N]
-//	       [-cache DIR] [-cache-shards N] [-cache-max-bytes N]
+//	       [-cache DIR] [-cache-max-bytes N]
 //	       [-triage slice|sym] file.c...
 //	mcheck -emit summaries.json file.c...     (local pass, paper §3.2)
 //	mcheck -link summaries.json...            (global lane pass, §7)
@@ -14,10 +14,8 @@
 // content-addressed artifact depot reused across runs, so a re-check
 // after an edit re-analyzes only the changed functions and their
 // call-graph dependents. cmd/mcheckd serves the same path over HTTP.
-// -cache-shards fans the depot over N independently locked shard
-// roots (0 adopts the directory's existing layout); -cache-max-bytes
-// bounds the depot after the run, evicting least-recently-used
-// artifacts first.
+// -cache-max-bytes bounds the depot after the run, evicting
+// least-recently-used artifacts first.
 //
 // With -flash the built-in eight-checker FLASH suite runs using the
 // naming-convention protocol spec (h_* hardware handlers, sw_*
@@ -102,7 +100,6 @@ func main() {
 	link := flag.Bool("link", false, "global pass: arguments are summary files; run the lane checker")
 	workers := flag.Int("j", 0, "parallel analysis workers (default GOMAXPROCS)")
 	cacheDir := flag.String("cache", "", "artifact depot directory; reuses results for unchanged functions across runs")
-	cacheShards := flag.Int("cache-shards", 0, "depot shard count (0: adopt the directory's existing layout)")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "if set, evict least-recently-used depot artifacts beyond this many bytes after the run")
 	why := flag.Bool("why", false, "print each report's witness trace (the path steps that led to it)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file of the run to this path")
@@ -145,7 +142,7 @@ func main() {
 		if *cacheDir == "" {
 			fail("-runs/-diff read the run ledger from a persistent depot; pass -cache DIR")
 		}
-		store, err := depot.OpenSharded(*cacheDir, *cacheShards)
+		store, err := depot.Open(*cacheDir)
 		if err != nil {
 			fail("%v", err)
 		}
@@ -285,7 +282,7 @@ func main() {
 	// The CLI and mcheckd share this execution path: the depot-backed
 	// parallel scheduler. Without -cache the depot lives in memory
 	// for this one run.
-	store, err := depot.OpenSharded(*cacheDir, *cacheShards)
+	store, err := depot.Open(*cacheDir)
 	if err != nil {
 		fail("%v", err)
 	}

@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	mcheckd [-addr :8181] [-cache DIR] [-cache-shards N]
-//	        [-cache-max-bytes N] [-j N] [-gc AGE]
+//	mcheckd [-addr :8181] [-cache DIR] [-cache-max-bytes N]
+//	        [-j N] [-gc AGE]
 //
 // Endpoints:
 //
@@ -16,7 +16,17 @@
 //	GET  /metrics  Prometheus text: request/task counters and
 //	               latencies, cache hit rate, queue depth, depot size,
 //	               plus the process-wide engine/sched/depot metrics.
-//	GET  /healthz  liveness probe.
+//	GET  /healthz  readiness probe: 200 {"status":"ok"} while the
+//	               depot is reachable, 503 {"status":"degraded"} once
+//	               its root is gone, so a load balancer drains.
+//	GET  /debug/coverage     accumulated coverage/v1 JSON of every
+//	               checker across all requests served.
+//	GET  /debug/timings      per-checker and per-rule wall-time
+//	               attribution.
+//	GET  /debug/trace/<id>   Chrome trace of one recent request (the
+//	               id is its response's X-Trace-Id header).
+//	GET  /debug/runs         the depot's run ledger; /debug/runs/<id>
+//	               shows one entry, /debug/runs/diff?a=&b= compares two.
 //	GET  /debug/pprof/*  runtime profiles (CPU, heap, goroutines).
 //
 // Identical concurrent /check requests (same program fingerprint, job
@@ -26,16 +36,12 @@
 //
 // -cache names the artifact depot shared with mcheck -cache; without
 // it the depot lives in memory for the life of the process (still
-// warm across requests). -cache-shards fans the depot out over N
-// independently locked shard roots (0 adopts whatever layout the
-// directory already holds; the count is pinned in the depot's DEPOT
-// manifest and a mismatch refuses to start); -cache-shard-paths pins
-// each shard root at an explicit absolute path, so shards span
-// volumes. -gc prunes depot entries unused for the given age;
-// -cache-max-bytes bounds the depot, with least-recently-used
-// artifacts evicted first. Either option sweeps once at startup and
-// then by write pressure: the Put that crosses -gc-pressure-bytes of
-// writes since the last sweep runs the next one.
+// warm across requests). -gc prunes depot entries unused for the
+// given age; -cache-max-bytes bounds the depot, with
+// least-recently-used artifacts evicted first. Either option sweeps
+// once at startup and then by write pressure: the Put that crosses
+// -cache-max-bytes/8 (else 8 MiB) of writes since the last sweep runs
+// the next one.
 package main
 
 import (
@@ -45,7 +51,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"strings"
 
 	"flashmc/internal/depot"
 )
@@ -53,12 +58,9 @@ import (
 func main() {
 	addr := flag.String("addr", ":8181", "listen address")
 	cacheDir := flag.String("cache", "", "artifact depot directory (default: in-memory, per-process)")
-	cacheShards := flag.Int("cache-shards", 0, "depot shard count (0: adopt the directory's existing layout)")
-	cacheShardPaths := flag.String("cache-shard-paths", "", "comma-separated absolute shard root paths (overrides -cache-shards; lets shards span volumes)")
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "if set, evict least-recently-used depot artifacts beyond this many bytes")
 	workers := flag.Int("j", 0, "parallel analysis workers (default GOMAXPROCS)")
 	gcAge := flag.Duration("gc", 0, "if set, evict depot entries unused for this long (swept at startup and under write pressure)")
-	gcPressure := flag.Int64("gc-pressure-bytes", 0, "bytes written between GC sweeps (default: -cache-max-bytes/8, else 8MiB)")
 	flag.Parse()
 
 	// -j must be a positive worker count; unset means every CPU.
@@ -76,17 +78,7 @@ func main() {
 		*workers = runtime.GOMAXPROCS(0)
 	}
 
-	var store *depot.Depot
-	var err error
-	if *cacheShardPaths != "" {
-		if *cacheDir == "" {
-			fmt.Fprintln(os.Stderr, "mcheckd: -cache-shard-paths requires -cache (the manifest lives there)")
-			os.Exit(2)
-		}
-		store, err = depot.OpenShardedAt(*cacheDir, strings.Split(*cacheShardPaths, ","))
-	} else {
-		store, err = depot.OpenSharded(*cacheDir, *cacheShards)
-	}
+	store, err := depot.Open(*cacheDir)
 	if err != nil {
 		log.Fatalf("mcheckd: %v", err)
 	}
@@ -99,14 +91,7 @@ func main() {
 		// After the startup sweep, GC runs on write pressure: the Put
 		// that crosses the byte threshold sweeps. An idle depot is
 		// never walked; a hot one is swept in proportion to its growth.
-		threshold := *gcPressure
-		if threshold <= 0 {
-			threshold = *cacheMaxBytes / 8
-		}
-		if threshold <= 0 {
-			threshold = 8 << 20
-		}
-		store.SetGCPolicy(*gcAge, *cacheMaxBytes, threshold)
+		store.SetGCPolicy(*gcAge, *cacheMaxBytes)
 	}
 
 	srv := newServer(store, *workers)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,10 +17,10 @@ import (
 // TestServerProgramCacheWarmPath: the second identical /check must be
 // served from the program cache — frontend skipped, visible as
 // mcheckd_program_cache_hits_total > 0 — with reports byte-identical
-// to the cold request. Runs on a sharded depot so the per-shard
-// occupancy gauge is exercised too.
+// to the cold request. Runs on an on-disk depot so the scrape-time
+// occupancy gauges are exercised too.
 func TestServerProgramCacheWarmPath(t *testing.T) {
-	store, err := depot.OpenSharded(filepath.Join(t.TempDir(), "depot"), 2)
+	store, err := depot.Open(filepath.Join(t.TempDir(), "depot"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +53,19 @@ func TestServerProgramCacheWarmPath(t *testing.T) {
 	if !strings.Contains(metrics, "mcheckd_program_cache_misses_total 1") {
 		t.Errorf("cold request not counted as a program-cache miss:\n%s", grepMetrics(metrics, "program_cache"))
 	}
-	// Both shard roots are reported (value may be zero if every
-	// artifact of this tiny corpus landed in one shard).
-	for _, want := range []string{`depot_shard_bytes{shard="0"}`, `depot_shard_bytes{shard="1"}`} {
+	// Both occupancy gauges come from one scrape-time walk and match
+	// the depot's own accounting (nothing writes between the scrape
+	// and this Stats call).
+	st := store.Stats()
+	if st.Entries == 0 {
+		t.Fatal("cold request stored no artifacts")
+	}
+	for _, want := range []string{
+		fmt.Sprintf("mcheckd_depot_entries %d\n", st.Entries),
+		fmt.Sprintf("mcheckd_depot_bytes %d\n", st.Bytes),
+	} {
 		if !strings.Contains(metrics, want) {
-			t.Errorf("metrics missing %s:\n%s", want, grepMetrics(metrics, "depot_shard"))
+			t.Errorf("metrics missing %q:\n%s", want, grepMetrics(metrics, "mcheckd_depot"))
 		}
 	}
 

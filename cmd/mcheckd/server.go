@@ -155,7 +155,8 @@ type server struct {
 	pcMisses    *obs.Counter
 	inflight    *obs.Gauge
 	queueMax    *obs.Gauge
-	shardBytes  *obs.GaugeVec
+	depotItems  *obs.Gauge
+	depotBytes  *obs.Gauge
 
 	nextReqID atomic.Uint64
 
@@ -199,7 +200,8 @@ func newServer(store *depot.Depot, workers int) *server {
 		pcMisses:    reg.Counter("mcheckd_program_cache_misses_total", "/check requests that ran the frontend"),
 		inflight:    reg.Gauge("mcheckd_inflight_requests", "/check requests currently executing"),
 		queueMax:    reg.Gauge("mcheckd_queue_depth_max", "largest ready-queue depth seen in any request"),
-		shardBytes:  reg.GaugeVec("depot_shard_bytes", "bytes of artifacts per depot shard", "shard"),
+		depotItems:  reg.Gauge("mcheckd_depot_entries", "artifacts currently in the depot"),
+		depotBytes:  reg.Gauge("mcheckd_depot_bytes", "bytes of artifacts currently in the depot"),
 	}
 	reg.GaugeFunc("mcheckd_cache_hit_rate", "hits / (hits + misses) over the process lifetime", func() float64 {
 		h, m := s.hits.Value(), s.misses.Value()
@@ -207,12 +209,6 @@ func newServer(store *depot.Depot, workers int) *server {
 			return 0
 		}
 		return h / (h + m)
-	})
-	reg.GaugeFunc("mcheckd_depot_entries", "artifacts currently in the depot", func() float64 {
-		return float64(s.store.Stats().Entries)
-	})
-	reg.GaugeFunc("mcheckd_depot_bytes", "bytes of artifacts currently in the depot", func() float64 {
-		return float64(s.store.Stats().Bytes)
 	})
 
 	s.mux.HandleFunc("/check", s.handleCheck)
@@ -598,11 +594,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	// Per-shard occupancy is sampled at scrape time; the shard set is
-	// fixed for the depot's lifetime, so samples never go stale.
-	for i, ss := range s.store.Stats().Shards {
-		s.shardBytes.With(fmt.Sprint(i)).Set(float64(ss.Bytes))
-	}
+	// Depot occupancy is sampled at scrape time from one walk.
+	st := s.store.Stats()
+	s.depotItems.Set(float64(st.Entries))
+	s.depotBytes.Set(float64(st.Bytes))
 	s.reg.WritePrometheus(w)
 	// Process-global metrics (engine, sched, depot) follow the
 	// per-server families; the name spaces are disjoint.

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -43,6 +45,43 @@ func postCheck(t *testing.T, ts *httptest.Server, body string) (checkResponse, [
 		t.Fatalf("bad response JSON: %v\n%s", err, raw)
 	}
 	return cr, raw
+}
+
+// TestHealthzDegradedWhenDepotGone: /healthz is a readiness probe —
+// 200 while the depot root exists, 503 "degraded" naming the depot
+// error once it is removed, so a load balancer drains the daemon.
+func TestHealthzDegradedWhenDepotGone(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "depot")
+	store, err := depot.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(store, 1))
+	defer ts.Close()
+
+	health := func() (int, healthResponse) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var hr healthResponse
+		if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, hr
+	}
+	if code, hr := health(); code != http.StatusOK || hr.Status != "ok" {
+		t.Fatalf("live depot: %d %+v", code, hr)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	code, hr := health()
+	if code != http.StatusServiceUnavailable || hr.Status != "degraded" || hr.Depot == "ok" {
+		t.Fatalf("removed depot: %d %+v, want 503 degraded", code, hr)
+	}
 }
 
 func TestServerEndToEnd(t *testing.T) {

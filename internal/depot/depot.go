@@ -9,27 +9,19 @@
 // Artifacts are addressed by Key — hash(preprocessed source) ×
 // checker-id × checker-version × engine-options — so a change to any
 // input (the code, the checker, its version, or the options it ran
-// under) misses the cache instead of serving a stale result. Writes
-// are atomic (temp file + rename), so a depot directory can be shared
-// by concurrent mcheck runs and a live mcheckd without torn reads.
-//
-// Storage scales out across N shard roots (OpenSharded): the key id
-// deterministically selects a shard, each shard has its own lock
-// domain, LRU index and stats, and a shard root can be a directory on
-// its own volume. The shard count is pinned in a DEPOT manifest file;
-// reopening with a different -cache-shards refuses rather than
-// silently splitting the key space two ways.
+// under) misses the cache instead of serving a stale result. Each
+// artifact is one file, dir/<id[:2]>/<id>.json. Writes are atomic
+// (temp file + rename), so a depot directory can be shared by
+// concurrent mcheck runs and a live mcheckd without torn reads.
 //
 // GC supports both an age bound and a byte budget: artifacts unused
 // for maxAge go first, then least-recently-used artifacts are evicted
-// until the depot fits maxBytes. Recency comes from a per-shard LRU
-// index rebuilt from file mtimes on open (Get bumps mtimes, so the
-// index survives restarts) and persisted to a per-shard lru.idx file
-// on every sweep.
+// until the depot fits maxBytes. Recency is the file mtime, which Get
+// bumps, so every process sharing the directory sees the same order
+// and it survives restarts.
 package depot
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -39,7 +31,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,16 +52,11 @@ var (
 	mGCPressure = obs.NewCounter("depot_gc_pressure_sweeps_total", "GC sweeps triggered by Put write pressure")
 )
 
-// manifestTmpSeq disambiguates fresh-manifest temp files between
-// goroutines of one process (the pid alone is not unique per call).
-var manifestTmpSeq uint64
-
 const (
-	// manifestName pins the shard layout at the depot root. No .json
-	// extension: artifact walks only consider *.json files.
+	// manifestName is the layout file older depots wrote at their
+	// root. New depots write none; Open only reads one to refuse
+	// layouts this store cannot serve.
 	manifestName = "DEPOT"
-	// indexName is the per-shard persisted LRU index.
-	indexName = "lru.idx"
 	// tempGrace is how old an orphaned Put temp file must be before a
 	// GC sweep reclaims it. Live writers rename within milliseconds;
 	// anything this stale belongs to a crashed writer.
@@ -117,33 +103,11 @@ type memEntry struct {
 	seq   uint64
 }
 
-// shard is one storage root with its own lock domain. atimes is the
-// shard's LRU index: last-access times, seeded from file mtimes (and
-// the persisted lru.idx) on open and bumped by Get/Put. It is an
-// overlay, not the source of truth — GC re-walks the shard so writes
-// by other processes sharing the depot are seen too.
-type shard struct {
-	root string
-
-	mu     sync.Mutex
-	atimes map[string]time.Time
-}
-
-func (s *shard) touch(id string, at time.Time) {
-	s.mu.Lock()
-	if old, ok := s.atimes[id]; !ok || at.After(old) {
-		s.atimes[id] = at
-	}
-	s.mu.Unlock()
-}
-
 // Depot is the store. A Depot with an empty directory lives in
 // memory (useful for tests and for running without -cache); otherwise
-// artifacts are files spread across shard roots under dir, fanned out
-// by the first address byte within each shard.
+// artifacts are files under dir, fanned out by the first address byte.
 type Depot struct {
-	dir    string
-	shards []*shard
+	dir string
 
 	mu  sync.Mutex
 	mem map[string]*memEntry
@@ -167,246 +131,86 @@ type gcPolicy struct {
 	threshold int64
 }
 
-// manifest is the DEPOT file pinning the on-disk layout. Version 1
-// recorded only the shard count (all roots under the depot dir);
-// version 2 additionally pins each shard's absolute root path, so
-// shards can live on separate volumes. Legacy v1 manifests keep
-// opening with the default in-dir layout.
+// manifest is the DEPOT file older depots wrote to pin a sharded
+// layout: version 1 recorded only the shard count, version 2 also
+// each shard's absolute root path.
 type manifest struct {
-	Version int      `json:"version"`
-	Shards  int      `json:"shards"`
-	Paths   []string `json:"paths,omitempty"`
-}
-
-// defaultShardPaths is the in-dir layout v1 manifests imply: the
-// depot dir itself for one shard, dir/shard-NNN beyond that.
-func defaultShardPaths(dir string, n int) []string {
-	if n <= 1 {
-		return []string{dir}
-	}
-	paths := make([]string, n)
-	for i := range paths {
-		paths[i] = filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
-	}
-	return paths
+	Shards int      `json:"shards"`
+	Paths  []string `json:"paths"`
 }
 
 // Open returns a depot rooted at dir, creating it if needed; an empty
-// dir opens an in-memory depot. The shard count is adopted from the
-// directory's manifest (legacy depots without one are single-shard).
-func Open(dir string) (*Depot, error) { return OpenSharded(dir, 0) }
-
-// OpenSharded opens a depot with an explicit shard count. shards == 0
-// adopts the existing layout (or 1 for a fresh directory); shards >= 1
-// must match the layout already on disk — a mismatch is refused, since
-// the id → shard mapping would otherwise split the key space.
-func OpenSharded(dir string, shards int) (*Depot, error) {
-	return openSharded(dir, shards, nil)
-}
-
-// OpenShardedAt opens a depot whose shard roots live at explicit
-// absolute paths (one per shard, possibly on separate volumes). A
-// fresh depot pins the paths in a v2 manifest; an existing depot's
-// manifest must agree path-for-path — the first mismatched path is
-// refused by name.
-func OpenShardedAt(dir string, shardPaths []string) (*Depot, error) {
-	if len(shardPaths) == 0 {
-		return nil, fmt.Errorf("depot: no shard paths")
-	}
-	for _, p := range shardPaths {
-		if !filepath.IsAbs(p) {
-			return nil, fmt.Errorf("depot: shard path %s is not absolute", p)
-		}
-	}
-	return openSharded(dir, len(shardPaths), shardPaths)
-}
-
-func openSharded(dir string, shards int, wantPaths []string) (*Depot, error) {
-	if shards < 0 {
-		return nil, fmt.Errorf("depot: shard count %d must be >= 0", shards)
-	}
+// dir opens an in-memory depot. A DEPOT manifest left by an older
+// depot must describe one root at dir — a corrupt one, or one naming
+// several shards or another root, is refused rather than half-read.
+func Open(dir string) (*Depot, error) {
 	d := &Depot{dir: dir}
 	if dir == "" {
 		d.mem = map[string]*memEntry{}
 		return d, nil
 	}
+	if err := checkManifest(dir); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("depot: %w", err)
-	}
-
-	existing := 0
-	var existingPaths []string
-	mf := filepath.Join(dir, manifestName)
-	if raw, err := os.ReadFile(mf); err == nil {
-		var m manifest
-		if err := json.Unmarshal(raw, &m); err != nil || m.Shards < 1 {
-			return nil, fmt.Errorf("depot: corrupt manifest %s", mf)
-		}
-		if len(m.Paths) > 0 && len(m.Paths) != m.Shards {
-			return nil, fmt.Errorf("depot: corrupt manifest %s: %d shards but %d paths", mf, m.Shards, len(m.Paths))
-		}
-		existing = m.Shards
-		existingPaths = m.Paths
-	} else if hasSubdirs(dir) {
-		// Legacy depots predate the manifest and used one flat root.
-		existing = 1
-	}
-	if shards > 0 && existing > 0 && shards != existing {
-		return nil, fmt.Errorf("depot: %s holds a %d-shard layout; refusing to open with %d shards (use -cache-shards %d or a fresh directory)",
-			dir, existing, shards, existing)
-	}
-	n := shards
-	if n == 0 {
-		n = existing
-	}
-	if n == 0 {
-		n = 1
-	}
-	if existing > 0 && len(existingPaths) == 0 {
-		// v1 manifest (or legacy flat depot): the layout is in-dir.
-		existingPaths = defaultShardPaths(dir, existing)
-	}
-	if wantPaths != nil && existingPaths != nil {
-		for i, want := range wantPaths {
-			if existingPaths[i] != want {
-				return nil, fmt.Errorf("depot: %s pins shard %d at %s; refusing to open it at %s (fix -cache-shard-paths or use a fresh directory)",
-					dir, i, existingPaths[i], want)
-			}
-		}
-	}
-	paths := wantPaths
-	if paths == nil {
-		paths = existingPaths
-	}
-	if paths == nil {
-		paths = defaultShardPaths(dir, n)
-	}
-	if existing == 0 {
-		// Fresh depots always write v2 manifests with absolute paths
-		// so any process — on any mount of the same volumes — opens
-		// the identical layout.
-		abs := make([]string, len(paths))
-		for i, p := range paths {
-			a, err := filepath.Abs(p)
-			if err != nil {
-				return nil, fmt.Errorf("depot: shard path %s: %w", p, err)
-			}
-			abs[i] = a
-		}
-		paths = abs
-		raw, _ := json.Marshal(manifest{Version: 2, Shards: n, Paths: paths})
-		// Write-then-rename so a concurrent Open on the same fresh
-		// directory never reads a truncated manifest. Two racing
-		// creators write byte-identical content for the same layout,
-		// so whichever rename lands last is harmless; a racing creator
-		// with a DIFFERENT layout is caught by re-reading the winner.
-		// The temp name must be unique per *call*, not per process:
-		// two goroutines in one process racing Open on the same fresh
-		// dir (a daemon's tests, a leader opening shared volumes)
-		// would otherwise write one temp file and the loser's rename
-		// would fail ENOENT after the winner renamed it away.
-		tmp := fmt.Sprintf("%s.new.%d.%d", mf, os.Getpid(), atomic.AddUint64(&manifestTmpSeq, 1))
-		if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("depot: %w", err)
-		}
-		if err := os.Rename(tmp, mf); err != nil {
-			os.Remove(tmp)
-			return nil, fmt.Errorf("depot: %w", err)
-		}
-		if won, err := os.ReadFile(mf); err == nil && !bytes.Equal(won, append(raw, '\n')) {
-			var m manifest
-			if json.Unmarshal(won, &m) != nil || m.Shards != n {
-				return nil, fmt.Errorf("depot: %s: lost manifest race to an incompatible layout (reopen to adopt it)", dir)
-			}
-		}
-	}
-
-	for _, root := range paths {
-		if err := os.MkdirAll(root, 0o755); err != nil {
-			return nil, fmt.Errorf("depot: shard root %s: %w", root, err)
-		}
-		sh := &shard{root: root, atimes: map[string]time.Time{}}
-		sh.rebuildIndex()
-		d.shards = append(d.shards, sh)
 	}
 	return d, nil
 }
 
-// Ping verifies the depot's storage is reachable: the manifest and
-// every shard root still exist. In-memory depots always succeed. It
-// backs readiness endpoints — a daemon whose cache volume unmounted
-// should drain, not 500.
-func (d *Depot) Ping() error {
-	if d.mem != nil {
+// checkManifest accepts a missing DEPOT file, or one pinning a single
+// shard whose root (if recorded) is dir itself.
+func checkManifest(dir string) error {
+	mf := filepath.Join(dir, manifestName)
+	raw, err := os.ReadFile(mf)
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil
 	}
-	if _, err := os.Stat(filepath.Join(d.dir, manifestName)); err != nil {
+	if err != nil {
 		return fmt.Errorf("depot: manifest: %w", err)
 	}
-	for _, sh := range d.shards {
-		if _, err := os.Stat(sh.root); err != nil {
-			return fmt.Errorf("depot: shard root: %w", err)
-		}
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil || m.Shards < 1 || (len(m.Paths) > 0 && len(m.Paths) != m.Shards) {
+		return fmt.Errorf("depot: corrupt manifest %s", mf)
+	}
+	if m.Shards > 1 {
+		return fmt.Errorf("depot: %s pins a %d-shard layout; only single-root depots can be opened (use a fresh directory)", mf, m.Shards)
+	}
+	if len(m.Paths) == 1 && !sameDir(m.Paths[0], dir) {
+		return fmt.Errorf("depot: %s pins the depot root at %s, not %s (use a fresh directory)", mf, m.Paths[0], dir)
 	}
 	return nil
 }
 
-// hasSubdirs reports whether dir already contains directories (the
-// id-prefix fan-out of a legacy single-root depot).
-func hasSubdirs(dir string) bool {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		if e.IsDir() {
-			return true
-		}
-	}
-	return false
+// sameDir reports whether two spellings (relative, absolute, through
+// a symlink) name one existing directory.
+func sameDir(a, b string) bool {
+	ia, errA := os.Stat(a)
+	ib, errB := os.Stat(b)
+	return errA == nil && errB == nil && os.SameFile(ia, ib)
 }
 
-// ShardCount returns the number of shard roots (1 for in-memory).
-func (d *Depot) ShardCount() int {
+// Ping verifies the depot's storage is reachable: the root directory
+// still exists. In-memory depots always succeed. It backs readiness
+// endpoints — a daemon whose cache volume unmounted should drain, not
+// 500.
+func (d *Depot) Ping() error {
 	if d.mem != nil {
-		return 1
+		return nil
 	}
-	return len(d.shards)
+	if _, err := os.Stat(d.dir); err != nil {
+		return fmt.Errorf("depot: root: %w", err)
+	}
+	return nil
 }
 
-// shardOf deterministically maps an address to a shard: the first
-// four hex bytes of the id, modulo the shard count. It is a pure
-// function of (id, shard count), so every process sharing a depot
-// agrees on the placement.
-func (d *Depot) shardOf(id string) *shard {
-	return d.shards[shardIndex(id, len(d.shards))]
-}
-
-// shardIndex is the placement function, exported through tests: the
-// same id must land on the same shard in every process.
-func shardIndex(id string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	v, err := strconv.ParseUint(id[:8], 16, 64)
-	if err != nil {
-		// Non-hex ids cannot come from Key.ID; fold bytes instead.
-		v = 0
-		for i := 0; i < len(id); i++ {
-			v = v*131 + uint64(id[i])
-		}
-	}
-	return int(v % uint64(n))
-}
-
-// path returns the on-disk location of an address within its shard.
-func (s *shard) path(id string) string {
-	return filepath.Join(s.root, id[:2], id+".json")
+// path returns the on-disk location of an address.
+func (d *Depot) path(id string) string {
+	return filepath.Join(d.dir, id[:2], id+".json")
 }
 
 // Get returns the artifact stored under key, if present. Hits bump
-// the entry's recency (mtime plus the shard's LRU index) so GC
-// retains recently used artifacts.
+// the entry's mtime so GC retains recently used artifacts.
 func (d *Depot) Get(key Key) ([]byte, bool) {
 	id := key.ID()
 	now := time.Now()
@@ -424,22 +228,19 @@ func (d *Depot) Get(key Key) ([]byte, bool) {
 		d.count(ok)
 		return b, ok
 	}
-	sh := d.shardOf(id)
-	b, err := os.ReadFile(sh.path(id))
+	p := d.path(id)
+	b, err := os.ReadFile(p)
 	if err != nil {
 		d.count(false)
 		return nil, false
 	}
 	// Best-effort recency bump. GC may have removed the file between
-	// the read and the bump (fs.ErrNotExist), or a concurrent Put may
-	// have renamed a new generation into place so the bump lands on a
-	// file that is already at least this fresh — both are harmless, so
-	// every failure is tolerated. The shard index records the access
-	// either way, keeping this process's LRU ordering exact.
-	if err := os.Chtimes(sh.path(id), now, now); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		_ = err // permission/IO failures: recency falls back to the last good bump
-	}
-	sh.touch(id, now)
+	// the read and the bump, or a concurrent Put may have renamed a new
+	// generation into place so the bump lands on a file that is already
+	// at least this fresh — both are harmless, and on a permission or
+	// IO failure recency falls back to the last good bump, so every
+	// error is tolerated.
+	_ = os.Chtimes(p, now, now)
 	d.count(true)
 	return b, true
 }
@@ -462,17 +263,15 @@ func (d *Depot) Put(key Key, blob []byte) error {
 	d.puts.Add(1)
 	mPuts.Inc()
 	mPutBytes.Add(float64(len(blob)))
-	now := time.Now()
 	if d.mem != nil {
 		d.mu.Lock()
 		d.seq++
-		d.mem[id] = &memEntry{data: append([]byte(nil), blob...), atime: now, seq: d.seq}
+		d.mem[id] = &memEntry{data: append([]byte(nil), blob...), atime: time.Now(), seq: d.seq}
 		d.mu.Unlock()
 		d.notePut(len(blob))
 		return nil
 	}
-	sh := d.shardOf(id)
-	dst := sh.path(id)
+	dst := d.path(id)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return fmt.Errorf("depot: %w", err)
 	}
@@ -493,7 +292,6 @@ func (d *Depot) Put(key Key, blob []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("depot: %w", err)
 	}
-	sh.touch(id, now)
 	d.notePut(len(blob))
 	return nil
 }
@@ -513,11 +311,9 @@ func (d *Depot) IDs() []string {
 		return ids
 	}
 	var ids []string
-	for _, sh := range d.shards {
-		for _, f := range sh.scan() {
-			if !f.temp {
-				ids = append(ids, f.id)
-			}
+	for _, f := range d.scan() {
+		if !f.temp {
+			ids = append(ids, f.id)
 		}
 	}
 	return ids
@@ -537,27 +333,31 @@ func (d *Depot) GetByID(id string) ([]byte, bool) {
 		d.mu.Unlock()
 		return b, ok
 	}
-	if len(id) < 8 { // shard placement and fan-out need the hash prefix
+	if len(id) < 2 { // the fan-out needs the hash prefix
 		return nil, false
 	}
-	b, err := os.ReadFile(d.shardOf(id).path(id))
+	b, err := os.ReadFile(d.path(id))
 	if err != nil {
 		return nil, false
 	}
 	return b, true
 }
 
-// SetGCPolicy arms put-pressure GC: once threshold bytes have been
-// written since the last sweep, the Put that crosses the line runs
-// GC(maxAge, maxBytes) inline before returning. Sweeping on write
-// pressure instead of a fixed cadence means an idle depot is never
-// walked and a hot one is swept exactly as often as it grows —
-// threshold bytes of writes per sweep, whatever the traffic shape.
-// A threshold <= 0 disarms the policy.
-func (d *Depot) SetGCPolicy(maxAge time.Duration, maxBytes, threshold int64) {
-	if threshold <= 0 {
+// SetGCPolicy arms put-pressure GC: once maxBytes/8 bytes (8 MiB
+// without a byte budget) have been written since the last sweep, the
+// Put that crosses the line runs GC(maxAge, maxBytes) inline before
+// returning. Sweeping on write pressure instead of a fixed cadence
+// means an idle depot is never walked and a hot one is swept exactly
+// as often as it grows. With neither bound set the policy is disarmed
+// (GC(0, 0) would clear the depot).
+func (d *Depot) SetGCPolicy(maxAge time.Duration, maxBytes int64) {
+	if maxAge <= 0 && maxBytes <= 0 {
 		d.gc.Store(nil)
 		return
+	}
+	threshold := maxBytes / 8
+	if threshold <= 0 {
+		threshold = 8 << 20
 	}
 	d.gc.Store(&gcPolicy{maxAge: maxAge, maxBytes: maxBytes, threshold: threshold})
 }
@@ -607,15 +407,6 @@ func (d *Depot) GetJSON(key Key, v any) bool {
 	return true
 }
 
-// ShardStats describes one shard root's current contents.
-type ShardStats struct {
-	Root      string
-	Entries   int
-	Bytes     int64
-	TempFiles int
-	TempBytes int64
-}
-
 // Stats describes the depot's contents and this process's traffic.
 type Stats struct {
 	// Entries and Bytes describe the artifacts stored now.
@@ -630,8 +421,6 @@ type Stats struct {
 	Hits   uint64
 	Misses uint64
 	Puts   uint64
-	// Shards breaks Entries/Bytes down per shard root (nil in-memory).
-	Shards []ShardStats
 }
 
 // HitRate is hits/(hits+misses), 0 with no traffic.
@@ -655,27 +444,19 @@ func (d *Depot) Stats() Stats {
 		d.mu.Unlock()
 		return st
 	}
-	for _, sh := range d.shards {
-		ss := ShardStats{Root: sh.root}
-		for _, f := range sh.scan() {
-			if f.temp {
-				ss.TempFiles++
-				ss.TempBytes += f.size
-			} else {
-				ss.Entries++
-				ss.Bytes += f.size
-			}
+	for _, f := range d.scan() {
+		if f.temp {
+			st.TempFiles++
+			st.TempBytes += f.size
+		} else {
+			st.Entries++
+			st.Bytes += f.size
 		}
-		st.Entries += ss.Entries
-		st.Bytes += ss.Bytes
-		st.TempFiles += ss.TempFiles
-		st.TempBytes += ss.TempBytes
-		st.Shards = append(st.Shards, ss)
 	}
 	return st
 }
 
-// scanFile is one file found by a shard walk.
+// scanFile is one file found by a depot walk.
 type scanFile struct {
 	path  string
 	id    string // artifact id ("" for temp files)
@@ -684,12 +465,12 @@ type scanFile struct {
 	temp  bool
 }
 
-// scan walks the shard root and returns its artifacts and temp files.
-// The persisted index and manifest carry no .json extension and no
-// ".tmp" infix, so they are invisible here.
-func (s *shard) scan() []scanFile {
+// scan walks the depot root and returns its artifacts and temp files.
+// A legacy manifest or LRU index left by an older depot carries no
+// .json extension and no ".tmp" infix, so it is invisible here.
+func (d *Depot) scan() []scanFile {
 	var out []scanFile
-	filepath.WalkDir(s.root, func(path string, e fs.DirEntry, err error) error {
+	filepath.WalkDir(d.dir, func(path string, e fs.DirEntry, err error) error {
 		if err != nil || e.IsDir() {
 			return nil
 		}
@@ -712,61 +493,6 @@ func (s *shard) scan() []scanFile {
 	return out
 }
 
-// lruIndex is the persisted form of a shard's access order.
-type lruIndex struct {
-	Version int              `json:"version"`
-	Atimes  map[string]int64 `json:"atimes"` // id -> last access, unix nanos
-}
-
-// rebuildIndex seeds the shard's LRU index from file mtimes (Get
-// bumps them, so mtime is last access across restarts) merged with
-// the finer-grained persisted index from the last GC sweep.
-func (s *shard) rebuildIndex() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, f := range s.scan() {
-		if f.temp {
-			continue
-		}
-		s.atimes[f.id] = f.mtime
-	}
-	raw, err := os.ReadFile(filepath.Join(s.root, indexName))
-	if err != nil {
-		return
-	}
-	var idx lruIndex
-	if json.Unmarshal(raw, &idx) != nil {
-		return
-	}
-	for id, ns := range idx.Atimes {
-		if mt, ok := s.atimes[id]; ok { // only files still on disk
-			if at := time.Unix(0, ns); at.After(mt) {
-				s.atimes[id] = at
-			}
-		}
-	}
-}
-
-// writeIndex persists the shard's current access order (best effort:
-// the index is an optimization over mtimes, not the source of truth).
-func (s *shard) writeIndex() {
-	s.mu.Lock()
-	idx := lruIndex{Version: 1, Atimes: make(map[string]int64, len(s.atimes))}
-	for id, at := range s.atimes {
-		idx.Atimes[id] = at.UnixNano()
-	}
-	s.mu.Unlock()
-	raw, err := json.Marshal(idx)
-	if err != nil {
-		return
-	}
-	dst := filepath.Join(s.root, indexName)
-	tmp := dst + ".new"
-	if os.WriteFile(tmp, raw, 0o644) == nil {
-		os.Rename(tmp, dst)
-	}
-}
-
 // GC reclaims space in two passes and returns how many files it
 // removed. With maxAge > 0, artifacts unused for longer are removed
 // (unused = not read or written, across every process sharing the
@@ -786,92 +512,54 @@ func (d *Depot) GC(maxAge time.Duration, maxBytes int64) (int, error) {
 	removed := 0
 	var evictedBytes int64
 
-	// Scan every shard, reconcile each LRU index with what is on disk
-	// (other processes may have added or dropped artifacts), sweep
-	// stale temp files, and apply the age bound.
-	type candidate struct {
-		sh *shard
-		scanFile
-		atime time.Time
-	}
-	var survivors []candidate
+	// Sweep stale temp files and apply the age bound. Recency is the
+	// file mtime: Get bumps it, so reads by every process sharing the
+	// depot count.
+	var survivors []scanFile
 	var total int64
 	cutoff := now.Add(-maxAge)
-	for _, sh := range d.shards {
-		files := sh.scan()
-		live := map[string]bool{}
-		for _, f := range files {
-			if f.temp {
-				if now.Sub(f.mtime) > tempGrace {
-					if os.Remove(f.path) == nil {
-						removed++
-						evictedBytes += f.size
-					}
-				}
-				continue
+	for _, f := range d.scan() {
+		if f.temp {
+			if now.Sub(f.mtime) > tempGrace && os.Remove(f.path) == nil {
+				removed++
+				evictedBytes += f.size
 			}
-			live[f.id] = true
+			continue
 		}
-		sh.mu.Lock()
-		for id := range sh.atimes {
-			if !live[id] {
-				delete(sh.atimes, id) // removed by another process
+		if clearAll || (maxAge > 0 && f.mtime.Before(cutoff)) {
+			if os.Remove(f.path) == nil {
+				removed++
+				evictedBytes += f.size
 			}
+			continue
 		}
-		for _, f := range files {
-			if f.temp {
-				continue
-			}
-			at := f.mtime
-			if known, ok := sh.atimes[f.id]; ok && known.After(at) {
-				at = known
-			} else {
-				sh.atimes[f.id] = at
-			}
-			c := candidate{sh: sh, scanFile: f, atime: at}
-			if clearAll || (maxAge > 0 && at.Before(cutoff)) {
-				if os.Remove(f.path) == nil {
-					removed++
-					evictedBytes += f.size
-					delete(sh.atimes, f.id)
-				}
-				continue
-			}
-			survivors = append(survivors, c)
-			total += f.size
-		}
-		sh.mu.Unlock()
+		survivors = append(survivors, f)
+		total += f.size
 	}
 
-	// Byte budget: evict globally least-recently-used first. A
-	// survivor whose mtime advanced since the scan was re-put or read
-	// concurrently; it is fresh again, so skip it.
+	// Byte budget: evict least-recently-used first. A survivor whose
+	// mtime advanced since the scan was re-put or read concurrently; it
+	// is fresh again, so skip it.
 	if maxBytes > 0 && total > maxBytes {
-		sort.Slice(survivors, func(i, j int) bool { return survivors[i].atime.Before(survivors[j].atime) })
-		for _, c := range survivors {
+		sort.Slice(survivors, func(i, j int) bool { return survivors[i].mtime.Before(survivors[j].mtime) })
+		for _, f := range survivors {
 			if total <= maxBytes {
 				break
 			}
-			if info, err := os.Stat(c.path); err != nil || info.ModTime().After(c.atime) {
+			if info, err := os.Stat(f.path); err != nil || info.ModTime().After(f.mtime) {
 				if err != nil {
-					total -= c.size // already gone
+					total -= f.size // already gone
 				}
 				continue
 			}
-			if os.Remove(c.path) == nil {
+			if os.Remove(f.path) == nil {
 				removed++
-				evictedBytes += c.size
-				total -= c.size
-				c.sh.mu.Lock()
-				delete(c.sh.atimes, c.id)
-				c.sh.mu.Unlock()
+				evictedBytes += f.size
+				total -= f.size
 			}
 		}
 	}
 
-	for _, sh := range d.shards {
-		sh.writeIndex()
-	}
 	mGCRemovals.Add(float64(removed))
 	mGCEvicted.Add(float64(evictedBytes))
 	return removed, nil

@@ -5,10 +5,9 @@ import (
 	"time"
 )
 
-// backdate ages an artifact for tests: on disk it moves both the file
-// mtime and the shard's LRU index entry to at; in memory it rewrites
-// the entry's access time and sequence so the entry sorts
-// least-recently-used.
+// backdate ages an artifact for tests: on disk it moves the file
+// mtime to at; in memory it rewrites the entry's access time and
+// sequence so the entry sorts least-recently-used.
 func (d *Depot) backdate(key Key, at time.Time) error {
 	id := key.ID()
 	if d.mem != nil {
@@ -20,27 +19,8 @@ func (d *Depot) backdate(key Key, at time.Time) error {
 		}
 		return nil
 	}
-	sh := d.shardOf(id)
-	if err := os.Chtimes(sh.path(id), at, at); err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	sh.atimes[id] = at
-	sh.mu.Unlock()
-	return nil
+	return os.Chtimes(d.path(id), at, at)
 }
-
-// shardRoots exposes the shard root directories for layout tests.
-func (d *Depot) shardRoots() []string {
-	var roots []string
-	for _, sh := range d.shards {
-		roots = append(roots, sh.root)
-	}
-	return roots
-}
-
-// ShardIndexFor exposes the placement function for determinism tests.
-func ShardIndexFor(id string, n int) int { return shardIndex(id, n) }
 
 // TempGrace exposes the orphaned-temp-file grace period to tests.
 const TempGrace = tempGrace

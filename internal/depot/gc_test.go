@@ -236,7 +236,7 @@ func TestGCSweepsOrphanedTempFiles(t *testing.T) {
 // under -race this is the regression test for the Get stats/Chtimes
 // window.
 func TestGCDuringGetStress(t *testing.T) {
-	d, err := OpenSharded(filepath.Join(t.TempDir(), "depot"), 2)
+	d, err := Open(filepath.Join(t.TempDir(), "depot"))
 	if err != nil {
 		t.Fatal(err)
 	}

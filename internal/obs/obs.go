@@ -201,45 +201,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
-// GaugeVec is a family of gauges split by one label — the depot's
-// per-shard byte gauges, for example. Children render as
-// name{label="value"} sample lines, sorted by label value.
-type GaugeVec struct {
-	label    string
-	mu       sync.Mutex
-	children map[string]*Gauge
-}
-
-// With returns the child gauge for one label value, creating it if
-// needed.
-func (v *GaugeVec) With(value string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g, ok := v.children[value]
-	if !ok {
-		g = &Gauge{}
-		v.children[value] = g
-	}
-	return g
-}
-
-// snapshot returns the child label values (sorted) and gauges.
-func (v *GaugeVec) snapshot() ([]string, map[string]*Gauge) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	vals := make([]string, 0, len(v.children))
-	out := make(map[string]*Gauge, len(v.children))
-	for val, g := range v.children {
-		vals = append(vals, val)
-		out[val] = g
-	}
-	sort.Strings(vals)
-	return vals, out
-}
-
 // CounterVec is a family of counters split by one label — the
 // scheduler's per-reason cache-decision counters, for example.
 // Children render as name{label="value"} sample lines, sorted by
@@ -295,7 +256,6 @@ type family struct {
 	counterVec *CounterVec
 	gauge      *Gauge
 	gaugeFn    func() float64
-	gaugeVec   *GaugeVec
 	histogram  *Histogram
 }
 
@@ -362,23 +322,9 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 func (r *Registry) Gauge(name, help string) *Gauge {
 	f := r.lookup(name, help, kindGauge, func(f *family) { f.gauge = &Gauge{} })
 	if f.gauge == nil {
-		panic(fmt.Sprintf("obs: metric %s re-registered as plain gauge (was labeled or scrape-time)", name))
+		panic(fmt.Sprintf("obs: metric %s re-registered as plain gauge (was scrape-time)", name))
 	}
 	return f.gauge
-}
-
-// GaugeVec returns the labeled gauge family registered under name,
-// creating it with the given label name if needed. Registering a name
-// already held by a plain gauge (or vice versa) panics — mixing
-// labeled and unlabeled samples in one family is malformed exposition.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	f := r.lookup(name, help, kindGauge, func(f *family) {
-		f.gaugeVec = &GaugeVec{label: label, children: map[string]*Gauge{}}
-	})
-	if f.gaugeVec == nil {
-		panic(fmt.Sprintf("obs: metric %s re-registered as labeled gauge (was plain)", name))
-	}
-	return f.gaugeVec
 }
 
 // GaugeFunc registers (or replaces) a gauge whose value is computed at
@@ -479,11 +425,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 		case f.gaugeFn != nil:
 			fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.gaugeFn()))
-		case f.gaugeVec != nil:
-			vals, children := f.gaugeVec.snapshot()
-			for _, v := range vals {
-				fmt.Fprintf(w, "%s{%s=%q} %s\n", f.name, f.gaugeVec.label, v, formatFloat(children[v].Value()))
-			}
 		case f.gauge != nil:
 			fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.gauge.Value()))
 		case f.histogram != nil:
@@ -527,11 +468,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 			}
 		case f.gaugeFn != nil:
 			out[f.name] = f.gaugeFn()
-		case f.gaugeVec != nil:
-			vals, children := f.gaugeVec.snapshot()
-			for _, v := range vals {
-				out[fmt.Sprintf("%s{%s=%q}", f.name, f.gaugeVec.label, v)] = children[v].Value()
-			}
 		case f.gauge != nil:
 			out[f.name] = f.gauge.Value()
 		case f.histogram != nil:

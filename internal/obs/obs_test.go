@@ -286,58 +286,6 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-// TestGaugeVecExposition: a labeled gauge family renders one sample
-// per label value, sorted, parses with the repo's own parser, and
-// lands in Snapshot under name{label="value"} keys.
-func TestGaugeVecExposition(t *testing.T) {
-	r := NewRegistry()
-	vec := r.GaugeVec("gv_shard_bytes", "bytes per shard", "shard")
-	vec.With("1").Set(2048)
-	vec.With("0").Set(1024)
-	if got := r.GaugeVec("gv_shard_bytes", "bytes per shard", "shard"); got != vec {
-		t.Fatal("re-registration returned a different vec")
-	}
-
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	i0 := strings.Index(text, `gv_shard_bytes{shard="0"} 1024`)
-	i1 := strings.Index(text, `gv_shard_bytes{shard="1"} 2048`)
-	if i0 < 0 || i1 < 0 || i0 > i1 {
-		t.Fatalf("labeled samples missing or unsorted:\n%s", text)
-	}
-	fams, err := ParsePrometheus(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("labeled exposition does not parse: %v\n%s", err, text)
-	}
-	f := fams["gv_shard_bytes"]
-	if f == nil || f.Type != "gauge" || len(f.Samples) != 2 {
-		t.Fatalf("gv_shard_bytes parsed wrong: %+v", f)
-	}
-	for _, s := range f.Samples {
-		if s.Labels["shard"] == "" {
-			t.Fatalf("sample lost its label: %+v", s)
-		}
-	}
-
-	snap := r.Snapshot()
-	if snap[`gv_shard_bytes{shard="0"}`] != 1024 || snap[`gv_shard_bytes{shard="1"}`] != 2048 {
-		t.Fatalf("snapshot keys wrong: %v", snap)
-	}
-
-	// Mixing a plain gauge into a labeled family is a programming
-	// error and must panic, like any kind mismatch.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("plain Gauge on a labeled family did not panic")
-		}
-	}()
-	var g *Gauge = r.Gauge("gv_shard_bytes", "bytes per shard")
-	_ = g
-}
-
 // TestCounterVecExposition: a labeled counter family renders one
 // sample per label value, sorted, parses with the repo's own parser,
 // and lands in Snapshot under name{label="value"} keys.
