@@ -34,10 +34,9 @@
 // Provenance: -explain prints, for every report, the artifact it was
 // assembled from, this run's cache decision for that artifact, the
 // producer (the computing process's pid), checker version, and wall
-// cost. Each run against a persistent -cache appends an entry to the
-// depot's run ledger; -runs lists the ledger and -diff OLD,NEW
-// compares two entries — appeared/disappeared reports (with witness
-// traces) to stdout, perf deltas to stderr — with no input files.
+// cost. -v adds the run's cache decisions by reason to its analysis
+// line, and -stats breaks them down as sched_cache_decisions_total.
+// To compare two runs, save each one's -why stream and diff them.
 //
 // With -triage every SM report is ranked by path feasibility before
 // printing: 'slice' replays reports over loop-bounded paths and
@@ -62,8 +61,6 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -76,7 +73,6 @@ import (
 	"flashmc/internal/core"
 	"flashmc/internal/cover"
 	"flashmc/internal/depot"
-	"flashmc/internal/engine"
 	"flashmc/internal/flash"
 	"flashmc/internal/global"
 	"flashmc/internal/lint"
@@ -108,13 +104,10 @@ func main() {
 	coverage := flag.Bool("coverage", false, "collect per-checker rule/state coverage; print a table and timing attribution to stderr")
 	coverageOut := flag.String("coverage-out", "", "write the coverage/v1 JSON artifact to this path (implies -coverage)")
 	triageFlag := flag.String("triage", "", "rank reports by path feasibility: 'slice' (correlated-branch slicing) or 'sym' (slicing plus bounded symbolic evaluation); verdicts cache in -cache")
-	runsList := flag.Bool("runs", false, "list the -cache depot's run ledger and exit (takes no input files)")
-	diffSpec := flag.String("diff", "", "compare two run-ledger entries OLD,NEW from -cache and exit: report changes to stdout (empty = identical), perf deltas to stderr")
 	explain := flag.Bool("explain", false, "after the run, print each report's provenance (artifact, cache decision, producer, checker version, cost) to stderr")
-	versionSalt := flag.String("version-salt", "", "append this salt to every checker version (testing aid: forces checker-version-bump cache misses)")
 	flag.Parse()
 
-	triageMode, ok := parseTriageMode(*triageFlag)
+	triageMode, ok := lint.ParseTriageMode(*triageFlag)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "mcheck: -triage %q: want 'slice' or 'sym'\n", *triageFlag)
 		os.Exit(2)
@@ -134,22 +127,6 @@ func main() {
 	}
 	if *workers < 1 {
 		*workers = runtime.GOMAXPROCS(0)
-	}
-
-	// Ledger-only modes read the depot directly and take no input
-	// files; they must be dispatched before the no-input check.
-	if *runsList || *diffSpec != "" {
-		if *cacheDir == "" {
-			fail("-runs/-diff read the run ledger from a persistent depot; pass -cache DIR")
-		}
-		store, err := depot.Open(*cacheDir)
-		if err != nil {
-			fail("%v", err)
-		}
-		if *runsList {
-			os.Exit(runsCmd(store))
-		}
-		os.Exit(diffCmd(store, *diffSpec))
 	}
 
 	files := flag.Args()
@@ -195,69 +172,23 @@ func main() {
 		return
 	}
 
-	// Assemble the scheduler job list: ad-hoc metal checkers first
-	// (in flag order), then the built-in suite — the historical run
-	// order, which fixes report assembly. Lint metadata (SM + decl
-	// table) is collected alongside so broken checkers fail loudly
-	// before anything runs (the paper's §11 failure mode).
-	type lintTarget struct {
-		sm    *engine.SM
-		decls map[string]string
-	}
-	var (
-		jobs        []sched.Job
-		lintTargets []lintTarget
-	)
-	// Triage keys machines and cache versions by the name reports
-	// carry (sm.Name, which can differ from the registry name).
-	triageSMs := map[string]*engine.SM{}
-	triageVersions := map[string]string{}
-
-	spec := sched.ConventionSpec(prog)
-	specOpt := sched.SpecHash(spec)
+	// Ad-hoc metal checkers run first, in flag order, then the
+	// built-in suite: the historical run order, which fixes report
+	// assembly.
+	var adhoc []sched.AdHocChecker
 	for _, cf := range checkerFiles {
 		src, err := os.ReadFile(cf)
 		if err != nil {
 			fail("%v", err)
 		}
-		mp, err := prog.CompileChecker(string(src))
-		if err != nil {
-			fail("%s: %v", cf, err)
-		}
-		// An ad-hoc checker has no declared version; its source hash
-		// takes that role in the depot key, so editing the .metal
-		// file invalidates its cached results.
-		srcHash := sha256.Sum256([]byte(src))
-		version := "adhoc-" + hex.EncodeToString(srcHash[:8])
-		jobs = append(jobs, sched.Job{Name: mp.Name, Version: version,
-			Options: specOpt, SM: mp.SM})
-		lintTargets = append(lintTargets, lintTarget{sm: mp.SM, decls: mp.Decls})
-		triageSMs[mp.SM.Name] = mp.SM
-		triageVersions[mp.SM.Name] = version
+		adhoc = append(adhoc, sched.AdHocChecker{Label: cf, Src: string(src)})
 	}
-	if *flashSuite {
-		jobs = append(jobs, sched.FlashJobs(spec)...)
-		for _, chk := range checkers.All() {
-			if prov, ok := chk.(checkers.SMProvider); ok {
-				sm, decls := prov.BuildSM(spec)
-				lintTargets = append(lintTargets, lintTarget{sm: sm, decls: decls})
-				triageSMs[sm.Name] = sm
-				triageVersions[sm.Name] = chk.Version()
-			}
-		}
+	spec := sched.ConventionSpec(prog)
+	set, err := sched.BuildJobs(prog, spec, adhoc, *flashSuite)
+	if err != nil {
+		fail("%v", err)
 	}
-
-	if *versionSalt != "" {
-		// Salting every version makes each depot key miss with reason
-		// checker-version-bump while leaving the computed reports
-		// unchanged — ci.sh uses it to gate miss attribution.
-		for i := range jobs {
-			jobs[i].Version += "+" + *versionSalt
-		}
-		for name := range triageVersions {
-			triageVersions[name] += "+" + *versionSalt
-		}
-	}
+	jobs := set.Jobs
 
 	if *lintSMs {
 		vocab := lint.FlashVocab()
@@ -265,8 +196,11 @@ func main() {
 			vocab.Add(fn.Name)
 		}
 		lintErrors := 0
-		for _, lt := range lintTargets {
-			diags := lint.CheckSM(lint.Target{SM: lt.sm, Decls: lt.decls, Vocab: vocab})
+		// Lint before anything runs, so a broken checker fails loudly
+		// (the paper's §11 failure mode).
+		for _, lt := range set.Lint {
+			lt.Vocab = vocab
+			diags := lint.CheckSM(lt)
 			for _, d := range diags {
 				if d.Severity >= lint.Warn || *verbose {
 					fmt.Fprintf(os.Stderr, "mcheck: lint: %s\n", d)
@@ -291,20 +225,9 @@ func main() {
 		covSet = cover.NewSet()
 	}
 	analyzer := &sched.Analyzer{Depot: store, Workers: *workers, Tracer: tracer, Coverage: covSet}
-	req := sched.Request{Prog: prog, Spec: spec, Jobs: jobs}
-	res, err := analyzer.Check(req)
+	res, err := analyzer.Check(sched.Request{Prog: prog, Spec: spec, Jobs: jobs})
 	if err != nil {
 		fail("%v", err)
-	}
-	// Record the run in the depot's ledger. Only a persistent depot is
-	// worth recording into: an in-memory ledger dies with the process.
-	var runEntry *sched.RunEntry
-	if *cacheDir != "" {
-		runEntry = sched.NewRunEntry(&req, res, covSet)
-		if err := sched.AppendRun(store, runEntry); err != nil {
-			fmt.Fprintf(os.Stderr, "mcheck: ledger: %v\n", err)
-			runEntry = nil
-		}
 	}
 	reports := res.Reports
 	if *verbose {
@@ -316,13 +239,10 @@ func main() {
 			fmt.Printf("checker %s: %d reports\n", j.Name, byChecker[j.Name])
 		}
 		st := res.Stats
-		fmt.Printf("analysis: %d functions, %d tasks, %d cache hits, %d misses (%.0f%% hit rate), %d re-analyzed, %s elapsed\n",
+		fmt.Printf("analysis: %d functions, %d tasks, %d cache hits, %d misses (%.0f%% hit rate; %s), %d re-analyzed, %s elapsed\n",
 			st.Functions, st.Tasks, st.CacheHits, st.CacheMisses,
 			100*float64(st.CacheHits)/float64(max(1, st.CacheHits+st.CacheMisses)),
-			len(st.Reanalyzed), st.Elapsed.Round(1000000))
-		if runEntry != nil {
-			fmt.Printf("run %s recorded (%s)\n", runEntry.ID, runEntry.DecisionLine())
-		}
+			st.DecisionLine(), len(st.Reanalyzed), st.Elapsed.Round(1000000))
 	}
 
 	if triageMode != "" {
@@ -330,7 +250,7 @@ func main() {
 		// serving verdicts from the depot when the program, checker,
 		// and triage options are unchanged.
 		ranked, tst := analyzer.TriageReports(sched.TriageRequest{Prog: prog,
-			SMs: triageSMs, Versions: triageVersions, Reports: reports,
+			SMs: set.SMs, Versions: set.Versions, Reports: reports,
 			Options: lint.TriageOptions{Mode: triageMode}})
 		if *verbose {
 			fmt.Printf("triage: %d verdict groups from cache, %d recomputed\n",
@@ -504,20 +424,6 @@ func linkPass(files []string) int {
 		return 1
 	}
 	return 0
-}
-
-// parseTriageMode maps the -triage flag value to a lint mode; the
-// empty string keeps triage off.
-func parseTriageMode(v string) (lint.TriageMode, bool) {
-	switch v {
-	case "":
-		return "", true
-	case "slice":
-		return lint.ModeSlice, true
-	case "sym":
-		return lint.ModeSym, true
-	}
-	return "", false
 }
 
 func fail(format string, args ...any) {

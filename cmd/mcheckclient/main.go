@@ -1,7 +1,9 @@
 // mcheckclient is a small CLI client for mcheckd, used by scripts and
 // the CI daemon gates: it posts source files to /check and prints the
 // ranked reports (stats omitted — they differ run to run), or fetches
-// an arbitrary path, or polls /healthz until a daemon is ready.
+// an arbitrary path, or polls /healthz until a daemon is ready. The
+// printed reports are stable across runs, so two runs compare with
+// diff.
 //
 // Usage:
 //
@@ -11,8 +13,6 @@
 //	mcheckclient -addr host:port -trace FILE file.c...
 //	             also fetch the request's Chrome trace (from
 //	             /debug/trace/<X-Trace-Id>) into FILE
-//	mcheckclient -addr host:port -runs       list the server's run ledger
-//	mcheckclient -addr host:port -diff A,B   compare two ledger entries
 package main
 
 import (
@@ -34,8 +34,6 @@ func main() {
 	wait := flag.Duration("wait", 0, "poll /healthz until it answers 200 (or this long elapses)")
 	triageMode := flag.String("triage", "", "triage_mode for /check (\"slice\" or \"sym\")")
 	traceOut := flag.String("trace", "", "after /check, fetch the request's trace into this file")
-	runsList := flag.Bool("runs", false, "list the server's run ledger (/debug/runs) and exit")
-	diffSpec := flag.String("diff", "", "compare two server ledger runs OLD,NEW (/debug/runs/diff) and exit")
 	flag.Parse()
 
 	base := *addr
@@ -64,13 +62,6 @@ func main() {
 		if *get == "" && flag.NArg() == 0 {
 			return
 		}
-	}
-
-	if *runsList {
-		os.Exit(runsCmd(base))
-	}
-	if *diffSpec != "" {
-		os.Exit(diffCmd(base, *diffSpec))
 	}
 
 	if *get != "" {

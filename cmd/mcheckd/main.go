@@ -25,14 +25,15 @@
 //	               attribution.
 //	GET  /debug/trace/<id>   Chrome trace of one recent request (the
 //	               id is its response's X-Trace-Id header).
-//	GET  /debug/runs         the depot's run ledger; /debug/runs/<id>
-//	               shows one entry, /debug/runs/diff?a=&b= compares two.
 //	GET  /debug/pprof/*  runtime profiles (CPU, heap, goroutines).
 //
 // Identical concurrent /check requests (same program fingerprint, job
 // list, and triage mode) are deduplicated: one computes, the rest
 // share its response. Every response carries an X-Request-Id header
-// that also tags the server's structured log lines.
+// that also tags the server's structured log lines. Each response's
+// stats.decisions counts its cache lookups by reason (hit, new,
+// checker-version-bump, ...); /metrics sums them over the process as
+// sched_cache_decisions_total.
 //
 // -cache names the artifact depot shared with mcheck -cache; without
 // it the depot lives in memory for the life of the process (still

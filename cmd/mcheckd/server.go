@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"flashmc/internal/cc/cpp"
-	"flashmc/internal/checkers"
 	"flashmc/internal/core"
 	"flashmc/internal/cover"
 	"flashmc/internal/depot"
@@ -47,20 +46,13 @@ type checkRequest struct {
 }
 
 // triageMode resolves the request's effective triage ladder: the
-// empty mode means triage is off.
+// empty mode means triage is off, unless the legacy Triage flag asks
+// for slicing.
 func (r checkRequest) triageMode() (lint.TriageMode, bool) {
-	switch r.TriageMode {
-	case "":
-		if r.Triage {
-			return lint.ModeSlice, true
-		}
-		return "", true
-	case "slice":
+	if r.TriageMode == "" && r.Triage {
 		return lint.ModeSlice, true
-	case "sym":
-		return lint.ModeSym, true
 	}
-	return "", false
+	return lint.ParseTriageMode(r.TriageMode)
 }
 
 type traceStepJSON struct {
@@ -98,10 +90,8 @@ type statsJSON struct {
 	ElapsedMS     float64  `json:"elapsed_ms"`
 	TaskMS        float64  `json:"task_ms"`
 	QueueWaitMS   float64  `json:"queue_wait_ms"`
-	// Decisions breaks cache lookups down by reason; RunID names the
-	// run's ledger entry (GET /debug/runs/<id>).
+	// Decisions breaks cache lookups down by reason.
 	Decisions map[string]int `json:"decisions,omitempty"`
-	RunID     string         `json:"run_id,omitempty"`
 }
 
 type checkResponse struct {
@@ -217,8 +207,6 @@ func newServer(store *depot.Depot, workers int) *server {
 	s.mux.HandleFunc("/debug/coverage", s.handleCoverage)
 	s.mux.HandleFunc("/debug/timings", s.handleTimings)
 	s.mux.HandleFunc("/debug/trace/", s.handleTrace)
-	s.mux.HandleFunc("/debug/runs", s.handleRuns)
-	s.mux.HandleFunc("/debug/runs/", s.handleRuns)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -329,45 +317,20 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 
 	// Assemble jobs exactly like cmd/mcheck: ad-hoc checkers first
 	// (sorted by name — the request carries them in a map), then the
-	// built-in suite. smByName keeps each SM job's machine for triage.
+	// built-in suite.
 	spec := sched.ConventionSpec(prog)
-	specOpt := sched.SpecHash(spec)
-	var jobs []sched.Job
-	smByName := map[string]*engine.SM{}
-	smVersions := map[string]string{}
-	adhoc := make([]string, 0, len(req.Checkers))
-	for name := range req.Checkers {
-		adhoc = append(adhoc, name)
+	adhoc := make([]sched.AdHocChecker, 0, len(req.Checkers))
+	for name, src := range req.Checkers {
+		adhoc = append(adhoc, sched.AdHocChecker{Label: name, Src: src})
 	}
-	sort.Strings(adhoc)
-	for _, name := range adhoc {
-		src := req.Checkers[name]
-		mp, err := prog.CompileChecker(src)
-		if err != nil {
-			status = http.StatusBadRequest
-			s.fail(w, status, "checker %s: %v", name, err)
-			return
-		}
-		srcHash := sha256.Sum256([]byte(src))
-		version := "adhoc-" + hex.EncodeToString(srcHash[:8])
-		jobs = append(jobs, sched.Job{Name: mp.Name, Version: version,
-			Options: specOpt, SM: mp.SM})
-		smByName[mp.SM.Name] = mp.SM
-		smVersions[mp.SM.Name] = version
+	sort.Slice(adhoc, func(i, j int) bool { return adhoc[i].Label < adhoc[j].Label })
+	set, err := sched.BuildJobs(prog, spec, adhoc, req.Flash == nil || *req.Flash)
+	if err != nil {
+		status = http.StatusBadRequest
+		s.fail(w, status, "checker %v", err)
+		return
 	}
-	if req.Flash == nil || *req.Flash {
-		jobs = append(jobs, sched.FlashJobs(spec)...)
-		// Reports carry the SM's own name, which can differ from the
-		// registry name (buffer_race runs the wait_for_db machine), so
-		// the triage map keys on sm.Name.
-		for _, chk := range checkers.All() {
-			if prov, ok := chk.(checkers.SMProvider); ok {
-				sm, _ := prov.BuildSM(spec)
-				smByName[sm.Name] = sm
-				smVersions[sm.Name] = chk.Version()
-			}
-		}
-	}
+	jobs := set.Jobs
 	if len(jobs) == 0 {
 		status = http.StatusBadRequest
 		s.fail(w, status, "nothing to run: flash disabled and no ad-hoc checkers")
@@ -408,10 +371,9 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	// requests' spans never interleave in one trace.
 	tracer := obs.NewTracer()
 	tracer.SetProcess(1, "mcheckd")
-	creq := sched.Request{Prog: prog, Spec: spec, Jobs: jobs,
+	res, err := s.analyzer.Check(sched.Request{Prog: prog, Spec: spec, Jobs: jobs,
 		Fingerprints: cp.Fingerprints, ProgramFP: cp.ProgramFP,
-		Tracer: tracer, TraceID: reqID}
-	res, err := s.analyzer.Check(creq)
+		Tracer: tracer, TraceID: reqID})
 	if err != nil {
 		status = http.StatusInternalServerError
 		fl.code, fl.err = status, fmt.Sprintf("check: %v", err)
@@ -427,16 +389,7 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	s.misses.Add(float64(res.Stats.CacheMisses))
 	s.queueMax.SetMax(float64(res.Stats.MaxQueueDepth))
 
-	// Ledger: one entry per leader run (followers reuse the leader's
-	// work, so one computation is one entry). Failure to append is
-	// logged, never fatal — the ledger is observability, not output.
-	entry := sched.NewRunEntry(&creq, res, s.coverage)
-	if err := sched.AppendRun(s.store, entry); err != nil {
-		log.Printf("mcheckd: id=%s ledger: %v", reqID, err)
-		entry.ID = ""
-	}
-
-	resp.Reports = s.rankReports(prog, cp.ProgramFP, res.Reports, smByName, smVersions, triageMode)
+	resp.Reports = s.rankReports(prog, cp.ProgramFP, res.Reports, set, triageMode)
 	resp.Stats = statsJSON{
 		Functions:     res.Stats.Functions,
 		Tasks:         res.Stats.Tasks,
@@ -449,7 +402,6 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		TaskMS:        float64(res.Stats.TaskTime) / float64(time.Millisecond),
 		QueueWaitMS:   float64(res.Stats.QueueWait) / float64(time.Millisecond),
 		Decisions:     res.Stats.Decisions,
-		RunID:         entry.ID,
 	}
 	s.storeTrace(reqID, tracer.Events())
 	w.Header().Set("X-Trace-Id", reqID)
@@ -538,11 +490,11 @@ func (s *server) finishFlight(fl *flight) {
 // above demoted ones (likely-fp, then infeasible); within a rank,
 // position order. Without triage every report keeps the CLI's
 // position order and carries no confidence.
-func (s *server) rankReports(prog *core.Program, progFP string, reports []engine.Report, smByName map[string]*engine.SM, smVersions map[string]string, mode lint.TriageMode) []reportJSON {
+func (s *server) rankReports(prog *core.Program, progFP string, reports []engine.Report, set *sched.JobSet, mode lint.TriageMode) []reportJSON {
 	var ranked []lint.RankedReport
 	if mode != "" {
 		ranked, _ = s.analyzer.TriageReports(sched.TriageRequest{Prog: prog,
-			ProgramFP: progFP, SMs: smByName, Versions: smVersions,
+			ProgramFP: progFP, SMs: set.SMs, Versions: set.Versions,
 			Reports: reports, Options: lint.TriageOptions{Mode: mode}})
 		lint.SortRanked(ranked)
 	} else {

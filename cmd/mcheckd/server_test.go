@@ -165,6 +165,33 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestWarmChecksDoNotGrowDepot: a warm /check is all depot reads, so
+// repeating it must not grow a long-lived daemon's in-memory depot.
+// Nothing evicts from an in-memory depot without a byte budget, so any
+// per-request write would leak for the life of the process.
+func TestWarmChecksDoNotGrowDepot(t *testing.T) {
+	store, err := depot.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(store, 2))
+	defer ts.Close()
+
+	body := `{"files": {"proto.c": ` + mustQuote(symFixture) + `}, "triage_mode": "sym"}`
+	postCheck(t, ts, body)
+	before := store.Stats()
+	for i := 0; i < 10; i++ {
+		warm, _ := postCheck(t, ts, body)
+		if warm.Stats.CacheMisses != 0 {
+			t.Fatalf("warm check %d missed %d times", i, warm.Stats.CacheMisses)
+		}
+	}
+	if after := store.Stats(); after.Entries != before.Entries || after.Bytes != before.Bytes {
+		t.Fatalf("10 warm checks grew the depot: %d entries/%d bytes -> %d entries/%d bytes",
+			before.Entries, before.Bytes, after.Entries, after.Bytes)
+	}
+}
+
 func TestServerRejectsBadRequests(t *testing.T) {
 	store, _ := depot.Open("")
 	ts := httptest.NewServer(newServer(store, 1))

@@ -296,53 +296,6 @@ func (d *Depot) Put(key Key, blob []byte) error {
 	return nil
 }
 
-// IDs returns the content address of every artifact currently stored,
-// in no particular order. It is a full scan — a recovery and audit
-// primitive (the run ledger uses it to relist entries whose index slot
-// a cross-process append race lost), not a fast path.
-func (d *Depot) IDs() []string {
-	if d.mem != nil {
-		d.mu.Lock()
-		ids := make([]string, 0, len(d.mem))
-		for id := range d.mem {
-			ids = append(ids, id)
-		}
-		d.mu.Unlock()
-		return ids
-	}
-	var ids []string
-	for _, f := range d.scan() {
-		if !f.temp {
-			ids = append(ids, f.id)
-		}
-	}
-	return ids
-}
-
-// GetByID returns the artifact stored under a raw content address, for
-// callers that discovered the id by scanning (IDs) rather than holding
-// the Key. Reads do not bump recency: scans are audits, not cache use.
-func (d *Depot) GetByID(id string) ([]byte, bool) {
-	if d.mem != nil {
-		d.mu.Lock()
-		e, ok := d.mem[id]
-		var b []byte
-		if ok {
-			b = e.data
-		}
-		d.mu.Unlock()
-		return b, ok
-	}
-	if len(id) < 2 { // the fan-out needs the hash prefix
-		return nil, false
-	}
-	b, err := os.ReadFile(d.path(id))
-	if err != nil {
-		return nil, false
-	}
-	return b, true
-}
-
 // SetGCPolicy arms put-pressure GC: once maxBytes/8 bytes (8 MiB
 // without a byte budget) have been written since the last sweep, the
 // Put that crosses the line runs GC(maxAge, maxBytes) inline before

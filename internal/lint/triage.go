@@ -108,6 +108,18 @@ const (
 	ModeSym TriageMode = "sym"
 )
 
+// ParseTriageMode maps a -triage flag or triage_mode value to a mode.
+// The empty string keeps triage off.
+func ParseTriageMode(v string) (TriageMode, bool) {
+	switch v {
+	case "":
+		return "", true
+	case string(ModeSlice), string(ModeSym):
+		return TriageMode(v), true
+	}
+	return "", false
+}
+
 // TriageVersion names the triage algorithm revision; it keys depot
 // artifacts so verdicts recompute when the ladder changes.
 const TriageVersion = "1"

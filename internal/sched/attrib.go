@@ -39,7 +39,7 @@ import (
 )
 
 // Cache-decision reasons, exported as sched_cache_decisions_total
-// label values and ledger keys.
+// label values and Stats.Decisions keys.
 const (
 	DecisionHit            = "hit"
 	DecisionNew            = "new"
@@ -49,8 +49,8 @@ const (
 	DecisionEvicted        = "evicted"
 )
 
-// DecisionReasons lists every reason in display order (ledger lines,
-// diff output).
+// DecisionReasons lists every reason in display order
+// (Stats.DecisionLine).
 var DecisionReasons = []string{
 	DecisionHit, DecisionNew, DecisionVersionBump,
 	DecisionOptionsChanged, DecisionDepInvalidated, DecisionEvicted,
@@ -106,8 +106,7 @@ func writeMarker(d *depot.Depot, checker, identity string, key depot.Key) {
 	})
 }
 
-// localProducer identifies this process in provenance records and
-// ledger entries.
+// localProducer identifies this process in provenance records.
 var localProducer = fmt.Sprintf("pid:%d", os.Getpid())
 
 // summaryDepKeys returns the sorted depot key ids of the per-function

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"flashmc/internal/engine"
 	"flashmc/internal/flash"
 	"flashmc/internal/global"
+	"flashmc/internal/lint"
 	"flashmc/internal/obs"
 )
 
@@ -96,7 +98,7 @@ type Request struct {
 	Tracer *obs.Tracer
 	// TraceID is the request's trace identity (mcheckd derives it from
 	// X-Request-Id); it is stamped on the provenance of every artifact
-	// the request computes and on its ledger entry.
+	// the request computes.
 	TraceID string
 }
 
@@ -127,9 +129,20 @@ type Stats struct {
 	// reason (DecisionHit, DecisionNew, ...). The values sum to
 	// CacheHits + CacheMisses.
 	Decisions map[string]int
-	// TaskDurations holds each executed task body's wall time; the
-	// run ledger derives timing quantiles from it.
-	TaskDurations []time.Duration
+}
+
+// DecisionLine renders Decisions in a fixed, greppable order:
+// "hit=H new=N vb=V oc=O dep=D ev=E".
+func (s Stats) DecisionLine() string {
+	short := map[string]string{
+		DecisionHit: "hit", DecisionNew: "new", DecisionVersionBump: "vb",
+		DecisionOptionsChanged: "oc", DecisionDepInvalidated: "dep", DecisionEvicted: "ev",
+	}
+	parts := make([]string, 0, len(DecisionReasons))
+	for _, r := range DecisionReasons {
+		parts = append(parts, fmt.Sprintf("%s=%d", short[r], s.Decisions[r]))
+	}
+	return strings.Join(parts, " ")
 }
 
 // ArtifactRef ties a run's reports back to the depot artifact that
@@ -496,7 +509,6 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 		CacheMisses:   rs.misses,
 		GlobalReruns:  rs.globals,
 		Decisions:     rs.decisions,
-		TaskDurations: stats.Durations,
 	}
 	for fn := range rs.reanalyzed {
 		res.Stats.Reanalyzed = append(res.Stats.Reanalyzed, fn)
@@ -576,6 +588,61 @@ func FlashJobs(spec *flash.Spec) []Job {
 		jobs = append(jobs, job)
 	}
 	return jobs
+}
+
+// AdHocChecker is one metal checker run beside (or instead of) the
+// built-in suite. Label names it in compile errors.
+type AdHocChecker struct {
+	Label string
+	Src   string
+}
+
+// JobSet is one assembled check: the jobs to run, plus each SM's
+// machine and cache version keyed by the name its reports carry
+// (sm.Name, which can differ from the registry name: buffer_race runs
+// the wait_for_db machine), as TriageRequest wants them. Lint lists
+// every SM with its metal declaration table, in job order.
+type JobSet struct {
+	Jobs     []Job
+	SMs      map[string]*engine.SM
+	Versions map[string]string
+	Lint     []lint.Target
+}
+
+// BuildJobs assembles the jobs cmd/mcheck and cmd/mcheckd run: the
+// ad-hoc checkers first, in the order given, then the built-in suite
+// when flashSuite is set. Job order fixes report assembly. An ad-hoc
+// checker has no declared version; "adhoc-" plus its source hash takes
+// that role in the depot key, so editing the source invalidates its
+// cached results.
+func BuildJobs(prog *core.Program, spec *flash.Spec, adhoc []AdHocChecker, flashSuite bool) (*JobSet, error) {
+	set := &JobSet{SMs: map[string]*engine.SM{}, Versions: map[string]string{}}
+	add := func(sm *engine.SM, decls map[string]string, version string) {
+		set.SMs[sm.Name] = sm
+		set.Versions[sm.Name] = version
+		set.Lint = append(set.Lint, lint.Target{SM: sm, Decls: decls})
+	}
+	specOpt := SpecHash(spec)
+	for _, c := range adhoc {
+		mp, err := prog.CompileChecker(c.Src)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", c.Label, err)
+		}
+		h := sha256.Sum256([]byte(c.Src))
+		version := "adhoc-" + hex.EncodeToString(h[:8])
+		set.Jobs = append(set.Jobs, Job{Name: mp.Name, Version: version, Options: specOpt, SM: mp.SM})
+		add(mp.SM, mp.Decls, version)
+	}
+	if flashSuite {
+		set.Jobs = append(set.Jobs, FlashJobs(spec)...)
+		for _, chk := range checkers.All() {
+			if prov, ok := chk.(checkers.SMProvider); ok {
+				sm, decls := prov.BuildSM(spec)
+				add(sm, decls, chk.Version())
+			}
+		}
+	}
+	return set, nil
 }
 
 // ConventionSpec derives a protocol spec from the h_*/sw_* naming

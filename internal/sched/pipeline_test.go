@@ -59,6 +59,27 @@ func render(reports []engine.Report) []byte {
 	return buf.Bytes()
 }
 
+// wantDecisions asserts that st attributes every cache lookup, hit or
+// miss, and that every miss has the reason miss: the per-reason counts
+// sum to CacheHits+CacheMisses, hits are all DecisionHit, and no other
+// reason appears.
+func wantDecisions(t *testing.T, st Stats, miss string) {
+	t.Helper()
+	sum := 0
+	for _, n := range st.Decisions {
+		sum += n
+	}
+	if sum != st.CacheHits+st.CacheMisses {
+		t.Errorf("decisions %v sum to %d, want hits+misses = %d", st.Decisions, sum, st.CacheHits+st.CacheMisses)
+	}
+	if st.Decisions[DecisionHit] != st.CacheHits {
+		t.Errorf("decisions %v: %d hits attributed, want %d", st.Decisions, st.Decisions[DecisionHit], st.CacheHits)
+	}
+	if st.CacheMisses > 0 && st.Decisions[miss] != st.CacheMisses {
+		t.Errorf("decisions %v: want all %d misses to be %q", st.Decisions, st.CacheMisses, miss)
+	}
+}
+
 func TestWarmColdByteIdentical(t *testing.T) {
 	d, err := depot.Open(filepath.Join(t.TempDir(), "depot"))
 	if err != nil {
@@ -77,6 +98,7 @@ func TestWarmColdByteIdentical(t *testing.T) {
 	if len(cold.Reports) == 0 {
 		t.Fatal("cold run found no reports; the corpus seeds defects")
 	}
+	wantDecisions(t, cold.Stats, DecisionNew)
 
 	// A separate parse of the same sources must hit on everything.
 	p2, prog2 := loadProto(t, nil)
@@ -90,6 +112,7 @@ func TestWarmColdByteIdentical(t *testing.T) {
 	if len(warm.Stats.Reanalyzed) != 0 || warm.Stats.GlobalReruns != 0 {
 		t.Fatalf("warm run recomputed: %+v", warm.Stats)
 	}
+	wantDecisions(t, warm.Stats, DecisionHit)
 	if !reflect.DeepEqual(cold.Reports, warm.Reports) {
 		t.Fatal("warm reports differ structurally from cold reports")
 	}
@@ -200,6 +223,8 @@ func TestInvalidationIsCallGraphPrecise(t *testing.T) {
 	if !found {
 		t.Fatalf("mutated handler %s not re-analyzed (reanalyzed: %v)", mutated, warm.Stats.Reanalyzed)
 	}
+	// Every miss is the edit's doing, and attributed as such.
+	wantDecisions(t, warm.Stats, DecisionDepInvalidated)
 	// The acceptance bound: a single-handler edit re-analyzes < 10%
 	// of functions.
 	if frac := float64(len(warm.Stats.Reanalyzed)) / float64(warm.Stats.Functions); frac >= 0.10 {
@@ -226,7 +251,11 @@ func TestInvalidationIsCallGraphPrecise(t *testing.T) {
 }
 
 // TestVersionBumpMisses: bumping one checker's version invalidates
-// exactly that checker's cached artifacts.
+// exactly that checker's cached artifacts, and bumping every version
+// invalidates everything; changing one checker's options then
+// invalidates that checker again. Each miss is attributed to its
+// cause, and the recomputed reports are byte-identical to the cached
+// ones.
 func TestVersionBumpMisses(t *testing.T) {
 	d, err := depot.Open("")
 	if err != nil {
@@ -235,7 +264,8 @@ func TestVersionBumpMisses(t *testing.T) {
 	a := &Analyzer{Depot: d}
 	p, prog := loadProto(t, nil)
 	jobs := FlashJobs(p.Spec)
-	if _, err := a.Check(Request{Prog: prog, Spec: p.Spec, Jobs: jobs}); err != nil {
+	base, err := a.Check(Request{Prog: prog, Spec: p.Spec, Jobs: jobs})
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -258,6 +288,43 @@ func TestVersionBumpMisses(t *testing.T) {
 	if res.Stats.CacheMisses != res.Stats.Functions {
 		t.Fatalf("version bump missed %d times, want one per function (%d)",
 			res.Stats.CacheMisses, res.Stats.Functions)
+	}
+	wantDecisions(t, res.Stats, DecisionVersionBump)
+	if !bytes.Equal(render(res.Reports), render(base.Reports)) {
+		t.Fatal("version bump changed the report stream")
+	}
+
+	// Bump every job: nothing may hit, and every miss is a bump.
+	for i := range jobs {
+		jobs[i].Version += "+all"
+	}
+	res, err = a.Check(Request{Prog: prog, Spec: p.Spec, Jobs: jobs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.CacheHits != 0 || res.Stats.CacheMisses == 0 {
+		t.Fatalf("bumping every version: %d hits, %d misses; want only misses",
+			res.Stats.CacheHits, res.Stats.CacheMisses)
+	}
+	wantDecisions(t, res.Stats, DecisionVersionBump)
+	if !bytes.Equal(render(res.Reports), render(base.Reports)) {
+		t.Fatal("bumping every version changed the report stream")
+	}
+
+	// Changing the bumped SM job's options misses it once per function
+	// again, now attributed to the options.
+	jobs[bumped].Options += "+changed"
+	res, err = a.Check(Request{Prog: prog, Spec: p.Spec, Jobs: jobs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.CacheMisses != res.Stats.Functions {
+		t.Fatalf("options change missed %d times, want one per function (%d)",
+			res.Stats.CacheMisses, res.Stats.Functions)
+	}
+	wantDecisions(t, res.Stats, DecisionOptionsChanged)
+	if !bytes.Equal(render(res.Reports), render(base.Reports)) {
+		t.Fatal("options change altered the report stream")
 	}
 }
 

@@ -66,10 +66,6 @@ type RunStats struct {
 	TaskTime time.Duration
 	// QueueWait is the summed time tasks spent ready but unclaimed.
 	QueueWait time.Duration
-	// Durations holds each executed task body's wall time, in no
-	// particular order; the run ledger derives timing quantiles from
-	// it.
-	Durations []time.Duration
 }
 
 var (
@@ -227,7 +223,6 @@ func RunTraced(workers int, tracer *obs.Tracer, tasks []*Task) (RunStats, error)
 				stats.Tasks++
 				stats.TaskTime += dur
 				stats.QueueWait += wait
-				stats.Durations = append(stats.Durations, dur)
 				finish(t, err)
 				mu.Unlock()
 			}
