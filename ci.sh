@@ -1,8 +1,9 @@
 #!/bin/sh
 # CI entry point. Tier-1 (build + tests) first, then the stricter
-# gates: go vet across every package and the test suite again under
-# the race detector (the engine and checkers are exercised in parallel
-# by the paper-table tests, so data races would hide there).
+# gates: go vet and gofmt across every package and the test suite
+# again under the race detector (the engine and checkers are
+# exercised in parallel by the paper-table tests, so data races would
+# hide there).
 set -eux
 
 cd "$(dirname "$0")"
@@ -16,6 +17,7 @@ go test ./...
 (cd perfbench && go vet ./...)
 
 go vet ./...
+test -z "$(gofmt -l .)"
 go test -race ./...
 
 # Incremental-analysis gate: checking the generated corpus twice
@@ -50,8 +52,9 @@ for proto in bitvector dyn_ptr sci coma rac common; do
         > "$tmp/churn-warm.$proto" 2> "$tmp/churn-stats.$proto" || true
     cmp "$tmp/churn-cold.$proto" "$tmp/churn-warm.$proto"
 done
+# (`test -z` rather than `! grep`: set -e ignores a negated pipeline.)
 grep "^depot_gc_evicted_bytes_total" "$tmp/churn-stats.common"
-! grep -qx "depot_gc_evicted_bytes_total 0" "$tmp/churn-stats.common"
+test -z "$(grep -x "depot_gc_evicted_bytes_total 0" "$tmp/churn-stats.common")"
 
 # Observability gate: a real corpus run must emit (a) Prometheus text
 # that the repo's own parser accepts and (b) a Chrome trace_event file

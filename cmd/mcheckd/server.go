@@ -171,7 +171,7 @@ func newServer(store *depot.Depot, workers int) *server {
 	s := &server{
 		analyzer:  &sched.Analyzer{Depot: store, Workers: workers, Coverage: covSet},
 		store:     store,
-		progCache: &sched.ProgramCache{Depot: store},
+		progCache: &sched.ProgramCache{},
 		mux:       http.NewServeMux(),
 		reg:       reg,
 		coverage:  covSet,
@@ -288,10 +288,11 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 
 	// The program cache serves identical source trees without running
 	// the frontend: a hit returns the already-parsed (immutable)
-	// program plus its fingerprints, so the warm path goes straight to
-	// the scheduler. Concurrent misses for one tree parse once.
+	// program, whose fingerprints are memoized on it, so the warm path
+	// goes straight to the scheduler. Concurrent misses for one tree
+	// parse once.
 	srcHash := sched.SourceHash(req.Files, roots)
-	cp, warmProg, err := s.progCache.Load(srcHash, func() (*core.Program, error) {
+	prog, warmProg, err := s.progCache.Load(srcHash, func() (*core.Program, error) {
 		return core.Load("mcheckd", cpp.Layered(cpp.MapSource(req.Files), flash.HeaderSource()), roots)
 	})
 	if err != nil {
@@ -304,7 +305,6 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	} else {
 		s.pcMisses.Inc()
 	}
-	prog := cp.Prog
 	resp := checkResponse{Reports: []reportJSON{}}
 	for _, e := range prog.ParseErrors {
 		resp.ParseErrors = append(resp.ParseErrors, e.Error())
@@ -340,7 +340,7 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	// Single-flight: concurrent requests for the same program, job
 	// list, and triage mode share one computation. The key is the
 	// program fingerprint plus everything that shapes the response.
-	fl, leader := s.joinFlight(flightKey(cp.ProgramFP, jobs, triageMode))
+	fl, leader := s.joinFlight(flightKey(sched.ProgramFingerprintOf(prog), jobs, triageMode))
 	if !leader {
 		// Counted at join time: this request will reuse the leader's
 		// work whether or not it has finished yet.
@@ -372,7 +372,6 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	tracer := obs.NewTracer()
 	tracer.SetProcess(1, "mcheckd")
 	res, err := s.analyzer.Check(sched.Request{Prog: prog, Spec: spec, Jobs: jobs,
-		Fingerprints: cp.Fingerprints, ProgramFP: cp.ProgramFP,
 		Tracer: tracer, TraceID: reqID})
 	if err != nil {
 		status = http.StatusInternalServerError
@@ -389,7 +388,7 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	s.misses.Add(float64(res.Stats.CacheMisses))
 	s.queueMax.SetMax(float64(res.Stats.MaxQueueDepth))
 
-	resp.Reports = s.rankReports(prog, cp.ProgramFP, res.Reports, set, triageMode)
+	resp.Reports = s.rankReports(prog, res.Reports, set, triageMode)
 	resp.Stats = statsJSON{
 		Functions:     res.Stats.Functions,
 		Tasks:         res.Stats.Tasks,
@@ -490,11 +489,11 @@ func (s *server) finishFlight(fl *flight) {
 // above demoted ones (likely-fp, then infeasible); within a rank,
 // position order. Without triage every report keeps the CLI's
 // position order and carries no confidence.
-func (s *server) rankReports(prog *core.Program, progFP string, reports []engine.Report, set *sched.JobSet, mode lint.TriageMode) []reportJSON {
+func (s *server) rankReports(prog *core.Program, reports []engine.Report, set *sched.JobSet, mode lint.TriageMode) []reportJSON {
 	var ranked []lint.RankedReport
 	if mode != "" {
 		ranked, _ = s.analyzer.TriageReports(sched.TriageRequest{Prog: prog,
-			ProgramFP: progFP, SMs: set.SMs, Versions: set.Versions,
+			SMs: set.SMs, Versions: set.Versions,
 			Reports: reports, Options: lint.TriageOptions{Mode: mode}})
 		lint.SortRanked(ranked)
 	} else {

@@ -44,6 +44,29 @@ type Program struct {
 	byName map[string]int
 	src    cpp.Source
 	incs   []string
+	fp     fingerprintMemo
+}
+
+// fingerprintMemo holds a program's content fingerprints once they are
+// computed. The hash itself lives in package sched (the depot's
+// addressing scheme); core only stores the result, so every consumer
+// of one loaded program — Check, triage, mcheckd's single-flight key
+// — shares a single AST walk. Its zero value is ready to use, so programs built
+// as struct literals memoize too.
+type fingerprintMemo struct {
+	once sync.Once
+	fns  []string
+	prog string
+}
+
+// MemoFingerprints returns the program's per-function fingerprints
+// (parallel to Fns) and its whole-program fingerprint, running compute
+// on the first call only; concurrent first calls wait for that one
+// computation. Programs are immutable after loading, so the memo never
+// goes stale. Callers must not modify the returned slice.
+func (p *Program) MemoFingerprints(compute func(*Program) (fns []string, prog string)) ([]string, string) {
+	p.fp.once.Do(func() { p.fp.fns, p.fp.prog = compute(p) })
+	return p.fp.fns, p.fp.prog
 }
 
 // Load preprocesses, parses, and checks rootFiles (each a separate

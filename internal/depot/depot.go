@@ -68,7 +68,7 @@ const (
 // blobs, for example, carry no checker id).
 type Key struct {
 	// Kind is the artifact class: "summary", "reports/v3",
-	// "programs/v1", ...
+	// "triage/v1", ...
 	Kind string
 	// Source is the content hash of the analyzed unit — a function's
 	// parsed-AST fingerprint, or a whole-program fingerprint for

@@ -328,7 +328,7 @@ func checkUnusedWildcards(sm *engine.SM, decls map[string]string) []Diag {
 		}
 		diags = append(diags, Diag{
 			Pass: "unused-wildcard", Severity: Warn,
-			SM: sm.Name,
+			SM:  sm.Name,
 			Msg: fmt.Sprintf("wildcard %q is declared but never bound by any pattern", n),
 		})
 	}

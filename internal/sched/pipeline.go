@@ -85,13 +85,6 @@ type Request struct {
 	// requests produce byte-identical report streams whether results
 	// come from the cache or from execution.
 	Jobs []Job
-	// Fingerprints and ProgramFP, when both set and Fingerprints is
-	// parallel to Prog.Fns, skip the fingerprint walk (a ProgramCache
-	// hit supplies them). They must equal Fingerprints(Prog) and
-	// ProgramFingerprint(Prog, fps) — wrong values mis-address the
-	// cache. Left empty, Check computes them.
-	Fingerprints []string
-	ProgramFP    string
 	// Tracer, when non-nil, overrides the analyzer's tracer for this
 	// request — mcheckd records one tracer per /check so traces do not
 	// interleave across concurrent requests.
@@ -257,11 +250,7 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 	p := req.Prog
 	rs := &runState{d: d, reanalyzed: map[string]bool{}, decisions: map[string]int{}}
 
-	fps, progFP := req.Fingerprints, req.ProgramFP
-	if len(fps) != len(p.Fns) || progFP == "" {
-		fps = Fingerprints(p)
-		progFP = ProgramFingerprint(p, fps)
-	}
+	fps, progFP := Fingerprints(p), ProgramFingerprintOf(p)
 	fpByFn := make(map[string]string, len(p.Fns))
 	for i, fn := range p.Fns {
 		if _, ok := fpByFn[fn.Name]; !ok { // duplicates keep the first, like global.Link

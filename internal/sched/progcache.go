@@ -8,21 +8,13 @@ import (
 	"sync"
 
 	"flashmc/internal/core"
-	"flashmc/internal/depot"
 )
-
-// programsKind versions the depot's parse-manifest artifact: the
-// function list, per-function fingerprints, and program fingerprint of
-// one loaded source set, keyed by SourceHash. It lets a warm process
-// skip the fingerprint walk after a parse, and is the persisted half
-// of the cross-request program cache.
-const programsKind = "programs/v1"
 
 // FrontendVersion salts program-cache keys with the frontend's
 // identity. Bump it when the preprocessor, parser, type checker, CFG
 // builder, or fingerprint function changes observable output — a
-// stale manifest or cached program must miss, not serve old shapes.
-const FrontendVersion = "frontend/v1"
+// stale cached program must miss, not serve old shapes.
+const FrontendVersion = "frontend/v2"
 
 // SourceHash content-addresses one frontend invocation: the file set
 // (names and contents), the root ordering, and the frontend version.
@@ -52,48 +44,15 @@ func SourceHash(files map[string]string, roots []string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// CachedProgram is a parsed program plus its precomputed fingerprints,
-// ready to feed Analyzer.Check without re-running the frontend.
-type CachedProgram struct {
-	Prog *core.Program
-	// Fingerprints is parallel to Prog.Fns; ProgramFP is the
-	// whole-program fingerprint over it.
-	Fingerprints []string
-	ProgramFP    string
-}
-
-// programManifest is the programs/v1 depot payload.
-type programManifest struct {
-	Functions    []string `json:"functions"`
-	Fingerprints []string `json:"fingerprints"`
-	ProgramFP    string   `json:"program_fingerprint"`
-}
-
-// matches reports whether the manifest describes exactly prog's
-// function list (same definitions, same order).
-func (m programManifest) matches(p *core.Program) bool {
-	if len(m.Functions) != len(p.Fns) || len(m.Fingerprints) != len(p.Fns) || m.ProgramFP == "" {
-		return false
-	}
-	for i, fn := range p.Fns {
-		if m.Functions[i] != fn.Name {
-			return false
-		}
-	}
-	return true
-}
-
 // ProgramCache shares parsed programs across requests, keyed by
 // SourceHash. A hit serves the live *core.Program — loaded programs
 // are immutable after Load, so concurrent checks can share one — and
 // skips the frontend (cpp, lex, parse, typecheck, CFG) entirely.
 // Concurrent misses for the same hash are single-flighted: one parse,
-// every waiter shares it. Parse manifests persist in the Depot under
-// programs/v1, so even a cold process skips the fingerprint walk when
-// the depot has seen the source before.
+// every waiter shares it. A resident program also carries its
+// memoized fingerprints (see Fingerprints), so a hit skips the
+// fingerprint walk too.
 type ProgramCache struct {
-	// Depot persists programs/v1 manifests; nil skips persistence.
-	Depot *depot.Depot
 	// Cap bounds how many parsed programs stay resident (LRU evicted
 	// beyond it); <= 0 means 8.
 	Cap int
@@ -105,13 +64,13 @@ type ProgramCache struct {
 }
 
 type pcEntry struct {
-	cp  *CachedProgram
-	seq uint64
+	prog *core.Program
+	seq  uint64
 }
 
 type pcFlight struct {
 	done chan struct{}
-	cp   *CachedProgram
+	prog *core.Program
 	err  error
 }
 
@@ -133,7 +92,7 @@ func (c *ProgramCache) Len() int {
 // a miss. hit reports whether the frontend was skipped — true both
 // for resident programs and for followers that shared a leader's
 // in-flight parse. Parse failures are returned, never cached.
-func (c *ProgramCache) Load(srcHash string, parse func() (*core.Program, error)) (cp *CachedProgram, hit bool, err error) {
+func (c *ProgramCache) Load(srcHash string, parse func() (*core.Program, error)) (prog *core.Program, hit bool, err error) {
 	c.mu.Lock()
 	if c.entries == nil {
 		c.entries = map[string]*pcEntry{}
@@ -143,24 +102,27 @@ func (c *ProgramCache) Load(srcHash string, parse func() (*core.Program, error))
 		c.seq++
 		e.seq = c.seq
 		c.mu.Unlock()
-		return e.cp, true, nil
+		return e.prog, true, nil
 	}
 	if fl, ok := c.flights[srcHash]; ok {
 		c.mu.Unlock()
 		<-fl.done
-		return fl.cp, fl.err == nil, fl.err
+		return fl.prog, fl.err == nil, fl.err
 	}
 	fl := &pcFlight{done: make(chan struct{})}
 	c.flights[srcHash] = fl
 	c.mu.Unlock()
 
-	fl.cp, fl.err = c.build(srcHash, parse)
+	fl.prog, fl.err = parse()
+	if fl.err != nil {
+		fl.prog = nil
+	}
 
 	c.mu.Lock()
 	delete(c.flights, srcHash)
 	if fl.err == nil {
 		c.seq++
-		c.entries[srcHash] = &pcEntry{cp: fl.cp, seq: c.seq}
+		c.entries[srcHash] = &pcEntry{prog: fl.prog, seq: c.seq}
 		for len(c.entries) > c.cap() {
 			lruHash, lruSeq := "", uint64(0)
 			for h, e := range c.entries {
@@ -173,34 +135,5 @@ func (c *ProgramCache) Load(srcHash string, parse func() (*core.Program, error))
 	}
 	c.mu.Unlock()
 	close(fl.done)
-	return fl.cp, false, fl.err
-}
-
-// build runs the frontend and attaches fingerprints, reusing the
-// depot's programs/v1 manifest when it describes this exact parse.
-func (c *ProgramCache) build(srcHash string, parse func() (*core.Program, error)) (*CachedProgram, error) {
-	p, err := parse()
-	if err != nil {
-		return nil, err
-	}
-	cp := &CachedProgram{Prog: p}
-	key := depot.Key{Kind: programsKind, Source: srcHash, Version: FrontendVersion}
-	var m programManifest
-	if c.Depot != nil && c.Depot.GetJSON(key, &m) && m.matches(p) {
-		cp.Fingerprints = m.Fingerprints
-		cp.ProgramFP = m.ProgramFP
-		return cp, nil
-	}
-	cp.Fingerprints = Fingerprints(p)
-	cp.ProgramFP = ProgramFingerprint(p, cp.Fingerprints)
-	if c.Depot != nil {
-		names := make([]string, len(p.Fns))
-		for i, fn := range p.Fns {
-			names[i] = fn.Name
-		}
-		c.Depot.PutJSON(key, programManifest{
-			Functions: names, Fingerprints: cp.Fingerprints, ProgramFP: cp.ProgramFP,
-		})
-	}
-	return cp, nil
+	return fl.prog, false, fl.err
 }

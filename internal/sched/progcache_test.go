@@ -39,8 +39,9 @@ func TestSourceHash(t *testing.T) {
 }
 
 // TestProgramCacheHitSkipsParse: a resident program is served without
-// re-running the frontend, and its fingerprints match a direct
-// computation (warm Check must address the same depot keys as cold).
+// re-running the frontend, and its memoized fingerprints match a
+// direct computation (warm Check must address the same depot keys as
+// cold).
 func TestProgramCacheHitSkipsParse(t *testing.T) {
 	_, prog := loadProto(t, nil)
 	var parses atomic.Int32
@@ -60,20 +61,20 @@ func TestProgramCacheHitSkipsParse(t *testing.T) {
 	if parses.Load() != 1 {
 		t.Fatalf("frontend ran %d times, want 1", parses.Load())
 	}
-	if cp2.Prog != cp.Prog {
+	if cp2 != cp {
 		t.Fatal("hit returned a different program instance")
 	}
-	wantFPs := Fingerprints(prog)
-	if len(cp.Fingerprints) != len(wantFPs) {
-		t.Fatalf("cached %d fingerprints, want %d", len(cp.Fingerprints), len(wantFPs))
+	fps := Fingerprints(cp2)
+	if len(fps) != len(prog.Fns) {
+		t.Fatalf("memoized %d fingerprints, want %d", len(fps), len(prog.Fns))
 	}
-	for i := range wantFPs {
-		if cp.Fingerprints[i] != wantFPs[i] {
+	for i, fn := range prog.Fns {
+		if fps[i] != FnFingerprint(fn) {
 			t.Fatalf("fingerprint %d differs from direct computation", i)
 		}
 	}
-	if cp.ProgramFP != ProgramFingerprint(prog, wantFPs) {
-		t.Fatal("cached program fingerprint differs from direct computation")
+	if ProgramFingerprintOf(cp2) != ProgramFingerprint(prog, fps) {
+		t.Fatal("memoized program fingerprint differs from direct computation")
 	}
 }
 
@@ -90,7 +91,7 @@ func TestProgramCacheSingleFlight(t *testing.T) {
 	}
 	c := &ProgramCache{}
 	var wg sync.WaitGroup
-	cps := make([]*CachedProgram, 8)
+	cps := make([]*core.Program, 8)
 	for i := range cps {
 		wg.Add(1)
 		go func(i int) {
@@ -112,7 +113,7 @@ func TestProgramCacheSingleFlight(t *testing.T) {
 		t.Fatalf("frontend ran %d times under concurrent misses, want 1", parses.Load())
 	}
 	for i, cp := range cps {
-		if cp == nil || cp.Prog != cps[0].Prog {
+		if cp == nil || cp != cps[0] {
 			t.Fatalf("waiter %d got a different program", i)
 		}
 	}
@@ -178,65 +179,68 @@ func TestProgramCacheLRUCap(t *testing.T) {
 	}
 }
 
-// TestProgramCacheManifestReuse: a fresh process (new cache, same
-// depot) must take fingerprints from the programs/v1 manifest instead
-// of re-walking the AST — observable because a sentinel manifest's
-// values are served verbatim — while a manifest whose function list
-// does not match the parse is ignored.
-func TestProgramCacheManifestReuse(t *testing.T) {
-	_, prog := loadProto(t, nil)
+// TestProgramCacheIgnoresPlantedManifest: fingerprints come only from
+// the AST. A programs/v1 parse manifest (an older release's format,
+// planted here with sentinel fingerprints under the current and the
+// previous frontend version) must neither be read nor change what a
+// cached program's Check addresses or reports.
+func TestProgramCacheIgnoresPlantedManifest(t *testing.T) {
+	proto, prog := loadProto(t, nil)
 	d, err := depot.Open(filepath.Join(t.TempDir(), "depot"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := &ProgramCache{Depot: d}
-	cp, _, err := warm.Load("h", func() (*core.Program, error) { return prog, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Overwrite the persisted manifest with sentinel fingerprints.
+	srcHash := SourceHash(proto.Files, proto.RootFiles)
 	names := make([]string, len(prog.Fns))
 	sentinel := make([]string, len(prog.Fns))
 	for i, fn := range prog.Fns {
 		names[i] = fn.Name
 		sentinel[i] = fmt.Sprintf("sentinel-%d", i)
 	}
-	key := depot.Key{Kind: programsKind, Source: "h", Version: FrontendVersion}
-	if err := d.PutJSON(key, programManifest{Functions: names, Fingerprints: sentinel, ProgramFP: "sentinel-prog"}); err != nil {
-		t.Fatal(err)
-	}
-	cold := &ProgramCache{Depot: d}
-	got, hit, err := cold.Load("h", func() (*core.Program, error) { return prog, nil })
-	if err != nil || hit {
-		t.Fatalf("cold load: hit=%v err=%v", hit, err)
-	}
-	if got.ProgramFP != "sentinel-prog" || got.Fingerprints[0] != "sentinel-0" {
-		t.Fatal("fingerprints recomputed instead of read from the programs/v1 manifest")
+	planted := map[string]any{"functions": names, "fingerprints": sentinel,
+		"program_fingerprint": "sentinel-prog"}
+	for _, version := range []string{FrontendVersion, "frontend/v1"} {
+		key := depot.Key{Kind: "programs/v1", Source: srcHash, Version: version}
+		if err := d.PutJSON(key, planted); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// A manifest that disagrees with the parse (wrong function list)
-	// must be ignored and overwritten with a correct one.
-	if err := d.PutJSON(key, programManifest{Functions: []string{"bogus"}, Fingerprints: []string{"f"}, ProgramFP: "p"}); err != nil {
-		t.Fatal(err)
-	}
-	fresh := &ProgramCache{Depot: d}
-	got, _, err = fresh.Load("h", func() (*core.Program, error) { return prog, nil })
+	an := &Analyzer{Depot: d}
+	c := &ProgramCache{}
+	cached, _, err := c.Load(srcHash, func() (*core.Program, error) {
+		_, p := loadProto(t, nil)
+		return p, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ProgramFP != cp.ProgramFP {
-		t.Fatal("mismatched manifest was trusted")
+	got, err := an.Check(Request{Prog: cached, Spec: proto.Spec, Jobs: FlashJobs(proto.Spec)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var m programManifest
-	if !d.GetJSON(key, &m) || m.ProgramFP != cp.ProgramFP {
-		t.Fatal("corrected manifest not persisted")
+	for i, fn := range prog.Fns {
+		if fp := Fingerprints(cached)[i]; fp != FnFingerprint(fn) {
+			t.Fatalf("function %s fingerprint %q, want the AST's %q", fn.Name, fp, FnFingerprint(fn))
+		}
+	}
+	if ProgramFingerprintOf(cached) != ProgramFingerprint(prog, Fingerprints(prog)) {
+		t.Fatal("program fingerprint not derived from the AST")
+	}
+
+	want, err := (&Analyzer{}).Check(Request{Prog: prog, Spec: proto.Spec, Jobs: FlashJobs(proto.Spec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(render(want.Reports), render(got.Reports)) {
+		t.Fatal("planted manifest changed the report stream")
 	}
 }
 
-// TestCheckWithCachedFingerprints: Check fed a ProgramCache's
-// fingerprints must address the same depot artifacts and render the
-// same reports as a Check that computes them itself — the invariant
+// TestCheckWithCachedFingerprints: a program served by the
+// ProgramCache, its fingerprints already memoized, must address the
+// same depot artifacts and render the same reports as a Check on a
+// separately loaded copy that computes them itself — the invariant
 // that makes the warm mcheckd path byte-identical to cold.
 func TestCheckWithCachedFingerprints(t *testing.T) {
 	proto, prog := loadProto(t, nil)
@@ -253,12 +257,19 @@ func TestCheckWithCachedFingerprints(t *testing.T) {
 	}
 
 	c := &ProgramCache{}
-	cp, _, err := c.Load("h", func() (*core.Program, error) { return prog, nil })
+	load := func() (*core.Program, error) {
+		_, p := loadProto(t, nil)
+		return p, nil
+	}
+	cached, _, err := c.Load("h", load)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := an.Check(Request{Prog: cp.Prog, Spec: spec, Jobs: FlashJobs(spec),
-		Fingerprints: cp.Fingerprints, ProgramFP: cp.ProgramFP})
+	Fingerprints(cached)
+	if again, hit, err := c.Load("h", load); err != nil || !hit || again != cached {
+		t.Fatalf("second load: hit=%v err=%v same=%v", hit, err, again == cached)
+	}
+	warm, err := an.Check(Request{Prog: cached, Spec: spec, Jobs: FlashJobs(spec)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,9 +43,6 @@ type triageArtifact struct {
 // TriageRequest asks for a ranked report stream.
 type TriageRequest struct {
 	Prog *core.Program
-	// ProgramFP, when set, must equal ProgramFingerprint of Prog (a
-	// ProgramCache hit supplies it); left empty, it is computed.
-	ProgramFP string
 	// SMs maps Report.SM names to the machines that produced them.
 	// Reports whose machine is absent pass through certain (global
 	// passes have no per-path replay to triage).
@@ -82,10 +79,7 @@ func (a *Analyzer) triageReports(req TriageRequest, version string) ([]lint.Rank
 	if d == nil {
 		d, _ = depot.Open("")
 	}
-	progFP := req.ProgramFP
-	if progFP == "" {
-		progFP = ProgramFingerprint(req.Prog, Fingerprints(req.Prog))
-	}
+	progFP := ProgramFingerprintOf(req.Prog)
 
 	// Group by checker in first-appearance order: TriageProgram sees
 	// each machine's reports together, and the order is a pure
