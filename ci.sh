@@ -13,8 +13,11 @@ go test ./...
 
 # The benchmark under perfbench/ is its own module, so the root build
 # never compiles it; vet it here so an engine API change that breaks
-# it fails CI instead of the next benchmark run.
+# it fails CI instead of the next benchmark run. Its tests assert the
+# replay stays faithful to the pipeline, so a sched or depot change that
+# breaks that also fails here.
 (cd perfbench && go vet ./...)
+(cd perfbench && go test ./...)
 
 go vet ./...
 test -z "$(gofmt -l .)"
@@ -41,20 +44,20 @@ done
 # let LRU eviction run between a cold and a warm pass of every
 # protocol. Evicted artifacts recompute, surviving ones replay, and
 # either way the warm report stream must stay byte-identical to cold;
-# the -stats dump must attribute a nonzero depot_gc_evicted_bytes_total
+# the -metrics dump must attribute a nonzero depot_gc_evicted_bytes_total
 # or the budget never actually evicted and the gate is vacuous.
 for proto in bitvector dyn_ptr sci coma rac common; do
     "$tmp/mcheck" -flash -cache "$tmp/churn-depot" \
         -cache-max-bytes 65536 "$tmp/corpus/$proto"/*.c \
         > "$tmp/churn-cold.$proto" || true
     "$tmp/mcheck" -flash -cache "$tmp/churn-depot" \
-        -cache-max-bytes 65536 -stats "$tmp/corpus/$proto"/*.c \
-        > "$tmp/churn-warm.$proto" 2> "$tmp/churn-stats.$proto" || true
+        -cache-max-bytes 65536 -metrics "$tmp/churn-metrics.$proto" \
+        "$tmp/corpus/$proto"/*.c > "$tmp/churn-warm.$proto" || true
     cmp "$tmp/churn-cold.$proto" "$tmp/churn-warm.$proto"
 done
 # (`test -z` rather than `! grep`: set -e ignores a negated pipeline.)
-grep "^depot_gc_evicted_bytes_total" "$tmp/churn-stats.common"
-test -z "$(grep -x "depot_gc_evicted_bytes_total 0" "$tmp/churn-stats.common")"
+grep "^depot_gc_evicted_bytes_total" "$tmp/churn-metrics.common"
+test -z "$(grep -x "depot_gc_evicted_bytes_total 0" "$tmp/churn-metrics.common")"
 
 # Observability gate: a real corpus run must emit (a) Prometheus text
 # that the repo's own parser accepts and (b) a Chrome trace_event file
@@ -122,7 +125,7 @@ wait $ld 2>/dev/null || true
 trap 'rm -rf "$tmp"' EXIT
 
 # Provenance gate: a fresh depot, two runs of the same corpus. The
-# warm re-run must print byte-identical reports, and its -stats dump
+# warm re-run must print byte-identical reports, and its -metrics dump
 # must attribute every cache decision as a hit: a nonzero
 # reason="hit" line and no other nonzero reason. Any other reason means
 # the scheduler recomputed (or misattributed) work on identical
@@ -130,18 +133,18 @@ trap 'rm -rf "$tmp"' EXIT
 # Per-reason attribution (version bump, options change, edit,
 # eviction) is pinned by the sched package's Go tests.
 rm -rf "$tmp/prov-depot"
-"$tmp/mcheck" -flash -cache "$tmp/prov-depot" -stats "$tmp/corpus/sci"/*.c \
-    > "$tmp/prov-cold.out" 2> "$tmp/prov-cold.stats" || true
-"$tmp/mcheck" -flash -cache "$tmp/prov-depot" -stats "$tmp/corpus/sci"/*.c \
-    > "$tmp/prov-warm.out" 2> "$tmp/prov-warm.stats" || true
+"$tmp/mcheck" -flash -cache "$tmp/prov-depot" -metrics "$tmp/prov-cold.prom" \
+    "$tmp/corpus/sci"/*.c > "$tmp/prov-cold.out" || true
+"$tmp/mcheck" -flash -cache "$tmp/prov-depot" -metrics "$tmp/prov-warm.prom" \
+    "$tmp/corpus/sci"/*.c > "$tmp/prov-warm.out" || true
 cmp "$tmp/prov-cold.out" "$tmp/prov-warm.out"
-grep '^sched_cache_decisions_total{' "$tmp/prov-cold.stats" "$tmp/prov-warm.stats"
+grep '^sched_cache_decisions_total{' "$tmp/prov-cold.prom" "$tmp/prov-warm.prom"
 # (`test -z` rather than `! grep`: set -e ignores a negated pipeline.)
-grep -q '^sched_cache_decisions_total{reason="new"} [1-9]' "$tmp/prov-cold.stats"
-test -z "$(grep '^sched_cache_decisions_total{' "$tmp/prov-cold.stats" \
+grep -q '^sched_cache_decisions_total{reason="new"} [1-9]' "$tmp/prov-cold.prom"
+test -z "$(grep '^sched_cache_decisions_total{' "$tmp/prov-cold.prom" \
     | grep -v 'reason="new"' | grep -v ' 0$')"
-grep -q '^sched_cache_decisions_total{reason="hit"} [1-9]' "$tmp/prov-warm.stats"
-test -z "$(grep '^sched_cache_decisions_total{' "$tmp/prov-warm.stats" \
+grep -q '^sched_cache_decisions_total{reason="hit"} [1-9]' "$tmp/prov-warm.prom"
+test -z "$(grep '^sched_cache_decisions_total{' "$tmp/prov-warm.prom" \
     | grep -v 'reason="hit"' | grep -v ' 0$')"
 # -explain must name a producer and checker version for a warm report.
 "$tmp/mcheck" -flash -cache "$tmp/prov-depot" -explain "$tmp/corpus/sci"/*.c \

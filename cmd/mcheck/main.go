@@ -25,17 +25,17 @@
 // Observability: -why prints each report's witness trace (the ordered
 // rule firings and branch refinements along the failing path), -trace
 // writes a Chrome trace_event JSON file of the run (load it in
-// chrome://tracing or ui.perfetto.dev), -stats prints process metrics
-// to stderr, and -metrics writes them in Prometheus text format.
-// -coverage prints each checker's dynamic rule/state coverage and
-// wall-time attribution; -coverage-out writes the coverage/v1 JSON
-// artifact (validated by obscheck -coverage).
+// chrome://tracing or ui.perfetto.dev), and -metrics writes process
+// metrics in Prometheus text format. -coverage prints each checker's
+// dynamic rule/state coverage; -coverage-out writes the coverage/v1
+// JSON artifact (validated by obscheck -coverage). Where the time went
+// is -explain's per-artifact wall cost and the -trace task spans.
 //
 // Provenance: -explain prints, for every report, the artifact it was
 // assembled from, this run's cache decision for that artifact, the
 // producer (the computing process's pid), checker version, and wall
 // cost. -v adds the run's cache decisions by reason to its analysis
-// line, and -stats breaks them down as sched_cache_decisions_total.
+// line, and -metrics exports them as sched_cache_decisions_total.
 // To compare two runs, save each one's -why stream and diff them.
 //
 // With -triage every SM report is ranked by path feasibility before
@@ -99,9 +99,8 @@ func main() {
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "if set, evict least-recently-used depot artifacts beyond this many bytes after the run")
 	why := flag.Bool("why", false, "print each report's witness trace (the path steps that led to it)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file of the run to this path")
-	stats := flag.Bool("stats", false, "print process metrics to stderr after the run")
 	metricsOut := flag.String("metrics", "", "write Prometheus text exposition of process metrics to this path")
-	coverage := flag.Bool("coverage", false, "collect per-checker rule/state coverage; print a table and timing attribution to stderr")
+	coverage := flag.Bool("coverage", false, "collect per-checker rule/state coverage; print a table to stderr")
 	coverageOut := flag.String("coverage-out", "", "write the coverage/v1 JSON artifact to this path (implies -coverage)")
 	triageFlag := flag.String("triage", "", "rank reports by path feasibility: 'slice' (correlated-branch slicing) or 'sym' (slicing plus bounded symbolic evaluation); verdicts cache in -cache")
 	explain := flag.Bool("explain", false, "after the run, print each report's provenance (artifact, cache decision, producer, checker version, cost) to stderr")
@@ -299,8 +298,8 @@ func main() {
 		}
 	}
 
-	// Enforce the byte budget after the run (and before the -stats /
-	// -metrics dumps, so depot_gc_evicted_bytes_total reflects it):
+	// Enforce the byte budget after the run (and before the -metrics
+	// dump, so depot_gc_evicted_bytes_total reflects it):
 	// this run's own artifacts count, so a depot shared across runs
 	// stays bounded no matter who wrote last.
 	if *cacheMaxBytes > 0 {
@@ -326,20 +325,6 @@ func main() {
 		snap := covSet.Snapshot()
 		fmt.Fprintln(os.Stderr, "coverage:")
 		snap.WriteTable(os.Stderr)
-		// Timing attribution is live-only: on a fully warm cache there is
-		// nothing to attribute and the section is silent.
-		if timings := covSet.Timings(); len(timings) > 0 {
-			fmt.Fprintln(os.Stderr, "timings:")
-			for _, t := range timings {
-				if t.Seconds == 0 && t.SlowestFn == "" {
-					continue
-				}
-				fmt.Fprintf(os.Stderr, "%-16s runs=%d total=%.3fs p50=%.3fms p95=%.3fms p99=%.3fms slowest=%s (%.3fms)\n",
-					t.Checker, t.Runs, t.Seconds,
-					t.P50*1000, t.P95*1000, t.P99*1000,
-					t.SlowestFn, t.SlowestSeconds*1000)
-			}
-		}
 		if *coverageOut != "" {
 			out, err := os.Create(*coverageOut)
 			if err != nil {
@@ -365,17 +350,6 @@ func main() {
 		}
 		if err := out.Close(); err != nil {
 			fail("metrics: %v", err)
-		}
-	}
-	if *stats {
-		snap := obs.Default.Snapshot()
-		names := make([]string, 0, len(snap))
-		for n := range snap {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(os.Stderr, "%s %g\n", n, snap[n])
 		}
 	}
 

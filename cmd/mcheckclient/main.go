@@ -3,7 +3,8 @@
 // ranked reports (stats omitted — they differ run to run), or fetches
 // an arbitrary path, or polls /healthz until a daemon is ready. The
 // printed reports are stable across runs, so two runs compare with
-// diff.
+// diff. Files are posted under their base names, so two inputs with
+// one base name (a/x.c b/x.c) are refused with exit status 2.
 //
 // Usage:
 //
@@ -18,6 +19,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,6 +29,31 @@ import (
 	"strings"
 	"time"
 )
+
+// errDupName marks two input paths that share a base name.
+var errDupName = errors.New("duplicate file name")
+
+// readFiles reads each path into the /check files map, keyed by base
+// name: the daemon sees one flat directory. Two paths with one base
+// name would collapse into a single file, so they are an error that
+// names both.
+func readFiles(paths []string) (map[string]string, error) {
+	files := map[string]string{}
+	from := map[string]string{}
+	for _, path := range paths {
+		name := filepath.Base(path)
+		if prev, dup := from[name]; dup {
+			return nil, fmt.Errorf("%w %q: %s and %s", errDupName, name, prev, path)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		files[name] = string(raw)
+		from[name] = path
+	}
+	return files, nil
+}
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8181", "mcheckd address (host:port)")
@@ -82,14 +109,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mcheckclient: no input files (and no -get/-wait)")
 		os.Exit(2)
 	}
-	files := map[string]string{}
-	for _, path := range flag.Args() {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcheckclient: %v\n", err)
-			os.Exit(1)
+	files, err := readFiles(flag.Args())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mcheckclient: %v\n", err)
+		if errors.Is(err, errDupName) {
+			os.Exit(2)
 		}
-		files[filepath.Base(path)] = string(raw)
+		os.Exit(1)
 	}
 	body, _ := json.Marshal(map[string]any{"files": files, "triage_mode": *triageMode})
 	resp, err := http.Post(base+"/check", "application/json", bytes.NewReader(body))

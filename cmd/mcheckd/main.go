@@ -13,19 +13,20 @@
 //	POST /check    JSON {files, roots?, checkers?, flash?, triage?} in,
 //	               ranked reports + cache/scheduler statistics out.
 //	               Unchanged functions ride the warm-cache path.
-//	GET  /metrics  Prometheus text: request/task counters and
-//	               latencies, cache hit rate, queue depth, depot size,
-//	               plus the process-wide engine/sched/depot metrics.
+//	GET  /metrics  Prometheus text: request counters and seconds,
+//	               single-flight and program-cache counters, inflight
+//	               requests, max queue depth and depot size, plus the
+//	               process-wide engine/sched/depot metrics (tasks, task
+//	               seconds and cache decisions are sched_* families).
 //	GET  /healthz  readiness probe: 200 {"status":"ok"} while the
 //	               depot is reachable, 503 {"status":"degraded"} once
 //	               its root is gone, so a load balancer drains.
 //	GET  /debug/coverage     accumulated coverage/v1 JSON of every
 //	               checker across all requests served.
-//	GET  /debug/timings      per-checker and per-rule wall-time
-//	               attribution.
 //	GET  /debug/trace/<id>   Chrome trace of one recent request (the
 //	               id is its response's X-Trace-Id header).
-//	GET  /debug/pprof/*  runtime profiles (CPU, heap, goroutines).
+//	GET  /debug/pprof/*  runtime profiles (CPU, heap, goroutines);
+//	               per-rule hotspots are a CPU-profile question.
 //
 // Identical concurrent /check requests (same program fingerprint, job
 // list, and triage mode) are deduplicated: one computes, the rest

@@ -133,20 +133,16 @@ type server struct {
 	reg       *obs.Registry
 	coverage  *cover.Set
 
-	requests    *obs.Counter
-	errored     *obs.Counter
-	reqSeconds  *obs.Counter
-	tasks       *obs.Counter
-	taskSeconds *obs.Counter
-	hits        *obs.Counter
-	misses      *obs.Counter
-	sfShared    *obs.Counter
-	pcHits      *obs.Counter
-	pcMisses    *obs.Counter
-	inflight    *obs.Gauge
-	queueMax    *obs.Gauge
-	depotItems  *obs.Gauge
-	depotBytes  *obs.Gauge
+	requests   *obs.Counter
+	errored    *obs.Counter
+	reqSeconds *obs.Counter
+	sfShared   *obs.Counter
+	pcHits     *obs.Counter
+	pcMisses   *obs.Counter
+	inflight   *obs.Gauge
+	queueMax   *obs.Gauge
+	depotItems *obs.Gauge
+	depotBytes *obs.Gauge
 
 	nextReqID atomic.Uint64
 
@@ -178,34 +174,22 @@ func newServer(store *depot.Depot, workers int) *server {
 		flights:   map[string]*flight{},
 		traces:    map[string][]obs.Event{},
 
-		requests:    reg.Counter("mcheckd_requests_total", "POST /check requests received"),
-		errored:     reg.Counter("mcheckd_request_errors_total", "requests answered with an error status"),
-		reqSeconds:  reg.Counter("mcheckd_request_seconds_total", "wall time spent serving /check"),
-		tasks:       reg.Counter("mcheckd_tasks_total", "scheduler tasks executed"),
-		taskSeconds: reg.Counter("mcheckd_task_seconds_total", "cumulative task execution time"),
-		hits:        reg.Counter("mcheckd_cache_hits_total", "depot lookups served from cache"),
-		misses:      reg.Counter("mcheckd_cache_misses_total", "depot lookups that required analysis"),
-		sfShared:    reg.Counter("mcheckd_singleflight_shared_total", "/check requests that shared an identical in-flight computation"),
-		pcHits:      reg.Counter("mcheckd_program_cache_hits_total", "/check requests whose parsed program was served from the program cache (frontend skipped)"),
-		pcMisses:    reg.Counter("mcheckd_program_cache_misses_total", "/check requests that ran the frontend"),
-		inflight:    reg.Gauge("mcheckd_inflight_requests", "/check requests currently executing"),
-		queueMax:    reg.Gauge("mcheckd_queue_depth_max", "largest ready-queue depth seen in any request"),
-		depotItems:  reg.Gauge("mcheckd_depot_entries", "artifacts currently in the depot"),
-		depotBytes:  reg.Gauge("mcheckd_depot_bytes", "bytes of artifacts currently in the depot"),
+		requests:   reg.Counter("mcheckd_requests_total", "POST /check requests received"),
+		errored:    reg.Counter("mcheckd_request_errors_total", "requests answered with an error status"),
+		reqSeconds: reg.Counter("mcheckd_request_seconds_total", "wall time spent serving /check"),
+		sfShared:   reg.Counter("mcheckd_singleflight_shared_total", "/check requests that shared an identical in-flight computation"),
+		pcHits:     reg.Counter("mcheckd_program_cache_hits_total", "/check requests whose parsed program was served from the program cache (frontend skipped)"),
+		pcMisses:   reg.Counter("mcheckd_program_cache_misses_total", "/check requests that ran the frontend"),
+		inflight:   reg.Gauge("mcheckd_inflight_requests", "/check requests currently executing"),
+		queueMax:   reg.Gauge("mcheckd_queue_depth_max", "largest ready-queue depth seen in any request"),
+		depotItems: reg.Gauge("mcheckd_depot_entries", "artifacts currently in the depot"),
+		depotBytes: reg.Gauge("mcheckd_depot_bytes", "bytes of artifacts currently in the depot"),
 	}
-	reg.GaugeFunc("mcheckd_cache_hit_rate", "hits / (hits + misses) over the process lifetime", func() float64 {
-		h, m := s.hits.Value(), s.misses.Value()
-		if h+m == 0 {
-			return 0
-		}
-		return h / (h + m)
-	})
 
 	s.mux.HandleFunc("/check", s.handleCheck)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/debug/coverage", s.handleCoverage)
-	s.mux.HandleFunc("/debug/timings", s.handleTimings)
 	s.mux.HandleFunc("/debug/trace/", s.handleTrace)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -380,12 +364,9 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, status, "check: %v", err)
 		return
 	}
-	// Leader-only: followers reuse the result, so the underlying work
-	// is counted once.
-	s.tasks.Add(float64(res.Stats.Tasks))
-	s.taskSeconds.Add(res.Stats.TaskTime.Seconds())
-	s.hits.Add(float64(res.Stats.CacheHits))
-	s.misses.Add(float64(res.Stats.CacheMisses))
+	// Task and cache-decision counts are exported once, by the
+	// scheduler itself (sched_tasks_total, sched_task_seconds,
+	// sched_cache_decisions_total).
 	s.queueMax.SetMax(float64(res.Stats.MaxQueueDepth))
 
 	resp.Reports = s.rankReports(prog, res.Reports, set, triageMode)
@@ -564,18 +545,6 @@ func (s *server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 	if err := s.coverage.Snapshot().WriteJSON(w); err != nil {
 		log.Printf("mcheckd: /debug/coverage: %v", err)
 	}
-}
-
-// handleTimings serves the live wall-time attribution: per-checker
-// totals and quantiles, per-rule breakdowns, and the slowest function
-// each checker saw. Warm cache hits contribute no time, so a fully
-// cached process reports zeros here while /debug/coverage stays full.
-func (s *server) handleTimings(w http.ResponseWriter, r *http.Request) {
-	timings := s.coverage.Timings()
-	if timings == nil {
-		timings = []cover.Timing{}
-	}
-	writeJSON(w, http.StatusOK, timings)
 }
 
 // healthResponse is the /healthz readiness report, so a load

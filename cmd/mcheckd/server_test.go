@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"flashmc/internal/depot"
+	"flashmc/internal/obs"
 )
 
 // fixture has one hardware handler that reads the MISCBUS data buffer
@@ -141,18 +142,12 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("healthz: %s", hr.Status)
 	}
 
-	// Metrics reflect the two requests and the warm hit traffic.
-	mr, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mraw, _ := io.ReadAll(mr.Body)
-	mr.Body.Close()
-	metrics := string(mraw)
+	// Metrics reflect the two requests. Cache traffic is asserted
+	// against sched_cache_decisions_total in
+	// TestCacheDecisionsMatchMetrics.
+	metrics := scrapeMetrics(t, ts)
 	for _, want := range []string{
 		"mcheckd_requests_total 2",
-		"mcheckd_cache_hits_total",
-		"mcheckd_cache_hit_rate",
 		"mcheckd_queue_depth_max",
 		"# TYPE mcheckd_request_seconds_total counter",
 	} {
@@ -160,8 +155,72 @@ func TestServerEndToEnd(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
 	}
-	if strings.Contains(metrics, "mcheckd_cache_misses_total 0\n") {
-		t.Error("metrics claim zero misses after a cold run")
+}
+
+// decisionCounts scrapes /metrics and returns
+// sched_cache_decisions_total by reason.
+func decisionCounts(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	fams, err := obs.ParsePrometheus(strings.NewReader(scrapeMetrics(t, ts)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	if f := fams["sched_cache_decisions_total"]; f != nil {
+		for _, smp := range f.Samples {
+			out[smp.Labels["reason"]] = smp.Value
+		}
+	}
+	return out
+}
+
+// TestCacheDecisionsMatchMetrics: a /check response's
+// stats.decisions and the process-wide sched_cache_decisions_total
+// are one fact on two surfaces. On a cold and then a warm request,
+// each reason's response count must equal that reason's counter
+// delta, and no reason may move on one surface only. The daemon
+// exports no copy of these counts (mcheckd_cache_*,
+// mcheckd_tasks_total, mcheckd_task_seconds_total).
+func TestCacheDecisionsMatchMetrics(t *testing.T) {
+	store, err := depot.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(store, 2))
+	defer ts.Close()
+
+	body := `{"files": {"proto.c": ` + mustQuote(fixture) + `}}`
+	for _, run := range []string{"cold", "warm"} {
+		before := decisionCounts(t, ts)
+		cr, _ := postCheck(t, ts, body)
+		after := decisionCounts(t, ts)
+		if len(cr.Stats.Decisions) == 0 {
+			t.Fatalf("%s: response has no stats.decisions", run)
+		}
+		reasons := map[string]bool{}
+		for r := range cr.Stats.Decisions {
+			reasons[r] = true
+		}
+		for r := range after {
+			reasons[r] = true
+		}
+		for r := range reasons {
+			if got, want := after[r]-before[r], float64(cr.Stats.Decisions[r]); got != want {
+				t.Errorf("%s: reason %q: sched_cache_decisions_total advanced by %v, stats.decisions says %v",
+					run, r, got, want)
+			}
+		}
+		wantReason := map[string]string{"cold": "new", "warm": "hit"}[run]
+		if cr.Stats.Decisions[wantReason] == 0 {
+			t.Errorf("%s: stats.decisions %v has no %q", run, cr.Stats.Decisions, wantReason)
+		}
+	}
+
+	metrics := scrapeMetrics(t, ts)
+	for _, gone := range []string{"mcheckd_tasks_total", "mcheckd_task_seconds_total", "mcheckd_cache_"} {
+		if strings.Contains(metrics, gone) {
+			t.Errorf("/metrics still exports %s*", gone)
+		}
 	}
 }
 

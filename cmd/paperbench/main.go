@@ -123,19 +123,20 @@ func renderJSON(c *paper.Corpus, m *paper.CoverageMatrix, seed int64, trials int
 // measure times one full corpus coverage run and attributes the engine
 // work counters to it.
 func measure(c *paper.Corpus, seed int64) (*paper.CoverageMatrix, benchResult) {
-	before := obs.Default.Snapshot()
+	configs := obs.Default.Counter("engine_configs_explored_total", "")
+	rules := obs.Default.Counter("engine_rules_fired_total", "")
+	configs0, rules0 := configs.Value(), rules.Value()
 	t0 := time.Now()
 	m := c.Coverage()
 	wall := time.Since(t0).Seconds()
-	after := obs.Default.Snapshot()
 	return m, benchResult{
 		BenchSchema:     benchSchema,
 		Seed:            seed,
 		Protocols:       len(m.Protocols),
 		Checkers:        len(m.Checkers),
 		WallSeconds:     wall,
-		ConfigsExplored: after["engine_configs_explored_total"] - before["engine_configs_explored_total"],
-		RulesFired:      after["engine_rules_fired_total"] - before["engine_rules_fired_total"],
+		ConfigsExplored: configs.Value() - configs0,
+		RulesFired:      rules.Value() - rules0,
 	}
 }
 

@@ -1,20 +1,17 @@
 // Package cover accumulates per-run engine.Coverage into per-checker
 // totals: which rules, states, pattern alternatives and branch
-// refinements of each checker ever fire, and where the wall time goes.
+// refinements of each checker ever fire.
 //
 // The paper evaluates checkers by what they catch on the five FLASH
 // protocols (Table 7); this package measures the complementary
 // question — what each checker actually *exercises* — so a rule that
 // lint considers live but that never fires anywhere can be flagged
-// (the coverage-dead diagnostic in internal/lint) and slow checkers
-// can be attributed to the rules that cost the time.
+// (the coverage-dead diagnostic in internal/lint).
 //
-// A Set splits cleanly into two views. Snapshot() is the
-// deterministic half: pure fire counts, byte-stable JSON (the
-// "coverage/v1" artifact), identical across -j levels and warm/cold
-// depot runs. Timings() is the live half: wall-time histograms with
-// quantiles and a slowest-function exemplar per checker, never stored
-// in artifacts because wall time is not reproducible.
+// A Set holds fire counts only. Snapshot() renders them as byte-stable
+// JSON (the "coverage/v1" artifact), identical across -j levels and
+// warm/cold depot runs. Where the time went is answered elsewhere:
+// -explain's per-artifact wall cost, trace spans, and pprof.
 package cover
 
 import (
@@ -25,7 +22,6 @@ import (
 	"sync"
 
 	"flashmc/internal/engine"
-	"flashmc/internal/obs"
 )
 
 // Kind identifies the coverage artifact schema.
@@ -54,49 +50,16 @@ type Artifact struct {
 	Checkers map[string]*CheckerCov `json:"checkers"`
 }
 
-// RuleTiming attributes wall time to one rule.
-type RuleTiming struct {
-	Seconds float64 `json:"seconds"`
-	P50     float64 `json:"p50"`
-	P95     float64 `json:"p95"`
-	P99     float64 `json:"p99"`
-}
-
-// Timing is one checker's wall-time profile: where the analysis time
-// went, and the single slowest function as a profiling entry point.
-type Timing struct {
-	Checker        string                `json:"checker"`
-	Runs           uint64                `json:"runs"`
-	Seconds        float64               `json:"seconds"`
-	P50            float64               `json:"p50"`
-	P95            float64               `json:"p95"`
-	P99            float64               `json:"p99"`
-	Rules          map[string]RuleTiming `json:"rules,omitempty"`
-	SlowestFn      string                `json:"slowest_fn,omitempty"`
-	SlowestSeconds float64               `json:"slowest_seconds,omitempty"`
-}
-
-// checkerAcc is the mutable accumulator behind one checker's entry.
-type checkerAcc struct {
-	cov       CheckerCov
-	elapsed   *obs.Histogram // per-run wall time
-	ruleHist  map[string]*obs.Histogram
-	ruleSecs  map[string]float64
-	slowFn    string
-	slowSecs  float64
-	anyTiming bool
-}
-
 // Set is a thread-safe coverage accumulator. The zero value is not
 // usable; call NewSet.
 type Set struct {
 	mu       sync.Mutex
-	checkers map[string]*checkerAcc
+	checkers map[string]*CheckerCov
 }
 
 // NewSet returns an empty accumulator.
 func NewSet() *Set {
-	return &Set{checkers: map[string]*checkerAcc{}}
+	return &Set{checkers: map[string]*CheckerCov{}}
 }
 
 func addInto(dst *map[string]uint64, src map[string]uint64) {
@@ -124,46 +87,22 @@ func (s *Set) Record(checker string, cov *engine.Coverage) {
 	defer s.mu.Unlock()
 	acc := s.checkers[checker]
 	if acc == nil {
-		acc = &checkerAcc{
-			elapsed:  obs.MakeHistogram(nil),
-			ruleHist: map[string]*obs.Histogram{},
-			ruleSecs: map[string]float64{},
-		}
+		acc = &CheckerCov{}
 		s.checkers[checker] = acc
 	}
-	if acc.cov.SM == "" {
-		acc.cov.SM = cov.SM
+	if acc.SM == "" {
+		acc.SM = cov.SM
 	}
-	acc.cov.Runs++
-	addInto(&acc.cov.Rules, cov.Rules)
-	addInto(&acc.cov.States, cov.States)
-	addInto(&acc.cov.Patterns, cov.Patterns)
-	addInto(&acc.cov.Conds, cov.Conds)
-
-	// Timing is absent when the coverage was replayed from a depot
-	// artifact; record only live measurements.
-	if cov.Elapsed > 0 {
-		acc.anyTiming = true
-		secs := cov.Elapsed.Seconds()
-		acc.elapsed.Observe(secs)
-		if secs > acc.slowSecs {
-			acc.slowSecs, acc.slowFn = secs, cov.Fn
-		}
-	}
-	for rule, secs := range cov.RuleSeconds {
-		acc.ruleSecs[rule] += secs
-		h := acc.ruleHist[rule]
-		if h == nil {
-			h = obs.MakeHistogram(nil)
-			acc.ruleHist[rule] = h
-		}
-		h.Observe(secs)
-	}
+	acc.Runs++
+	addInto(&acc.Rules, cov.Rules)
+	addInto(&acc.States, cov.States)
+	addInto(&acc.Patterns, cov.Patterns)
+	addInto(&acc.Conds, cov.Conds)
 }
 
-// Snapshot returns the deterministic half of the set: merged fire
-// counts per checker, as a coverage/v1 artifact. The maps are deep
-// copies; the caller may mutate them.
+// Snapshot returns the merged fire counts per checker, as a
+// coverage/v1 artifact. The maps are deep copies; the caller may
+// mutate them.
 func (s *Set) Snapshot() *Artifact {
 	a := &Artifact{Kind: Kind, Checkers: map[string]*CheckerCov{}}
 	if s == nil {
@@ -172,11 +111,11 @@ func (s *Set) Snapshot() *Artifact {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for name, acc := range s.checkers {
-		c := &CheckerCov{SM: acc.cov.SM, Runs: acc.cov.Runs}
-		addInto(&c.Rules, acc.cov.Rules)
-		addInto(&c.States, acc.cov.States)
-		addInto(&c.Patterns, acc.cov.Patterns)
-		addInto(&c.Conds, acc.cov.Conds)
+		c := &CheckerCov{SM: acc.SM, Runs: acc.Runs}
+		addInto(&c.Rules, acc.Rules)
+		addInto(&c.States, acc.States)
+		addInto(&c.Patterns, acc.Patterns)
+		addInto(&c.Conds, acc.Conds)
 		a.Checkers[name] = c
 	}
 	return a
@@ -196,7 +135,7 @@ func (s *Set) Fired(checker string) map[string]uint64 {
 		return nil
 	}
 	var out map[string]uint64
-	addInto(&out, acc.cov.Rules)
+	addInto(&out, acc.Rules)
 	return out
 }
 
@@ -212,54 +151,7 @@ func (s *Set) CondsFired(checker string) map[string]uint64 {
 		return nil
 	}
 	var out map[string]uint64
-	addInto(&out, acc.cov.Conds)
-	return out
-}
-
-// Timings returns the live half of the set: per-checker wall-time
-// profiles sorted by total seconds descending (ties by name), rule
-// attribution included. Checkers that only ever replayed depot
-// coverage (no live timing) report zero seconds.
-func (s *Set) Timings() []Timing {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Timing, 0, len(s.checkers))
-	for name, acc := range s.checkers {
-		t := Timing{
-			Checker:        name,
-			Runs:           acc.cov.Runs,
-			SlowestFn:      acc.slowFn,
-			SlowestSeconds: acc.slowSecs,
-		}
-		if acc.anyTiming {
-			t.Seconds = acc.elapsed.Sum()
-			t.P50 = acc.elapsed.Quantile(0.50)
-			t.P95 = acc.elapsed.Quantile(0.95)
-			t.P99 = acc.elapsed.Quantile(0.99)
-		}
-		if len(acc.ruleSecs) > 0 {
-			t.Rules = map[string]RuleTiming{}
-			for rule, secs := range acc.ruleSecs {
-				h := acc.ruleHist[rule]
-				t.Rules[rule] = RuleTiming{
-					Seconds: secs,
-					P50:     h.Quantile(0.50),
-					P95:     h.Quantile(0.95),
-					P99:     h.Quantile(0.99),
-				}
-			}
-		}
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Seconds != out[j].Seconds {
-			return out[i].Seconds > out[j].Seconds
-		}
-		return out[i].Checker < out[j].Checker
-	})
+	addInto(&out, acc.Conds)
 	return out
 }
 

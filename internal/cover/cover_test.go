@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"flashmc/internal/engine"
 )
@@ -18,10 +17,6 @@ func sampleCov(fn string) *engine.Coverage {
 		States:   map[string]uint64{"start": 3},
 		Patterns: map[string]uint64{"race/alt0": 2},
 		Conds:    map[string]uint64{"cond#0": 1},
-		RuleSeconds: map[string]float64{
-			"race": 0.001,
-		},
-		Elapsed: 2 * time.Millisecond,
 	}
 }
 
@@ -104,46 +99,24 @@ func TestMergeOrderIndependence(t *testing.T) {
 	}
 }
 
-func TestTimings(t *testing.T) {
-	s := NewSet()
-	slow := sampleCov("slow_fn")
-	slow.Elapsed = 50 * time.Millisecond
-	s.Record("buffer_race", sampleCov("h1"))
-	s.Record("buffer_race", slow)
-	s.Record("lock_check", sampleCov("h2"))
-
-	ts := s.Timings()
-	if len(ts) != 2 {
-		t.Fatalf("timings: %+v", ts)
-	}
-	// Sorted by seconds descending: buffer_race saw the 50ms run.
-	if ts[0].Checker != "buffer_race" {
-		t.Errorf("order: %+v", ts)
-	}
-	if ts[0].SlowestFn != "slow_fn" || ts[0].SlowestSeconds < 0.05 {
-		t.Errorf("slowest exemplar: %+v", ts[0])
-	}
-	if ts[0].Seconds <= 0 || ts[0].P95 <= 0 {
-		t.Errorf("timing stats: %+v", ts[0])
-	}
-	rt, ok := ts[0].Rules["race"]
-	if !ok || rt.Seconds <= 0 {
-		t.Errorf("rule attribution: %+v", ts[0].Rules)
-	}
-}
-
+// TestReplayedCoverageHasNoTiming: coverage replayed from a depot
+// artifact is counts only, and so is everything the set renders from
+// it — wall time is not reproducible and never enters coverage/v1.
 func TestReplayedCoverageHasNoTiming(t *testing.T) {
 	s := NewSet()
-	cov := sampleCov("h1")
-	cov.Elapsed = 0 // depot replay: counts only
-	cov.RuleSeconds = nil
-	s.Record("buffer_race", cov)
-	ts := s.Timings()
-	if len(ts) != 1 || ts[0].Seconds != 0 || ts[0].Runs != 1 {
-		t.Errorf("replayed timing: %+v", ts)
+	s.Record("buffer_race", sampleCov("h1"))
+	a := s.Snapshot()
+	if c := a.Checkers["buffer_race"]; c == nil || c.Runs != 1 || c.Rules["race"] != 2 {
+		t.Fatalf("replayed counts lost: %+v", c)
 	}
-	if s.Snapshot().Checkers["buffer_race"].Rules["race"] != 2 {
-		t.Error("replayed counts lost")
+	var buf bytes.Buffer
+	if err := a.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, banned := range []string{"seconds", "p50", "p95", "p99", "slowest"} {
+		if strings.Contains(buf.String(), banned) {
+			t.Errorf("timing field %q in coverage artifact:\n%s", banned, buf.String())
+		}
 	}
 }
 
@@ -213,7 +186,7 @@ func TestWriteTable(t *testing.T) {
 func TestNilSetIsNoOp(t *testing.T) {
 	var s *Set
 	s.Record("c", sampleCov("h"))
-	if s.Fired("c") != nil || s.Timings() != nil {
+	if s.Fired("c") != nil {
 		t.Error("nil set leaked data")
 	}
 	if a := s.Snapshot(); a == nil || len(a.Checkers) != 0 {

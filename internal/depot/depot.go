@@ -2,9 +2,13 @@
 // analysis. The paper's inter-procedural framework (§7) already
 // persists per-function annotated flow graphs to files; the depot
 // generalizes that file-based design into a cache every analysis
-// artifact flows through: parsed-AST fingerprints, per-function
-// CFG/summary blobs (internal/global's JSON format), per-function
-// checker reports, and whole-program parse manifests.
+// artifact flows through. The kinds stored today are "summary"
+// (per-function lane summaries, internal/global's JSON format),
+// "reports/v3" (one checker's reports and coverage for one function,
+// handler or whole program), "triage/v1" (one checker's report
+// rankings), "prov/v1" (ProvKind: a provenance sidecar per artifact)
+// and "tasklast/v1" (the per-task marker that attributes the next
+// miss).
 //
 // Artifacts are addressed by Key — hash(preprocessed source) ×
 // checker-id × checker-version × engine-options — so a change to any
@@ -39,8 +43,7 @@ import (
 	"flashmc/internal/obs"
 )
 
-// Process-wide depot traffic, aggregated across all open depots (the
-// per-Depot Stats counters stay per-instance).
+// Process-wide depot traffic, aggregated across all open depots.
 var (
 	mHits       = obs.NewCounter("depot_hits_total", "artifact cache hits")
 	mMisses     = obs.NewCounter("depot_misses_total", "artifact cache misses")
@@ -112,10 +115,6 @@ type Depot struct {
 	mu  sync.Mutex
 	mem map[string]*memEntry
 	seq uint64
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	puts   atomic.Uint64
 
 	// Put-pressure GC (SetGCPolicy): bytes written since the last
 	// sweep, and the CAS flag serializing sweeps.
@@ -225,13 +224,13 @@ func (d *Depot) Get(key Key) ([]byte, bool) {
 			e.seq = d.seq
 		}
 		d.mu.Unlock()
-		d.count(ok)
+		count(ok)
 		return b, ok
 	}
 	p := d.path(id)
 	b, err := os.ReadFile(p)
 	if err != nil {
-		d.count(false)
+		count(false)
 		return nil, false
 	}
 	// Best-effort recency bump. GC may have removed the file between
@@ -241,16 +240,15 @@ func (d *Depot) Get(key Key) ([]byte, bool) {
 	// IO failure recency falls back to the last good bump, so every
 	// error is tolerated.
 	_ = os.Chtimes(p, now, now)
-	d.count(true)
+	count(true)
 	return b, true
 }
 
-func (d *Depot) count(hit bool) {
+// count records one Get as a hit or a miss.
+func count(hit bool) {
 	if hit {
-		d.hits.Add(1)
 		mHits.Inc()
 	} else {
-		d.misses.Add(1)
 		mMisses.Inc()
 	}
 }
@@ -260,7 +258,6 @@ func (d *Depot) count(hit bool) {
 // partial artifact and concurrent writers of the same key converge.
 func (d *Depot) Put(key Key, blob []byte) error {
 	id := key.ID()
-	d.puts.Add(1)
 	mPuts.Inc()
 	mPutBytes.Add(float64(len(blob)))
 	if d.mem != nil {
@@ -360,7 +357,8 @@ func (d *Depot) GetJSON(key Key, v any) bool {
 	return true
 }
 
-// Stats describes the depot's contents and this process's traffic.
+// Stats describes the depot's contents. Traffic is counted process-wide
+// by depot_hits_total, depot_misses_total and depot_puts_total.
 type Stats struct {
 	// Entries and Bytes describe the artifacts stored now.
 	Entries int
@@ -370,24 +368,11 @@ type Stats struct {
 	// grace period.
 	TempFiles int
 	TempBytes int64
-	// Hits, Misses and Puts count this process's Get/Put traffic.
-	Hits   uint64
-	Misses uint64
-	Puts   uint64
 }
 
-// HitRate is hits/(hits+misses), 0 with no traffic.
-func (s Stats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
-// Stats walks the store and returns its current size plus traffic
-// counters.
+// Stats walks the store and returns its current size.
 func (d *Depot) Stats() Stats {
-	st := Stats{Hits: d.hits.Load(), Misses: d.misses.Load(), Puts: d.puts.Load()}
+	var st Stats
 	if d.mem != nil {
 		d.mu.Lock()
 		st.Entries = len(d.mem)

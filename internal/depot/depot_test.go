@@ -25,6 +25,7 @@ func backends(t *testing.T) map[string]*Depot {
 func TestRoundTrip(t *testing.T) {
 	for name, d := range backends(t) {
 		key := Key{Kind: "reports", Source: "abc", Checker: "msglen", Version: "1.1.0", Options: "opt"}
+		hits0, misses0, puts0 := mHits.Value(), mMisses.Value(), mPuts.Value()
 		if _, ok := d.Get(key); ok {
 			t.Fatalf("%s: hit on empty depot", name)
 		}
@@ -35,12 +36,12 @@ func TestRoundTrip(t *testing.T) {
 		if !ok || string(b) != `["r1"]` {
 			t.Fatalf("%s: got %q ok=%v", name, b, ok)
 		}
-		st := d.Stats()
-		if st.Entries != 1 || st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
+		if st := d.Stats(); st.Entries != 1 || st.Bytes != int64(len(`["r1"]`)) {
 			t.Fatalf("%s: stats %+v", name, st)
 		}
-		if got := st.HitRate(); got != 0.5 {
-			t.Fatalf("%s: hit rate %v", name, got)
+		// Traffic is counted once, process-wide.
+		if h, m, p := mHits.Value()-hits0, mMisses.Value()-misses0, mPuts.Value()-puts0; h != 1 || m != 1 || p != 1 {
+			t.Fatalf("%s: depot_hits/misses/puts_total advanced by %v/%v/%v, want 1/1/1", name, h, m, p)
 		}
 	}
 }

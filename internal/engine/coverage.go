@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Coverage tallies which parts of one state machine actually fired
 // during a run: rules (and which pattern alternative matched), states
@@ -16,8 +13,8 @@ import (
 // The count maps serialize to JSON (encoding/json sorts map keys), so
 // a Coverage stored in the artifact depot is byte-stable and a warm
 // (cached) run reconstructs exactly the coverage the cold run
-// measured. The timing fields are excluded from JSON: wall time is
-// not deterministic and must never leak into depot artifacts.
+// measured. Coverage holds counts only: wall time is not
+// deterministic and must never leak into depot artifacts.
 type Coverage struct {
 	// SM is the state machine name (which can differ from the checker
 	// registry name — buffer_race runs the wait_for_db machine).
@@ -32,14 +29,6 @@ type Coverage struct {
 	Patterns map[string]uint64 `json:"patterns,omitempty"`
 	// Conds counts branch refinements per CondRule key (CondKey).
 	Conds map[string]uint64 `json:"conds,omitempty"`
-
-	// RuleSeconds attributes wall time to the rule that fired: the
-	// span from event dispatch to the end of the rule's action,
-	// including the match attempts of earlier same-state rules.
-	RuleSeconds map[string]float64 `json:"-"`
-	// Elapsed is the wall time of the whole run (zero for coverage
-	// replayed from a depot artifact).
-	Elapsed time.Duration `json:"-"`
 }
 
 // RuleKey names rule i of sm in coverage maps and diagnostics: the
@@ -84,13 +73,6 @@ func (c *Coverage) hitPattern(rule string, alt int) {
 	bump(&c.Patterns, fmt.Sprintf("%s/alt%d", rule, alt), 1)
 }
 func (c *Coverage) hitCond(key string) { bump(&c.Conds, key, 1) }
-
-func (c *Coverage) addRuleSeconds(key string, d time.Duration) {
-	if c.RuleSeconds == nil {
-		c.RuleSeconds = map[string]float64{}
-	}
-	c.RuleSeconds[key] += d.Seconds()
-}
 
 // ReportCoverage synthesizes rule coverage for passes that do not run
 // an SM (AST walks, the lane traversal): one firing per report, keyed

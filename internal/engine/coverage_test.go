@@ -35,12 +35,6 @@ void handler(void) {
 	if cov.Empty() {
 		t.Error("coverage reported Empty after rule fired")
 	}
-	if cov.Elapsed <= 0 {
-		t.Errorf("elapsed not recorded: %v", cov.Elapsed)
-	}
-	if cov.RuleSeconds["race"] <= 0 {
-		t.Errorf("rule timing not attributed: %v", cov.RuleSeconds)
-	}
 }
 
 func TestCoverageSkippedFunction(t *testing.T) {

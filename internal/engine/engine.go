@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"flashmc/internal/cc/ast"
 	"flashmc/internal/cc/token"
@@ -530,9 +529,8 @@ func startState(sm *SM, fn *ast.FuncDecl) string {
 }
 
 // RunCov is Run plus the run's dynamic coverage: which rules, states,
-// pattern alternatives and branch refinements fired, and where the
-// wall time went. The coverage is never nil (it is Empty when the SM
-// skipped the function).
+// pattern alternatives and branch refinements fired. The coverage is
+// never nil (it is Empty when the SM skipped the function).
 func RunCov(g *cfg.Graph, sm *SM) ([]Report, *Coverage) {
 	cov := &Coverage{SM: sm.Name, Fn: g.Fn.Name}
 	if startState(sm, g.Fn) == "" {
@@ -548,7 +546,6 @@ func RunCov(g *cfg.Graph, sm *SM) ([]Report, *Coverage) {
 // hooks, and flushes metrics. The caller has already resolved a
 // non-empty start state.
 func (r *runner) runToFixpoint() {
-	t0 := time.Now()
 	g, sm, cov := r.g, r.sm, r.cov
 	start := startState(sm, g.Fn)
 
@@ -624,7 +621,6 @@ func (r *runner) runToFixpoint() {
 		}
 	}
 	r.flushMetrics()
-	cov.Elapsed = time.Since(t0)
 }
 
 // refine applies branch-correlation pruning and CondRules to a
@@ -745,7 +741,6 @@ func (r *runner) transfer(n *cfg.Node, c config) []config {
 
 	// State-specific rules first, then all-state rules (paper §5).
 	r.nVisits++
-	t0 := time.Now()
 	fire := func(rules []*Rule) ([]config, bool) {
 		for _, rule := range rules {
 			env, pos, alt, ok := r.matchRule(rule, event, c.env)
@@ -756,7 +751,6 @@ func (r *runner) transfer(n *cfg.Node, c config) []config {
 			key := r.ruleKeys[rule]
 			r.cov.hitRule(key)
 			r.cov.hitPattern(key, alt)
-			defer func() { r.cov.addRuleSeconds(key, time.Since(t0)) }()
 			to := rule.Target
 			if to == "" {
 				to = c.state

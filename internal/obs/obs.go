@@ -164,43 +164,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Quantile estimates the q-th quantile (0 ≤ q ≤ 1) of the observed
-// distribution by linear interpolation within the bucket that holds
-// the target rank, the same estimator Prometheus's histogram_quantile
-// uses. The lowest bucket interpolates from 0; ranks that land in the
-// +Inf overflow bucket clamp to the highest finite bound (the true
-// value is unbounded, so this is a floor, not an estimate). Returns
-// NaN when the histogram is empty or q is out of range.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(total)
-	cum := float64(0)
-	for i, b := range h.bounds {
-		in := float64(h.buckets[i].Load())
-		if cum+in >= rank {
-			lo := float64(0)
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			if in == 0 {
-				return b
-			}
-			return lo + (b-lo)*(rank-cum)/in
-		}
-		cum += in
-	}
-	if len(h.bounds) == 0 {
-		return math.NaN()
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // CounterVec is a family of counters split by one label — the
 // scheduler's per-reason cache-decision counters, for example.
 // Children render as name{label="value"} sample lines, sorted by
@@ -255,7 +218,6 @@ type family struct {
 	counter    *Counter
 	counterVec *CounterVec
 	gauge      *Gauge
-	gaugeFn    func() float64
 	histogram  *Histogram
 }
 
@@ -320,43 +282,21 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 // Gauge returns the gauge registered under name, creating it if
 // needed.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.lookup(name, help, kindGauge, func(f *family) { f.gauge = &Gauge{} })
-	if f.gauge == nil {
-		panic(fmt.Sprintf("obs: metric %s re-registered as plain gauge (was scrape-time)", name))
-	}
-	return f.gauge
-}
-
-// GaugeFunc registers (or replaces) a gauge whose value is computed at
-// scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.lookup(name, help, kindGauge, func(f *family) {})
-	r.mu.Lock()
-	f.gaugeFn = fn
-	f.gauge = nil
-	r.mu.Unlock()
+	return r.lookup(name, help, kindGauge, func(f *family) { f.gauge = &Gauge{} }).gauge
 }
 
 // Histogram returns the histogram registered under name, creating it
 // with the given buckets if needed (nil buckets use DefBuckets).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	f := r.lookup(name, help, kindHistogram, func(f *family) {
-		f.histogram = MakeHistogram(buckets)
+		if buckets == nil {
+			buckets = DefBuckets
+		}
+		bounds := append([]float64(nil), buckets...)
+		sort.Float64s(bounds)
+		f.histogram = &Histogram{bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
 	})
 	return f.histogram
-}
-
-// MakeHistogram returns a standalone histogram that is not registered
-// anywhere (nil buckets use DefBuckets). For accumulators that manage
-// their own histogram lifetimes, like per-checker timing in
-// internal/cover.
-func MakeHistogram(buckets []float64) *Histogram {
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	bounds := append([]float64(nil), buckets...)
-	sort.Float64s(bounds)
-	return &Histogram{bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
 }
 
 // NewCounter registers a counter in the Default registry.
@@ -370,9 +310,6 @@ func NewCounterVec(name, help, label string) *CounterVec {
 
 // NewGauge registers a gauge in the Default registry.
 func NewGauge(name, help string) *Gauge { return Default.Gauge(name, help) }
-
-// NewGaugeFunc registers a scrape-time gauge in the Default registry.
-func NewGaugeFunc(name, help string, fn func() float64) { Default.GaugeFunc(name, help, fn) }
 
 // NewHistogram registers a histogram in the Default registry.
 func NewHistogram(name, help string, buckets []float64) *Histogram {
@@ -423,8 +360,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			for _, v := range vals {
 				fmt.Fprintf(w, "%s{%s=%q} %s\n", f.name, f.counterVec.label, v, formatFloat(children[v].Value()))
 			}
-		case f.gaugeFn != nil:
-			fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.gaugeFn()))
 		case f.gauge != nil:
 			fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.gauge.Value()))
 		case f.histogram != nil:
@@ -443,42 +378,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Snapshot returns every metric's current value keyed by name;
-// histograms contribute name_count and name_sum. It backs
-// `mcheck -stats`.
-func (r *Registry) Snapshot() map[string]float64 {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-
-	out := make(map[string]float64, len(fams))
-	for _, f := range fams {
-		switch {
-		case f.counter != nil:
-			out[f.name] = f.counter.Value()
-		case f.counterVec != nil:
-			vals, children := f.counterVec.snapshot()
-			for _, v := range vals {
-				out[fmt.Sprintf("%s{%s=%q}", f.name, f.counterVec.label, v)] = children[v].Value()
-			}
-		case f.gaugeFn != nil:
-			out[f.name] = f.gaugeFn()
-		case f.gauge != nil:
-			out[f.name] = f.gauge.Value()
-		case f.histogram != nil:
-			out[f.name+"_count"] = float64(f.histogram.Count())
-			out[f.name+"_sum"] = f.histogram.Sum()
-			if f.histogram.Count() > 0 {
-				out[f.name+"_p50"] = f.histogram.Quantile(0.50)
-				out[f.name+"_p95"] = f.histogram.Quantile(0.95)
-				out[f.name+"_p99"] = f.histogram.Quantile(0.99)
-			}
-		}
-	}
-	return out
 }

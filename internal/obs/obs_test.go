@@ -134,7 +134,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("rt_requests_total", "requests served").Add(42)
 	r.Gauge("rt_queue_depth", "current queue depth").Set(3)
-	r.GaugeFunc("rt_hit_rate", "cache hit rate", func() float64 { return 0.75 })
+	r.Gauge("rt_hit_rate", "cache hit rate").Set(0.75)
 	h := r.Histogram("rt_latency_seconds", "request latency", nil)
 	h.Observe(0.002)
 	h.Observe(1.7)
@@ -272,23 +272,9 @@ func TestValidateTraceRejects(t *testing.T) {
 	}
 }
 
-func TestSnapshot(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("s_total", "").Add(7)
-	h := r.Histogram("s_seconds", "", nil)
-	h.Observe(0.5)
-	snap := r.Snapshot()
-	if snap["s_total"] != 7 {
-		t.Fatalf("snapshot s_total = %v", snap["s_total"])
-	}
-	if snap["s_seconds_count"] != 1 || snap["s_seconds_sum"] != 0.5 {
-		t.Fatalf("snapshot histogram = %v / %v", snap["s_seconds_count"], snap["s_seconds_sum"])
-	}
-}
-
 // TestCounterVecExposition: a labeled counter family renders one
-// sample per label value, sorted, parses with the repo's own parser,
-// and lands in Snapshot under name{label="value"} keys.
+// sample per label value, sorted, and parses with the repo's own
+// parser.
 func TestCounterVecExposition(t *testing.T) {
 	r := NewRegistry()
 	vec := r.CounterVec("cv_decisions_total", "cache decisions by reason", "reason")
@@ -320,11 +306,6 @@ func TestCounterVecExposition(t *testing.T) {
 		if s.Labels["reason"] == "" {
 			t.Fatalf("sample lost its label: %+v", s)
 		}
-	}
-
-	snap := r.Snapshot()
-	if snap[`cv_decisions_total{reason="hit"}`] != 7 || snap[`cv_decisions_total{reason="new"}`] != 3 {
-		t.Fatalf("snapshot keys wrong: %v", snap)
 	}
 
 	// Mixing a plain counter into a labeled family is a programming

@@ -32,8 +32,8 @@ const reportsKind = "reports/v3"
 
 // artifact is the depot payload for report-producing tasks: the
 // reports plus the non-empty coverages the run recorded. Coverage
-// timing fields are excluded from JSON (see engine.Coverage), so the
-// payload stays byte-deterministic.
+// holds counts only (see engine.Coverage), so the payload stays
+// byte-deterministic.
 type artifact struct {
 	Reports  []engine.Report    `json:"reports"`
 	Coverage []*engine.Coverage `json:"coverage,omitempty"`

@@ -112,7 +112,9 @@ func TestTriageWarmServesFromDepot(t *testing.T) {
 	req := TriageRequest{Prog: prog, SMs: sms, Versions: versions,
 		Reports: res.Reports, Options: lint.TriageOptions{Mode: lint.ModeSym}}
 
-	before := obs.Default.Snapshot()
+	hitsC := obs.Default.Counter("sched_triage_cache_hits_total", "")
+	missesC := obs.Default.Counter("sched_triage_cache_misses_total", "")
+	hits0, misses0 := hitsC.Value(), missesC.Value()
 	cold, coldStats := a.TriageReports(req)
 	if coldStats.CacheMisses == 0 || coldStats.CacheHits != 0 {
 		t.Fatalf("cold triage stats: %+v", coldStats)
@@ -122,11 +124,10 @@ func TestTriageWarmServesFromDepot(t *testing.T) {
 	if warmStats.CacheMisses != 0 || warmStats.CacheHits != coldStats.CacheMisses {
 		t.Fatalf("warm triage stats: %+v (cold %+v)", warmStats, coldStats)
 	}
-	after := obs.Default.Snapshot()
-	if hits := after["sched_triage_cache_hits_total"] - before["sched_triage_cache_hits_total"]; hits != float64(warmStats.CacheHits) {
+	if hits := hitsC.Value() - hits0; hits != float64(warmStats.CacheHits) {
 		t.Errorf("sched_triage_cache_hits_total advanced by %v, want %d", hits, warmStats.CacheHits)
 	}
-	if misses := after["sched_triage_cache_misses_total"] - before["sched_triage_cache_misses_total"]; misses != float64(coldStats.CacheMisses) {
+	if misses := missesC.Value() - misses0; misses != float64(coldStats.CacheMisses) {
 		t.Errorf("sched_triage_cache_misses_total advanced by %v, want %d", misses, coldStats.CacheMisses)
 	}
 
