@@ -73,6 +73,7 @@ import (
 	"flashmc/internal/core"
 	"flashmc/internal/cover"
 	"flashmc/internal/depot"
+	"flashmc/internal/engine"
 	"flashmc/internal/flash"
 	"flashmc/internal/global"
 	"flashmc/internal/lint"
@@ -270,21 +271,9 @@ func main() {
 			explainArtifacts(store, res)
 		}
 	} else {
-		// Sort an index permutation instead of the reports themselves,
-		// so each printed report keeps its Result.RefIdx provenance link
-		// for -explain.
-		order := make([]int, len(reports))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(i, j int) bool {
-			a, b := reports[order[i]], reports[order[j]]
-			if a.Pos.File != b.Pos.File {
-				return a.Pos.File < b.Pos.File
-			}
-			return a.Pos.Line < b.Pos.Line
-		})
-		for _, ri := range order {
+		// Print through a permutation, so each report keeps its
+		// Result.RefIdx provenance link for -explain.
+		for _, ri := range engine.PosOrder(reports) {
 			r := reports[ri]
 			fmt.Printf("%s: [%s] %s\n", r.Pos, r.SM, r.Msg)
 			if *why {

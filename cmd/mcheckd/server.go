@@ -479,16 +479,9 @@ func (s *server) rankReports(prog *core.Program, reports []engine.Report, set *s
 		lint.SortRanked(ranked)
 	} else {
 		ranked = make([]lint.RankedReport, 0, len(reports))
-		for _, r := range reports {
-			ranked = append(ranked, lint.RankedReport{Report: r})
+		for _, ri := range engine.PosOrder(reports) {
+			ranked = append(ranked, lint.RankedReport{Report: reports[ri]})
 		}
-		sort.SliceStable(ranked, func(i, j int) bool {
-			a, b := ranked[i], ranked[j]
-			if a.Pos.File != b.Pos.File {
-				return a.Pos.File < b.Pos.File
-			}
-			return a.Pos.Line < b.Pos.Line
-		})
 	}
 
 	out := make([]reportJSON, 0, len(ranked))

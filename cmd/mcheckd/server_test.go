@@ -251,6 +251,24 @@ func TestWarmChecksDoNotGrowDepot(t *testing.T) {
 	}
 }
 
+// TestDuplicateHandlerIsReported: a handler defined in two files is a
+// finding (the lane pass's link report), not a failed check.
+func TestDuplicateHandlerIsReported(t *testing.T) {
+	store, _ := depot.Open("")
+	ts := httptest.NewServer(newServer(store, 2))
+	defer ts.Close()
+
+	dup := mustQuote("void h_foo(void) {}\n")
+	cr, raw := postCheck(t, ts, `{"files": {"a.c": `+dup+`, "b.c": `+dup+`}}`)
+	for _, r := range cr.Reports {
+		if r.Checker == "lanes" && r.Rule == "link" &&
+			r.Msg == "duplicate definition of h_foo (kept a.c, dropped b.c)" {
+			return
+		}
+	}
+	t.Fatalf("no duplicate-definition link report:\n%s", raw)
+}
+
 func TestServerRejectsBadRequests(t *testing.T) {
 	store, _ := depot.Open("")
 	ts := httptest.NewServer(newServer(store, 1))

@@ -5,6 +5,12 @@
 // against the same engine, mirroring the parts of the paper's tooling
 // that used the xg++ API directly (inter-procedural lanes §7,
 // execution restrictions §8) or needed checker tables (§6, §9).
+//
+// All() lists the nine built-in checkers. Each implements Checker,
+// whose CheckCov is the one whole-program entry point that also
+// reports dynamic coverage; the six state-machine checkers also
+// implement SMProvider, so the scheduler can run their machine per
+// function instead.
 package checkers
 
 import (
@@ -20,7 +26,8 @@ import (
 	"flashmc/internal/metal"
 )
 
-// Checker is one system-rule checker.
+// Checker is one system-rule checker. Check and CheckCov return the
+// same reports; CheckCov adds the run's coverage.
 type Checker interface {
 	// Name is the stable checker identifier used in manifests.
 	Name() string
@@ -31,6 +38,12 @@ type Checker interface {
 	// Check runs the checker over a loaded program under a protocol
 	// spec and returns its reports.
 	Check(p *core.Program, spec *flash.Spec) []engine.Report
+	// CheckCov is Check plus the dynamic coverage the run produced:
+	// one engine.Coverage per analyzed function for SM checkers, a
+	// single synthesized coverage for AST and global passes. Empty
+	// coverages are omitted. internal/cover merges the results across
+	// checkers and protocols.
+	CheckCov(p *core.Program, spec *flash.Spec) ([]engine.Report, []*engine.Coverage)
 	// Applied returns how many program points the check examined (the
 	// tables' "Applied" columns); -1 if not meaningful.
 	Applied(p *core.Program) int
@@ -47,16 +60,6 @@ type Checker interface {
 // exec-restrict, no-float) have no SM and do not implement it.
 type SMProvider interface {
 	BuildSM(spec *flash.Spec) (*engine.SM, map[string]string)
-}
-
-// CoverageProvider is implemented by every built-in checker: CheckCov
-// is Check plus the dynamic coverage the run produced — one
-// engine.Coverage per analyzed function for SM checkers, a single
-// synthesized coverage for AST and global passes. Empty coverages are
-// omitted. internal/cover merges the results across checkers and
-// protocols.
-type CoverageProvider interface {
-	CheckCov(p *core.Program, spec *flash.Spec) ([]engine.Report, []*engine.Coverage)
 }
 
 // Metal checker sources, embedded so the library is self-contained.

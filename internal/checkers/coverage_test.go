@@ -6,17 +6,6 @@ import (
 	"flashmc/internal/engine"
 )
 
-// Every built-in checker must report dynamic coverage: the corpus
-// coverage matrix and the lint coverage-dead cross-check both depend
-// on it.
-func TestAllCheckersProvideCoverage(t *testing.T) {
-	for _, chk := range All() {
-		if _, ok := chk.(CoverageProvider); !ok {
-			t.Errorf("checker %s does not implement CoverageProvider", chk.Name())
-		}
-	}
-}
-
 func TestCheckCovMatchesCheck(t *testing.T) {
 	p := loadProto(t, `
 void h_local_get(void) {
@@ -29,9 +18,8 @@ void h_local_get(void) {
 }`)
 	spec := testSpec()
 	for _, chk := range All() {
-		prov := chk.(CoverageProvider)
 		want := chk.Check(p, spec)
-		got, covs := prov.CheckCov(p, spec)
+		got, covs := chk.CheckCov(p, spec)
 		if msgs(want) != msgs(got) {
 			t.Errorf("%s: CheckCov reports differ from Check:\n%s\nvs\n%s",
 				chk.Name(), msgs(want), msgs(got))
@@ -52,7 +40,7 @@ void handler(void) {
 	MISCBUS_READ_DB(a, b);
 	WAIT_FOR_DB_FULL(a);
 }`)
-	_, covs := NewBufferRace().(CoverageProvider).CheckCov(p, testSpec())
+	_, covs := NewBufferRace().CheckCov(p, testSpec())
 	if len(covs) == 0 {
 		t.Fatal("no coverage")
 	}
@@ -76,7 +64,7 @@ void handler(void) {
 	int a;
 	a = 1 + 2;
 }`)
-	reports, covs := NewNoFloat().(CoverageProvider).CheckCov(p, testSpec())
+	reports, covs := NewNoFloat().CheckCov(p, testSpec())
 	if len(reports) != 0 {
 		t.Fatalf("unexpected reports: %v", reports)
 	}
@@ -93,7 +81,7 @@ void h_local_get(void) {
 void sw_flush(void) {
 	NI_SEND(1, 1, 1, 1, 1, 1);
 }`)
-	_, covs := NewLanes().(CoverageProvider).CheckCov(p, testSpec())
+	_, covs := NewLanes().CheckCov(p, testSpec())
 	if len(covs) != 1 {
 		t.Fatalf("coverage entries: %+v", covs)
 	}

@@ -204,6 +204,26 @@ func (r Report) String() string {
 	return fmt.Sprintf("%s: [%s] %s (fn %s, state %s)", r.Pos, r.SM, r.Msg, r.Fn, r.State)
 }
 
+// PosOrder returns the permutation that orders reports by (file,
+// line), the order mcheck prints and mcheckd returns. The sort is
+// stable: reports on one line keep their assembly order. Indexing
+// through the permutation keeps each report's position in the
+// original slice (sched.Result.RefIdx is parallel to it).
+func PosOrder(reports []Report) []int {
+	order := make([]int, len(reports))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := reports[order[i]].Pos, reports[order[j]].Pos
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		return a.Line < b.Line
+	})
+	return order
+}
+
 // TraceStep is one step of a report's witness trace: where the
 // configuration was, what event it saw, and how its state changed.
 // Bindings is nil (not empty) when the match bound nothing, so reports

@@ -27,10 +27,9 @@ type CoverageMatrix struct {
 }
 
 // Coverage runs every built-in checker over every corpus protocol with
-// coverage recording and returns the resulting matrix. All checkers
-// implement checkers.CoverageProvider, so this also serves as the
-// corpus-level acceptance run: a checker that records nothing anywhere
-// shows up as an all-zero row.
+// coverage recording (checkers.Checker.CheckCov) and returns the
+// resulting matrix. It also serves as the corpus-level acceptance run:
+// a checker that records nothing anywhere shows up as an all-zero row.
 func (c *Corpus) Coverage() *CoverageMatrix {
 	m := &CoverageMatrix{ByProto: map[string]*cover.Artifact{}}
 	for _, chk := range checkers.All() {
@@ -41,11 +40,7 @@ func (c *Corpus) Coverage() *CoverageMatrix {
 		m.Protocols = append(m.Protocols, p.Name)
 		set := cover.NewSet()
 		for _, chk := range checkers.All() {
-			prov, ok := chk.(checkers.CoverageProvider)
-			if !ok {
-				continue
-			}
-			_, covs := prov.CheckCov(c.Programs[p.Name], p.Spec)
+			_, covs := chk.CheckCov(c.Programs[p.Name], p.Spec)
 			for _, cv := range covs {
 				set.Record(chk.Name(), cv)
 				merged.Record(chk.Name(), cv)

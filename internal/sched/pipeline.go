@@ -50,11 +50,11 @@ func mkArtifact(reports []engine.Report, covs ...*engine.Coverage) artifact {
 	return a
 }
 
-// Job is one checker to run over a program. Exactly one of SM, Run,
-// or Lanes is set:
+// Job is one checker to run over a program. Exactly one of SM,
+// Run/RunCov, or Lanes is set:
 //
 //   - SM jobs run a state machine per function, cached per function;
-//   - Run jobs are whole-program passes, cached per program;
+//   - Run/RunCov jobs are whole-program passes, cached per program;
 //   - the Lanes job is the §7 inter-procedural pass, decomposed into
 //     per-function summary tasks, a link barrier, and per-handler
 //     traversals cached by the handler's call-graph cone.
@@ -69,9 +69,10 @@ type Job struct {
 	Options string
 
 	SM *engine.SM
-	// Run is a whole-program pass. RunCov, when set, is preferred: it
-	// also returns the pass's dynamic coverage (FlashJobs wires it for
-	// checkers implementing checkers.CoverageProvider).
+	// Run is a whole-program pass for callers with no coverage to
+	// report. RunCov, when set, is preferred: it also returns the pass's
+	// dynamic coverage (FlashJobs sets only RunCov, from
+	// checkers.Checker.CheckCov).
 	Run    func(p *core.Program) []engine.Report
 	RunCov func(p *core.Program) ([]engine.Report, []*engine.Coverage)
 	Lanes  bool
@@ -186,6 +187,7 @@ type Analyzer struct {
 // runState accumulates one Check call's cache traffic.
 type runState struct {
 	d          *depot.Depot
+	traceID    string
 	mu         sync.Mutex
 	hits       int
 	misses     int
@@ -197,10 +199,11 @@ type runState struct {
 // lookup resolves key for task t, identified by (checker, identity),
 // and records the cache decision: counted in the run's stats and
 // sched_cache_decisions_total, and annotated on the task's trace span.
-// On a miss the task's marker is rewritten to the new key, so the
+// A miss marks unit reanalyzed, or counts a global rerun when unit is
+// "". On a miss the task's marker is rewritten to the new key, so the
 // *next* run's miss (if any) can be attributed; a warm run writes
 // nothing.
-func (rs *runState) lookup(t *Task, checker, identity string, key depot.Key, v any) (bool, string) {
+func (rs *runState) lookup(t *Task, checker, identity, unit string, key depot.Key, v any) (bool, string) {
 	ok := rs.d.GetJSON(key, v)
 	reason := DecisionHit
 	if !ok {
@@ -210,26 +213,57 @@ func (rs *runState) lookup(t *Task, checker, identity string, key depot.Key, v a
 	t.Annotate("cache", reason)
 	decisionCounts.With(reason).Inc()
 	rs.mu.Lock()
-	if ok {
+	switch {
+	case ok:
 		rs.hits++
-	} else {
+	case unit == "":
 		rs.misses++
+		rs.globals++
+	default:
+		rs.misses++
+		rs.reanalyzed[unit] = true
 	}
 	rs.decisions[reason]++
 	rs.mu.Unlock()
 	return ok, reason
 }
 
-func (rs *runState) markFn(name string) {
-	rs.mu.Lock()
-	rs.reanalyzed[name] = true
-	rs.mu.Unlock()
+// cached is every task's body: it loads key's artifact, or on a miss
+// computes it and stores it with its provenance. compute also returns
+// the depot keys of the artifacts it read (lane tasks name their
+// summaries), or nil. The string is the task's cache decision.
+func cached[T any](rs *runState, t *Task, checker, identity, unit string, key depot.Key, compute func() (T, []string)) (*T, string, error) {
+	v := new(T)
+	ok, reason := rs.lookup(t, checker, identity, unit, key, v)
+	if ok {
+		return v, reason, nil
+	}
+	t0 := time.Now()
+	var deps []string
+	*v, deps = compute()
+	if err := rs.d.PutJSON(key, v); err != nil {
+		return v, reason, err
+	}
+	_ = rs.d.PutProv(key, &depot.Provenance{Deps: deps, Producer: localProducer,
+		TraceID: rs.traceID, WallUS: time.Since(t0).Microseconds()})
+	return v, reason, nil
 }
 
-func (rs *runState) markGlobal() {
-	rs.mu.Lock()
-	rs.globals++
-	rs.mu.Unlock()
+// slot is one report task's result: the artifact it loaded or
+// computed, and that artifact's reports. A lane job's trailing slot
+// has no artifact; it holds the link errors.
+type slot struct {
+	ref     ArtifactRef
+	reports []engine.Report
+}
+
+// report is a report task's body: it fills s from the artifact cached
+// loads or computes, and replays the artifact's coverage.
+func (a *Analyzer) report(rs *runState, t *Task, s *slot, checker, identity, unit string, key depot.Key, compute func() (artifact, []string)) error {
+	art, reason, err := cached(rs, t, checker, identity, unit, key, compute)
+	*s = slot{ref: ArtifactRef{Task: t.ID, Key: key, Decision: reason}, reports: art.Reports}
+	a.recordCoverage(checker, art.Coverage)
+	return err
 }
 
 // Check analyzes req.Prog with req.Jobs, reusing every artifact in
@@ -248,7 +282,7 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 		d, _ = depot.Open("")
 	}
 	p := req.Prog
-	rs := &runState{d: d, reanalyzed: map[string]bool{}, decisions: map[string]int{}}
+	rs := &runState{d: d, traceID: req.TraceID, reanalyzed: map[string]bool{}, decisions: map[string]int{}}
 
 	fps, progFP := Fingerprints(p), ProgramFingerprintOf(p)
 	fpByFn := make(map[string]string, len(p.Fns))
@@ -258,188 +292,120 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 		}
 	}
 
-	needLanes := false
-	for _, j := range req.Jobs {
-		if j.Lanes {
-			needLanes = true
+	var handlers []string
+	if req.Spec != nil {
+		handlers = append(append(handlers, req.Spec.Hardware...), req.Spec.Software...)
+	}
+	nslots := 0
+	for _, job := range req.Jobs {
+		switch {
+		case job.SM != nil:
+			nslots += len(p.Fns)
+		case job.Lanes:
+			nslots += len(handlers) + 1
+		default:
+			nslots++
 		}
 	}
+	var (
+		tasks []*Task
+		// slots holds one entry per report task, in assembly order: job
+		// order, then function or handler order — the order direct
+		// execution produces, so warm and cold runs render identically.
+		// Each task writes only its own slot, so no locking.
+		slots = make([]slot, 0, nslots)
+		// linkSlots maps each lane job's trailing slot to the job's name.
+		linkSlots = map[int]string{}
+	)
+	// add appends a report task and its slot; the task's body indexes
+	// slots only when it runs, after every slot is allocated.
+	add := func(id string, deps ...string) (*Task, int) {
+		t := &Task{ID: id, Deps: deps}
+		tasks = append(tasks, t)
+		slots = append(slots, slot{})
+		return t, len(slots) - 1
+	}
 
-	var tasks []*Task
-
-	// Per-function summary tasks (the lane pass's local half). The
-	// summary blob is the depot's per-function CFG artifact; it is
-	// also reused as the link input.
-	summaries := make([]*global.Summary, len(p.Fns))
-	var sumIDs []string
-	lanesVersion, lanesOptions := "", ""
-	if needLanes {
-		for _, j := range req.Jobs {
-			if j.Lanes {
-				lanesVersion, lanesOptions = j.Version, j.Options
-				break
-			}
+	// The lane pass's local half: one summary task per function. The
+	// summary blob is the depot's per-function CFG artifact; it is also
+	// the link input. The link barrier joins every summary into the
+	// whole-protocol call graph; per-handler lane tasks wait on it.
+	var (
+		summaries = make([]*global.Summary, len(p.Fns))
+		linked    *global.Program
+		linkErrs  []error
+	)
+	for _, job := range req.Jobs {
+		if !job.Lanes {
+			continue
 		}
-		for i := range p.Fns {
-			i := i
-			id := fmt.Sprintf("sum:%d", i)
-			sumIDs = append(sumIDs, id)
+		var sumIDs []string
+		for i, fn := range p.Fns {
 			key := depot.Key{Kind: "summary", Source: fps[i], Checker: "lanes",
-				Version: lanesVersion, Options: lanesOptions}
-			t := &Task{ID: id}
+				Version: job.Version, Options: job.Options}
+			t := &Task{ID: fmt.Sprintf("sum:%d", i)}
 			t.Run = func() error {
-				var s global.Summary
-				if ok, _ := rs.lookup(t, "lanes", "sum:"+p.Fns[i].Name, key, &s); ok {
-					summaries[i] = &s
-					return nil
-				}
-				rs.markFn(p.Fns[i].Name)
-				t0 := time.Now()
-				summaries[i] = global.FromCFG(p.Graphs[i], checkers.LaneAnnotator)
-				if err := d.PutJSON(key, summaries[i]); err != nil {
-					return err
-				}
-				_ = d.PutProv(key, &depot.Provenance{Producer: localProducer,
-					TraceID: req.TraceID, WallUS: time.Since(t0).Microseconds()})
-				return nil
+				var err error
+				summaries[i], _, err = cached(rs, t, "lanes", "sum:"+fn.Name, fn.Name, key, func() (global.Summary, []string) {
+					return *global.FromCFG(p.Graphs[i], checkers.LaneAnnotator), nil
+				})
+				return err
 			}
+			sumIDs = append(sumIDs, t.ID)
 			tasks = append(tasks, t)
 		}
-	}
-
-	// The link barrier joins every summary into the whole-protocol
-	// call graph; per-handler lane tasks wait on it.
-	var (
-		linked   *global.Program
-		linkErrs []error
-	)
-	if needLanes {
 		tasks = append(tasks, &Task{ID: "link", Deps: sumIDs, Run: func() error {
 			linked, linkErrs = global.Link(summaries)
 			return nil
 		}})
+		break
 	}
 
-	// Per-job result slots, assembled in job order after the run. The
-	// ref slots record which artifact each slot's reports came from
-	// (each task writes only its own index, so no locking).
-	smResults := make([][][]engine.Report, len(req.Jobs))
-	globalResults := make([][]engine.Report, len(req.Jobs))
-	laneResults := make([]*laneSlot, len(req.Jobs))
-	smRefs := make([][]ArtifactRef, len(req.Jobs))
-	globalRefs := make([]ArtifactRef, len(req.Jobs))
-
 	for ji, job := range req.Jobs {
-		ji, job := ji, job
 		switch {
 		case job.SM != nil:
-			smResults[ji] = make([][]engine.Report, len(p.Fns))
-			smRefs[ji] = make([]ArtifactRef, len(p.Fns))
-			for i := range p.Fns {
-				i := i
+			for i, fn := range p.Fns {
 				key := depot.Key{Kind: reportsKind, Source: fps[i], Checker: job.Name,
 					Version: job.Version, Options: job.Options}
-				id := fmt.Sprintf("sm:%d:%d", ji, i)
-				t := &Task{ID: id}
+				t, si := add(fmt.Sprintf("sm:%d:%d", ji, i))
 				t.Run = func() error {
-					var cached artifact
-					ok, reason := rs.lookup(t, job.Name, "sm:"+p.Fns[i].Name, key, &cached)
-					smRefs[ji][i] = ArtifactRef{Task: id, Key: key, Decision: reason}
-					if ok {
-						smResults[ji][i] = cached.Reports
-						a.recordCoverage(job.Name, cached.Coverage)
-						return nil
-					}
-					rs.markFn(p.Fns[i].Name)
-					t0 := time.Now()
-					reports, cov := engine.RunCov(p.Graphs[i], job.SM)
-					smResults[ji][i] = reports
-					art := mkArtifact(reports, cov)
-					a.recordCoverage(job.Name, art.Coverage)
-					if err := d.PutJSON(key, art); err != nil {
-						return err
-					}
-					_ = d.PutProv(key, &depot.Provenance{Producer: localProducer,
-						TraceID: req.TraceID, WallUS: time.Since(t0).Microseconds()})
-					return nil
+					return a.report(rs, t, &slots[si], job.Name, "sm:"+fn.Name, fn.Name, key, func() (artifact, []string) {
+						reports, cov := engine.RunCov(p.Graphs[i], job.SM)
+						return mkArtifact(reports, cov), nil
+					})
 				}
-				tasks = append(tasks, t)
 			}
 
 		case job.Lanes:
-			slot := &laneSlot{reports: map[string][]engine.Report{}}
-			if req.Spec != nil {
-				slot.handlers = append(append([]string{}, req.Spec.Hardware...), req.Spec.Software...)
-			}
-			laneResults[ji] = slot
-			for _, h := range slot.handlers {
-				h := h
-				id := fmt.Sprintf("lanes:%d:%s", ji, h)
-				t := &Task{ID: id, Deps: []string{"link"}}
+			for _, h := range handlers {
+				t, si := add(fmt.Sprintf("lanes:%d:%s", ji, h), "link")
 				t.Run = func() error {
 					reach := linked.Reachable([]string{h})
-					key := depot.Key{Kind: reportsKind,
-						Source:  reachFingerprint(h, reach, fpByFn),
+					key := depot.Key{Kind: reportsKind, Source: reachFingerprint(h, reach, fpByFn),
 						Checker: job.Name, Version: job.Version, Options: job.Options}
-					var cached artifact
-					ok, reason := rs.lookup(t, job.Name, "lanes:"+h, key, &cached)
-					slot.setRef(h, ArtifactRef{Task: id, Key: key, Decision: reason})
-					if ok {
-						slot.set(h, cached.Reports)
-						a.recordCoverage(job.Name, cached.Coverage)
-						return nil
-					}
-					rs.markFn(h)
-					one := &flash.Spec{Hardware: []string{h}, Allowance: specAllowance(req.Spec)}
-					t0 := time.Now()
-					got, cov := checkers.CheckLanesCov(linked, one)
-					slot.set(h, got)
-					art := mkArtifact(got, cov)
-					a.recordCoverage(job.Name, art.Coverage)
-					if err := d.PutJSON(key, art); err != nil {
-						return err
-					}
-					_ = d.PutProv(key, &depot.Provenance{
-						Deps:     summaryDepKeys(reach, fpByFn, job.Version, job.Options),
-						Producer: localProducer, TraceID: req.TraceID,
-						WallUS: time.Since(t0).Microseconds()})
-					return nil
+					return a.report(rs, t, &slots[si], job.Name, "lanes:"+h, h, key, func() (artifact, []string) {
+						one := &flash.Spec{Hardware: []string{h}, Allowance: specAllowance(req.Spec)}
+						got, cov := checkers.CheckLanesCov(linked, one)
+						return mkArtifact(got, cov), summaryDepKeys(reach, fpByFn, job.Version, job.Options)
+					})
 				}
-				tasks = append(tasks, t)
 			}
+			linkSlots[len(slots)] = job.Name
+			slots = append(slots, slot{})
 
 		case job.Run != nil || job.RunCov != nil:
 			key := depot.Key{Kind: reportsKind, Source: progFP, Checker: job.Name,
 				Version: job.Version, Options: job.Options}
-			id := fmt.Sprintf("glob:%d", ji)
-			t := &Task{ID: id}
+			t, si := add(fmt.Sprintf("glob:%d", ji))
 			t.Run = func() error {
-				var cached artifact
-				ok, reason := rs.lookup(t, job.Name, "glob", key, &cached)
-				globalRefs[ji] = ArtifactRef{Task: id, Key: key, Decision: reason}
-				if ok {
-					globalResults[ji] = cached.Reports
-					a.recordCoverage(job.Name, cached.Coverage)
-					return nil
-				}
-				rs.markGlobal()
-				t0 := time.Now()
-				var covs []*engine.Coverage
-				if job.RunCov != nil {
-					globalResults[ji], covs = job.RunCov(p)
-				} else {
-					globalResults[ji] = job.Run(p)
-				}
-				art := mkArtifact(globalResults[ji], covs...)
-				a.recordCoverage(job.Name, art.Coverage)
-				if err := d.PutJSON(key, art); err != nil {
-					return err
-				}
-				_ = d.PutProv(key, &depot.Provenance{Producer: localProducer,
-					TraceID: req.TraceID, WallUS: time.Since(t0).Microseconds()})
-				return nil
+				return a.report(rs, t, &slots[si], job.Name, "glob", "", key, func() (artifact, []string) {
+					if job.RunCov != nil {
+						reports, covs := job.RunCov(p)
+						return mkArtifact(reports, covs...), nil
+					}
+					return mkArtifact(job.Run(p)), nil
+				})
 			}
-			tasks = append(tasks, t)
 
 		default:
 			return nil, fmt.Errorf("sched: job %s: no SM, Run, RunCov, or Lanes", job.Name)
@@ -451,40 +417,28 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 		return nil, err
 	}
 
-	// Assemble in job order, within a job in function/handler order:
-	// the same order direct execution produces, so warm and cold runs
-	// render identically.
-	res := &Result{}
-	addFrom := func(ref ArtifactRef, reps []engine.Report) {
-		res.Artifacts = append(res.Artifacts, ref)
-		for range reps {
-			res.RefIdx = append(res.RefIdx, len(res.Artifacts)-1)
+	for si, name := range linkSlots {
+		for _, e := range linkErrs {
+			slots[si].reports = append(slots[si].reports, engine.Report{SM: name, Rule: "link", Msg: e.Error(),
+				Trace: engine.Witness(token.Pos{}, "link", e.Error())})
 		}
-		res.Reports = append(res.Reports, reps...)
+		// Link runs live on every call (it is the barrier, never
+		// cached), so its coverage is recorded here identically on warm
+		// and cold paths.
+		a.Coverage.Record(name, checkers.LinkCoverage(len(linkErrs)))
 	}
-	for ji, job := range req.Jobs {
-		switch {
-		case job.SM != nil:
-			for i, reps := range smResults[ji] {
-				addFrom(smRefs[ji][i], reps)
-			}
-		case job.Lanes:
-			slot := laneResults[ji]
-			for _, h := range slot.handlers {
-				addFrom(slot.refs[h], slot.reports[h])
-			}
-			for _, e := range linkErrs {
-				res.Reports = append(res.Reports, engine.Report{SM: job.Name, Rule: "link", Msg: e.Error(),
-					Trace: engine.Witness(token.Pos{}, "link", e.Error())})
-				res.RefIdx = append(res.RefIdx, -1)
-			}
-			// Link runs live on every call (it is the barrier, never
-			// cached), so its coverage is recorded here identically on
-			// warm and cold paths.
-			a.Coverage.Record(job.Name, checkers.LinkCoverage(len(linkErrs)))
-		case job.Run != nil || job.RunCov != nil:
-			addFrom(globalRefs[ji], globalResults[ji])
+
+	res := &Result{}
+	for _, s := range slots {
+		ri := -1
+		if s.ref.Task != "" {
+			res.Artifacts = append(res.Artifacts, s.ref)
+			ri = len(res.Artifacts) - 1
 		}
+		for range s.reports {
+			res.RefIdx = append(res.RefIdx, ri)
+		}
+		res.Reports = append(res.Reports, s.reports...)
 	}
 
 	res.Stats = Stats{
@@ -517,30 +471,6 @@ func (a *Analyzer) recordCoverage(checker string, covs []*engine.Coverage) {
 	}
 }
 
-// laneSlot collects one lane job's per-handler reports and artifact
-// refs; tasks write concurrently.
-type laneSlot struct {
-	l        sync.Mutex
-	handlers []string
-	reports  map[string][]engine.Report
-	refs     map[string]ArtifactRef
-}
-
-func (s *laneSlot) set(h string, r []engine.Report) {
-	s.l.Lock()
-	s.reports[h] = r
-	s.l.Unlock()
-}
-
-func (s *laneSlot) setRef(h string, ref ArtifactRef) {
-	s.l.Lock()
-	if s.refs == nil {
-		s.refs = map[string]ArtifactRef{}
-	}
-	s.refs[h] = ref
-	s.l.Unlock()
-}
-
 // specAllowance returns the spec's allowance table (nil spec → empty).
 func specAllowance(spec *flash.Spec) map[string]flash.LaneVector {
 	if spec == nil || spec.Allowance == nil {
@@ -566,12 +496,8 @@ func FlashJobs(spec *flash.Spec) []Job {
 			job.SM = sm
 			job.Options = hashStrings(specOpt, fmt.Sprintf("correlate=%v", sm.CorrelateBranches))
 		} else {
-			chk := chk
-			job.Run = func(p *core.Program) []engine.Report { return chk.Check(p, spec) }
-			if prov, ok := chk.(checkers.CoverageProvider); ok {
-				job.RunCov = func(p *core.Program) ([]engine.Report, []*engine.Coverage) {
-					return prov.CheckCov(p, spec)
-				}
+			job.RunCov = func(p *core.Program) ([]engine.Report, []*engine.Coverage) {
+				return chk.CheckCov(p, spec)
 			}
 		}
 		jobs = append(jobs, job)
@@ -636,7 +562,9 @@ func BuildJobs(prog *core.Program, spec *flash.Spec, adhoc []AdHocChecker, flash
 
 // ConventionSpec derives a protocol spec from the h_*/sw_* naming
 // convention, for checking code without an explicit specification
-// (cmd/mcheck and cmd/mcheckd both run under it).
+// (cmd/mcheck and cmd/mcheckd both run under it). A handler defined
+// twice is listed once; the lane pass's link keeps the first
+// definition and reports the second.
 func ConventionSpec(prog *core.Program) *flash.Spec {
 	spec := &flash.Spec{
 		Protocol:        "cli",
@@ -647,7 +575,12 @@ func ConventionSpec(prog *core.Program) *flash.Spec {
 		CondFreeFns:     map[string]bool{},
 		DirWritebackFns: map[string]bool{},
 	}
+	seen := map[string]bool{}
 	for _, fn := range prog.Fns {
+		if seen[fn.Name] {
+			continue
+		}
+		seen[fn.Name] = true
 		switch flash.ClassifyName(fn.Name) {
 		case flash.HardwareHandler:
 			spec.Hardware = append(spec.Hardware, fn.Name)

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
+	"flashmc/internal/cc/cpp"
 	"flashmc/internal/checkers"
 	"flashmc/internal/core"
 	"flashmc/internal/depot"
@@ -44,16 +44,9 @@ func loadProto(t testing.TB, mutate func(files map[string]string)) (*flashgen.Pr
 // render serializes reports the way cmd/mcheck prints them, for
 // byte-level comparison.
 func render(reports []engine.Report) []byte {
-	rs := append([]engine.Report(nil), reports...)
-	sort.Slice(rs, func(i, j int) bool {
-		a, b := rs[i], rs[j]
-		if a.Pos.File != b.Pos.File {
-			return a.Pos.File < b.Pos.File
-		}
-		return a.Pos.Line < b.Pos.Line
-	})
 	var buf bytes.Buffer
-	for _, r := range rs {
+	for _, ri := range engine.PosOrder(reports) {
+		r := reports[ri]
 		fmt.Fprintf(&buf, "%s: [%s] %s\n", r.Pos, r.SM, r.Msg)
 	}
 	return buf.Bytes()
@@ -137,6 +130,74 @@ func TestPipelineMatchesDirectExecution(t *testing.T) {
 	if !bytes.Equal(render(got.Reports), render(want)) {
 		t.Fatalf("pipeline reports differ from direct execution:\npipeline %d reports, direct %d",
 			len(got.Reports), len(want))
+	}
+}
+
+// TestDuplicateHandlerLinkReport: a handler defined in two files is
+// listed once by ConventionSpec, so the check runs (rather than failing
+// on a duplicate task) and the lane job reports the duplicate the way
+// the lane checker run directly does.
+func TestDuplicateHandlerLinkReport(t *testing.T) {
+	src := cpp.MapSource{"a.c": "void h_foo(void) {}\n", "b.c": "void h_foo(void) {}\n"}
+	prog, err := core.Load("dup", src, []string{"a.c", "b.c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := ConventionSpec(prog)
+	if got := strings.Join(spec.Hardware, ","); got != "h_foo" {
+		t.Fatalf("spec hardware = %q, want h_foo once", got)
+	}
+	res, err := (&Analyzer{}).Check(Request{Prog: prog, Spec: spec, Jobs: FlashJobs(spec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lanes []engine.Report
+	for i, r := range res.Reports {
+		if r.SM == "lanes" {
+			lanes = append(lanes, r)
+			if r.Rule == "link" && res.RefIdx[i] != -1 {
+				t.Errorf("link report has RefIdx %d, want -1", res.RefIdx[i])
+			}
+		}
+	}
+	want := checkers.NewLanes().Check(prog, spec)
+	if !reflect.DeepEqual(lanes, want) {
+		t.Fatalf("pipeline lane reports %v, direct %v", lanes, want)
+	}
+	if len(want) != 1 || want[0].Msg != "duplicate definition of h_foo (kept a.c, dropped b.c)" {
+		t.Fatalf("direct lane reports = %v, want the one duplicate-definition link report", want)
+	}
+}
+
+// TestRunOnlyJob: a whole-program job with Run and no RunCov (a
+// caller with no coverage to report) is cached per program like any
+// other: the warm run replays its reports without calling it.
+func TestRunOnlyJob(t *testing.T) {
+	prog, err := core.Load("run", cpp.MapSource{"a.c": "int f(void) { return 0; }\n"}, []string{"a.c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	job := Job{Name: "whole", Version: "1", Run: func(p *core.Program) []engine.Report {
+		calls++
+		return []engine.Report{{SM: "whole", Fn: p.Fns[0].Name, Msg: "seen"}}
+	}}
+	store, _ := depot.Open("")
+	a := &Analyzer{Depot: store}
+	for i, want := range []int{1, 0} {
+		res, err := a.Check(Request{Prog: prog, Jobs: []Job{job}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Reports) != 1 || res.Reports[0].Msg != "seen" || res.RefIdx[0] != 0 {
+			t.Fatalf("run %d: reports %v, RefIdx %v", i, res.Reports, res.RefIdx)
+		}
+		if res.Stats.GlobalReruns != want || res.Artifacts[0].Task != "glob:0" {
+			t.Fatalf("run %d: %d global reruns (want %d), artifacts %v", i, res.Stats.GlobalReruns, want, res.Artifacts)
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("Run called %d times, want 1 (cold only)", calls)
 	}
 }
 
