@@ -26,16 +26,18 @@ go test -race ./...
 # Incremental-analysis gate: checking the generated corpus twice
 # through one artifact depot must print byte-identical reports — the
 # second (warm) run is served from the cache, and a divergence means
-# the depot keys miss an input the checkers depend on. mcheck exits 1
-# when it reports, so `|| true` keeps set -e happy.
+# the depot keys miss an input the checkers depend on. Cold runs on one
+# worker and warm on four, so the stream must also not depend on how
+# the pool interleaves tasks. mcheck exits 1 when it reports, so
+# `|| true` keeps set -e happy.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/flashgen -o "$tmp/corpus"
 go build -o "$tmp/mcheck" ./cmd/mcheck
 for proto in bitvector dyn_ptr sci coma rac common; do
-    "$tmp/mcheck" -flash -cache "$tmp/depot" "$tmp/corpus/$proto"/*.c \
+    "$tmp/mcheck" -flash -j 1 -cache "$tmp/depot" "$tmp/corpus/$proto"/*.c \
         > "$tmp/cold.$proto" || true
-    "$tmp/mcheck" -flash -cache "$tmp/depot" "$tmp/corpus/$proto"/*.c \
+    "$tmp/mcheck" -flash -j 4 -cache "$tmp/depot" "$tmp/corpus/$proto"/*.c \
         > "$tmp/warm.$proto" || true
     cmp "$tmp/cold.$proto" "$tmp/warm.$proto"
 done

@@ -31,6 +31,11 @@
 // JSON artifact (validated by obscheck -coverage). Where the time went
 // is -explain's per-artifact wall cost and the -trace task spans.
 //
+// A depot write that fails (an unwritable -cache directory, say) does
+// not fail the check: the reports print as usual and one warning line
+// on stderr counts the failed writes, which -metrics exports as
+// depot_put_errors_total.
+//
 // Provenance: -explain prints, for every report, the artifact it was
 // assembled from, this run's cache decision for that artifact, the
 // producer (the computing process's pid), checker version, and wall
@@ -183,7 +188,7 @@ func main() {
 		}
 		adhoc = append(adhoc, sched.AdHocChecker{Label: cf, Src: string(src)})
 	}
-	spec := sched.ConventionSpec(prog)
+	spec := flash.ConventionSpec(prog.FnNames())
 	set, err := sched.BuildJobs(prog, spec, adhoc, *flashSuite)
 	if err != nil {
 		fail("%v", err)
@@ -342,6 +347,12 @@ func main() {
 		}
 	}
 
+	// A failed depot write costs the next run a recompute, not this
+	// run its reports; say so once.
+	if n := obs.Default.Counter("depot_put_errors_total", "").Value(); n > 0 {
+		fmt.Fprintf(os.Stderr, "mcheck: warning: %.0f depot write(s) failed; results were not cached\n", n)
+	}
+
 	if len(reports) > 0 {
 		os.Exit(1)
 	}
@@ -366,17 +377,12 @@ func linkPass(files []string) int {
 	for _, e := range errs {
 		fmt.Fprintf(os.Stderr, "mcheck: link: %v\n", e)
 	}
-	spec := &flash.Spec{Protocol: "cli", Allowance: map[string]flash.LaneVector{}}
+	names := make([]string, 0, len(prog.Funcs))
 	for fn := range prog.Funcs {
-		switch flash.ClassifyName(fn) {
-		case flash.HardwareHandler:
-			spec.Hardware = append(spec.Hardware, fn)
-		case flash.SoftwareHandler:
-			spec.Software = append(spec.Software, fn)
-		}
+		names = append(names, fn)
 	}
-	sort.Strings(spec.Hardware)
-	sort.Strings(spec.Software)
+	sort.Strings(names)
+	spec := flash.ConventionSpec(names)
 	reports := checkers.CheckLanes(prog, spec)
 	for _, r := range reports {
 		fmt.Printf("%s: [lanes] %s\n", r.Pos, r.Msg)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -134,5 +135,70 @@ func TestDuplicateHandlerLinkReport(t *testing.T) {
 	want := "-: [lanes] duplicate definition of h_foo (kept a.c, dropped b.c)\n"
 	if code != 1 || !strings.Contains(stdout, want) {
 		t.Fatalf("exit %d, want 1 with %q\nstdout:\n%s\nstderr:\n%s", code, want, stdout, stderr)
+	}
+}
+
+// TestUnwritableDepotWarnsOnce: a -cache directory whose every shard
+// path is a regular file fails every depot write. The check still
+// prints its reports and exits by them, and stderr carries exactly one
+// warning line.
+func TestUnwritableDepotWarnsOnce(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "clean.c", cleanSrc)
+	write(t, dir, "race.c", raceSrc)
+	if err := os.Mkdir(filepath.Join(dir, "depot"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 256; i++ {
+		write(t, filepath.Join(dir, "depot"), fmt.Sprintf("%02x", i), "")
+	}
+	for _, tc := range []struct {
+		file string
+		want int
+	}{{"clean.c", 0}, {"race.c", 1}} {
+		stdout, stderr, code := mcheck(t, dir, "-flash", "-cache", "depot", tc.file)
+		want, _, _ := mcheck(t, dir, "-flash", tc.file)
+		if code != tc.want || stdout != want {
+			t.Errorf("%s: exit %d, want %d; stdout:\n%s\nwant:\n%s", tc.file, code, tc.want, stdout, want)
+		}
+		lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")
+		if len(lines) != 1 || !strings.HasPrefix(lines[0], "mcheck: warning: ") ||
+			!strings.HasSuffix(lines[0], " depot write(s) failed; results were not cached") {
+			t.Errorf("%s: stderr is not one warning line:\n%s", tc.file, stderr)
+		}
+	}
+}
+
+// TestEmitThenLink pins the file-based inter-procedural workflow: -emit
+// writes every function's summary, and -link merges summary files and
+// runs the lane traversal over the naming-convention handlers, sorted.
+func TestEmitThenLink(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "lanes.c", `#include "flash-includes.h"
+void send_reply(void) {
+    NI_SEND(1, 0, 0, 0, 0, 0);
+}
+void h_zeta(void) {
+    send_reply();
+    send_reply();
+}
+void h_alpha(void) {
+    send_reply();
+    NI_SEND(1, 0, 0, 0, 0, 0);
+}
+void sw_once(void) {
+    send_reply();
+}
+`)
+	stdout, stderr, code := mcheck(t, dir, "-emit", "sums.json", "lanes.c")
+	if want := "emitted 4 function summaries to sums.json\n"; code != 0 || stdout != want {
+		t.Fatalf("-emit: exit %d, stdout %q, want %q\nstderr:\n%s", code, stdout, want, stderr)
+	}
+	stdout, stderr, code = mcheck(t, dir, "-link", "sums.json")
+	want := "lanes.c:11:1: [lanes] handler h_alpha exceeds lane 2 allowance (2 > 1) via h_alpha\n" +
+		"lanes.c:3:1: [lanes] handler h_zeta exceeds lane 2 allowance (2 > 1) via h_zeta -> send_reply\n" +
+		"linked 4 functions, 3 handlers, 2 report(s)\n"
+	if code != 1 || stdout != want {
+		t.Fatalf("-link: exit %d, want 1 with\n%s\ngot:\n%s\nstderr:\n%s", code, want, stdout, stderr)
 	}
 }

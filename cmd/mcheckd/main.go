@@ -15,9 +15,10 @@
 //	               Unchanged functions ride the warm-cache path.
 //	GET  /metrics  Prometheus text: request counters and seconds,
 //	               single-flight and program-cache counters, inflight
-//	               requests, max queue depth and depot size, plus the
-//	               process-wide engine/sched/depot metrics (tasks, task
-//	               seconds and cache decisions are sched_* families).
+//	               requests and depot size, plus the process-wide
+//	               engine/sched/depot metrics (tasks, task seconds and
+//	               cache decisions are sched_* families; failed depot
+//	               writes are depot_put_errors_total).
 //	GET  /healthz  readiness probe: 200 {"status":"ok"} while the
 //	               depot is reachable, 503 {"status":"degraded"} once
 //	               its root is gone, so a load balancer drains.

@@ -80,16 +80,15 @@ type reportJSON struct {
 }
 
 type statsJSON struct {
-	Functions     int      `json:"functions"`
-	Tasks         int      `json:"tasks"`
-	MaxQueueDepth int      `json:"max_queue_depth"`
-	CacheHits     int      `json:"cache_hits"`
-	CacheMisses   int      `json:"cache_misses"`
-	Reanalyzed    []string `json:"reanalyzed,omitempty"`
-	GlobalReruns  int      `json:"global_reruns"`
-	ElapsedMS     float64  `json:"elapsed_ms"`
-	TaskMS        float64  `json:"task_ms"`
-	QueueWaitMS   float64  `json:"queue_wait_ms"`
+	Functions    int      `json:"functions"`
+	Tasks        int      `json:"tasks"`
+	CacheHits    int      `json:"cache_hits"`
+	CacheMisses  int      `json:"cache_misses"`
+	Reanalyzed   []string `json:"reanalyzed,omitempty"`
+	GlobalReruns int      `json:"global_reruns"`
+	ElapsedMS    float64  `json:"elapsed_ms"`
+	TaskMS       float64  `json:"task_ms"`
+	QueueWaitMS  float64  `json:"queue_wait_ms"`
 	// Decisions breaks cache lookups down by reason.
 	Decisions map[string]int `json:"decisions,omitempty"`
 }
@@ -140,7 +139,6 @@ type server struct {
 	pcHits     *obs.Counter
 	pcMisses   *obs.Counter
 	inflight   *obs.Gauge
-	queueMax   *obs.Gauge
 	depotItems *obs.Gauge
 	depotBytes *obs.Gauge
 
@@ -181,7 +179,6 @@ func newServer(store *depot.Depot, workers int) *server {
 		pcHits:     reg.Counter("mcheckd_program_cache_hits_total", "/check requests whose parsed program was served from the program cache (frontend skipped)"),
 		pcMisses:   reg.Counter("mcheckd_program_cache_misses_total", "/check requests that ran the frontend"),
 		inflight:   reg.Gauge("mcheckd_inflight_requests", "/check requests currently executing"),
-		queueMax:   reg.Gauge("mcheckd_queue_depth_max", "largest ready-queue depth seen in any request"),
 		depotItems: reg.Gauge("mcheckd_depot_entries", "artifacts currently in the depot"),
 		depotBytes: reg.Gauge("mcheckd_depot_bytes", "bytes of artifacts currently in the depot"),
 	}
@@ -302,7 +299,7 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	// Assemble jobs exactly like cmd/mcheck: ad-hoc checkers first
 	// (sorted by name — the request carries them in a map), then the
 	// built-in suite.
-	spec := sched.ConventionSpec(prog)
+	spec := flash.ConventionSpec(prog.FnNames())
 	adhoc := make([]sched.AdHocChecker, 0, len(req.Checkers))
 	for name, src := range req.Checkers {
 		adhoc = append(adhoc, sched.AdHocChecker{Label: name, Src: src})
@@ -367,21 +364,18 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	// Task and cache-decision counts are exported once, by the
 	// scheduler itself (sched_tasks_total, sched_task_seconds,
 	// sched_cache_decisions_total).
-	s.queueMax.SetMax(float64(res.Stats.MaxQueueDepth))
-
 	resp.Reports = s.rankReports(prog, res.Reports, set, triageMode)
 	resp.Stats = statsJSON{
-		Functions:     res.Stats.Functions,
-		Tasks:         res.Stats.Tasks,
-		MaxQueueDepth: res.Stats.MaxQueueDepth,
-		CacheHits:     res.Stats.CacheHits,
-		CacheMisses:   res.Stats.CacheMisses,
-		Reanalyzed:    res.Stats.Reanalyzed,
-		GlobalReruns:  res.Stats.GlobalReruns,
-		ElapsedMS:     float64(res.Stats.Elapsed) / float64(time.Millisecond),
-		TaskMS:        float64(res.Stats.TaskTime) / float64(time.Millisecond),
-		QueueWaitMS:   float64(res.Stats.QueueWait) / float64(time.Millisecond),
-		Decisions:     res.Stats.Decisions,
+		Functions:    res.Stats.Functions,
+		Tasks:        res.Stats.Tasks,
+		CacheHits:    res.Stats.CacheHits,
+		CacheMisses:  res.Stats.CacheMisses,
+		Reanalyzed:   res.Stats.Reanalyzed,
+		GlobalReruns: res.Stats.GlobalReruns,
+		ElapsedMS:    float64(res.Stats.Elapsed) / float64(time.Millisecond),
+		TaskMS:       float64(res.Stats.TaskTime) / float64(time.Millisecond),
+		QueueWaitMS:  float64(res.Stats.QueueWait) / float64(time.Millisecond),
+		Decisions:    res.Stats.Decisions,
 	}
 	s.storeTrace(reqID, tracer.Events())
 	w.Header().Set("X-Trace-Id", reqID)

@@ -149,7 +149,13 @@ func main() {
 
 	var spec *flash.Spec
 	if *flashSuite {
-		spec = conventionSpec(prog)
+		// With no loaded program the spec is empty, which still lints
+		// the suite's built-in rule sets.
+		var names []string
+		if prog != nil {
+			names = prog.FnNames()
+		}
+		spec = flash.ConventionSpec(names)
 		for _, chk := range checkers.All() {
 			prov, ok := chk.(checkers.SMProvider)
 			if !ok {
@@ -188,32 +194,6 @@ func main() {
 	if errors > 0 || certain > 0 {
 		os.Exit(1)
 	}
-}
-
-// conventionSpec mirrors mcheck's naming-convention spec; with no
-// loaded program it is empty, which still lints the suite's built-in
-// rule sets.
-func conventionSpec(prog *core.Program) *flash.Spec {
-	spec := &flash.Spec{
-		Protocol:        "metalint",
-		Allowance:       map[string]flash.LaneVector{},
-		NoStack:         map[string]bool{},
-		BufferFreeFns:   map[string]bool{},
-		BufferUseFns:    map[string]bool{},
-		CondFreeFns:     map[string]bool{},
-		DirWritebackFns: map[string]bool{},
-	}
-	if prog != nil {
-		for _, fn := range prog.Fns {
-			switch flash.ClassifyName(fn.Name) {
-			case flash.HardwareHandler:
-				spec.Hardware = append(spec.Hardware, fn.Name)
-			case flash.SoftwareHandler:
-				spec.Software = append(spec.Software, fn.Name)
-			}
-		}
-	}
-	return spec
 }
 
 func fail(format string, args ...any) {

@@ -157,6 +157,15 @@ func (p *Program) Fn(name string) *ast.FuncDecl {
 	return nil
 }
 
+// FnNames lists the names of Fns, in order.
+func (p *Program) FnNames() []string {
+	names := make([]string, len(p.Fns))
+	for i, fn := range p.Fns {
+		names[i] = fn.Name
+	}
+	return names
+}
+
 // RunSM applies a state machine to every function and collects the
 // reports in function order. Functions are independent, so they are
 // checked concurrently; the result order is deterministic.

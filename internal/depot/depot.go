@@ -49,6 +49,7 @@ var (
 	mMisses     = obs.NewCounter("depot_misses_total", "artifact cache misses")
 	mPuts       = obs.NewCounter("depot_puts_total", "artifacts stored")
 	mPutBytes   = obs.NewCounter("depot_put_bytes_total", "bytes of artifacts stored")
+	mPutErrors  = obs.NewCounter("depot_put_errors_total", "artifact writes that failed (the artifact stays uncached)")
 	mGCRuns     = obs.NewCounter("depot_gc_runs_total", "GC sweeps")
 	mGCRemovals = obs.NewCounter("depot_gc_removed_total", "artifacts removed by GC")
 	mGCEvicted  = obs.NewCounter("depot_gc_evicted_bytes_total", "bytes reclaimed by GC (age, budget, and temp sweeps)")
@@ -256,7 +257,13 @@ func count(hit bool) {
 // Put stores blob under key. On-disk writes go through a temp file in
 // the destination directory and a rename, so readers never observe a
 // partial artifact and concurrent writers of the same key converge.
-func (d *Depot) Put(key Key, blob []byte) error {
+// A failed write is counted in depot_put_errors_total.
+func (d *Depot) Put(key Key, blob []byte) (err error) {
+	defer func() {
+		if err != nil {
+			mPutErrors.Inc()
+		}
+	}()
 	id := key.ID()
 	mPuts.Inc()
 	mPutBytes.Add(float64(len(blob)))

@@ -39,9 +39,8 @@ type Provenance struct {
 	// TraceID is the request trace the computation ran under.
 	TraceID string `json:"trace_id,omitempty"`
 	// WallUS is the wall-clock cost of the computation in
-	// microseconds; CPUUS the process CPU time if known.
+	// microseconds.
 	WallUS int64 `json:"wall_us"`
-	CPUUS  int64 `json:"cpu_us,omitempty"`
 }
 
 // ProvKey derives the sidecar key for an artifact key. The sidecar is

@@ -157,6 +157,37 @@ func ClassifyName(fn string) HandlerKind {
 	return Subroutine
 }
 
+// ConventionSpec derives a protocol spec from the h_*/sw_* naming
+// convention (ClassifyName), for checking code without an explicit
+// specification. Handlers keep their order in names; a name listed
+// twice (a handler defined twice) is listed once, as the lane pass's
+// link keeps the first definition and reports the second.
+func ConventionSpec(names []string) *Spec {
+	spec := &Spec{
+		Protocol:        "cli",
+		Allowance:       map[string]LaneVector{},
+		NoStack:         map[string]bool{},
+		BufferFreeFns:   map[string]bool{},
+		BufferUseFns:    map[string]bool{},
+		CondFreeFns:     map[string]bool{},
+		DirWritebackFns: map[string]bool{},
+	}
+	seen := map[string]bool{}
+	for _, fn := range names {
+		if seen[fn] {
+			continue
+		}
+		seen[fn] = true
+		switch ClassifyName(fn) {
+		case HardwareHandler:
+			spec.Hardware = append(spec.Hardware, fn)
+		case SoftwareHandler:
+			spec.Software = append(spec.Software, fn)
+		}
+	}
+	return spec
+}
+
 // Spec is the protocol specification a FLASH protocol designer
 // supplies: the handler inventory and per-handler lane allowances
 // (paper §7: "a protocol-writer supplied list of each handler's lane

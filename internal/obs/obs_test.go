@@ -28,14 +28,6 @@ func TestCounterGaugeArithmetic(t *testing.T) {
 	if got := g.Value(); got != 6 {
 		t.Fatalf("gauge = %v, want 6", got)
 	}
-	g.SetMax(3)
-	if got := g.Value(); got != 6 {
-		t.Fatalf("SetMax lowered gauge to %v", got)
-	}
-	g.SetMax(9)
-	if got := g.Value(); got != 9 {
-		t.Fatalf("SetMax(9) = %v, want 9", got)
-	}
 }
 
 func TestNilReceiversAreNoOps(t *testing.T) {
@@ -47,7 +39,6 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	c.Add(1)
 	g.Set(1)
 	g.Add(1)
-	g.SetMax(1)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
 	tr.Instant("x", 0)

@@ -56,7 +56,7 @@ func mkArtifact(reports []engine.Report, covs ...*engine.Coverage) artifact {
 //   - SM jobs run a state machine per function, cached per function;
 //   - Run/RunCov jobs are whole-program passes, cached per program;
 //   - the Lanes job is the §7 inter-procedural pass, decomposed into
-//     per-function summary tasks, a link barrier, and per-handler
+//     per-function summary tasks, a link task, and per-handler
 //     traversals cached by the handler's call-graph cone.
 type Job struct {
 	// Name is the checker id in depot keys and reports.
@@ -100,13 +100,13 @@ type Request struct {
 type Stats struct {
 	// Functions is the number of function definitions analyzed.
 	Functions int
-	// Tasks, MaxQueueDepth and TaskTime come from the scheduler run.
-	Tasks         int
-	MaxQueueDepth int
-	TaskTime      time.Duration
+	// Tasks and TaskTime sum the scheduler's three passes.
+	Tasks    int
+	TaskTime time.Duration
 	// Elapsed is the wall time of the whole Check call.
 	Elapsed time.Duration
-	// QueueWait is the summed time tasks spent ready but unclaimed.
+	// QueueWait is the summed time tasks waited, from the start of
+	// their pass, for a worker to claim them.
 	QueueWait time.Duration
 	// CacheHits and CacheMisses count depot lookups for this call.
 	CacheHits   int
@@ -198,19 +198,19 @@ type runState struct {
 
 // lookup resolves key for task t, identified by (checker, identity),
 // and records the cache decision: counted in the run's stats and
-// sched_cache_decisions_total, and annotated on the task's trace span.
+// sched_cache_decisions_total, and set as the task's cache decision.
 // A miss marks unit reanalyzed, or counts a global rerun when unit is
 // "". On a miss the task's marker is rewritten to the new key, so the
 // *next* run's miss (if any) can be attributed; a warm run writes
 // nothing.
-func (rs *runState) lookup(t *Task, checker, identity, unit string, key depot.Key, v any) (bool, string) {
+func (rs *runState) lookup(t *task, checker, identity, unit string, key depot.Key, v any) (bool, string) {
 	ok := rs.d.GetJSON(key, v)
 	reason := DecisionHit
 	if !ok {
 		reason = classifyMiss(rs.d, checker, identity, key)
 		writeMarker(rs.d, checker, identity, key)
 	}
-	t.Annotate("cache", reason)
+	t.cache = reason
 	decisionCounts.With(reason).Inc()
 	rs.mu.Lock()
 	switch {
@@ -231,22 +231,23 @@ func (rs *runState) lookup(t *Task, checker, identity, unit string, key depot.Ke
 // cached is every task's body: it loads key's artifact, or on a miss
 // computes it and stores it with its provenance. compute also returns
 // the depot keys of the artifacts it read (lane tasks name their
-// summaries), or nil. The string is the task's cache decision.
-func cached[T any](rs *runState, t *Task, checker, identity, unit string, key depot.Key, compute func() (T, []string)) (*T, string, error) {
+// summaries), or nil. The string is the task's cache decision. A
+// failed write (counted in depot_put_errors_total) costs the next run
+// a recompute, never this run its result.
+func cached[T any](rs *runState, t *task, checker, identity, unit string, key depot.Key, compute func() (T, []string)) (*T, string) {
 	v := new(T)
 	ok, reason := rs.lookup(t, checker, identity, unit, key, v)
 	if ok {
-		return v, reason, nil
+		return v, reason
 	}
 	t0 := time.Now()
 	var deps []string
 	*v, deps = compute()
-	if err := rs.d.PutJSON(key, v); err != nil {
-		return v, reason, err
+	if rs.d.PutJSON(key, v) == nil {
+		_ = rs.d.PutProv(key, &depot.Provenance{Deps: deps, Producer: localProducer,
+			TraceID: rs.traceID, WallUS: time.Since(t0).Microseconds()})
 	}
-	_ = rs.d.PutProv(key, &depot.Provenance{Deps: deps, Producer: localProducer,
-		TraceID: rs.traceID, WallUS: time.Since(t0).Microseconds()})
-	return v, reason, nil
+	return v, reason
 }
 
 // slot is one report task's result: the artifact it loaded or
@@ -259,11 +260,10 @@ type slot struct {
 
 // report is a report task's body: it fills s from the artifact cached
 // loads or computes, and replays the artifact's coverage.
-func (a *Analyzer) report(rs *runState, t *Task, s *slot, checker, identity, unit string, key depot.Key, compute func() (artifact, []string)) error {
-	art, reason, err := cached(rs, t, checker, identity, unit, key, compute)
+func (a *Analyzer) report(rs *runState, t *task, s *slot, checker, identity, unit string, key depot.Key, compute func() (artifact, []string)) {
+	art, reason := cached(rs, t, checker, identity, unit, key, compute)
 	*s = slot{ref: ArtifactRef{Task: t.ID, Key: key, Decision: reason}, reports: art.Reports}
 	a.recordCoverage(checker, art.Coverage)
-	return err
 }
 
 // Check analyzes req.Prog with req.Jobs, reusing every artifact in
@@ -308,7 +308,10 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 		}
 	}
 	var (
-		tasks []*Task
+		// The three passes: the lane job's per-function summaries, the
+		// link that joins them, then every report task — whole-program
+		// tasks, then per-function and per-handler ones in job order.
+		sums, link, whole, reports []*task
 		// slots holds one entry per report task, in assembly order: job
 		// order, then function or handler order — the order direct
 		// execution produces, so warm and cold runs render identically.
@@ -317,19 +320,20 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 		// linkSlots maps each lane job's trailing slot to the job's name.
 		linkSlots = map[int]string{}
 	)
-	// add appends a report task and its slot; the task's body indexes
-	// slots only when it runs, after every slot is allocated.
-	add := func(id string, deps ...string) (*Task, int) {
-		t := &Task{ID: id, Deps: deps}
-		tasks = append(tasks, t)
+	// add appends a report task to pass and its slot to slots; the
+	// task's body indexes slots only when it runs, after every slot is
+	// allocated.
+	add := func(pass *[]*task, id string) (*task, int) {
+		t := &task{ID: id}
+		*pass = append(*pass, t)
 		slots = append(slots, slot{})
 		return t, len(slots) - 1
 	}
 
 	// The lane pass's local half: one summary task per function. The
 	// summary blob is the depot's per-function CFG artifact; it is also
-	// the link input. The link barrier joins every summary into the
-	// whole-protocol call graph; per-handler lane tasks wait on it.
+	// the link input. The link joins every summary into the
+	// whole-protocol call graph the per-handler lane tasks traverse.
 	var (
 		summaries = make([]*global.Summary, len(p.Fns))
 		linked    *global.Program
@@ -339,25 +343,18 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 		if !job.Lanes {
 			continue
 		}
-		var sumIDs []string
 		for i, fn := range p.Fns {
 			key := depot.Key{Kind: "summary", Source: fps[i], Checker: "lanes",
 				Version: job.Version, Options: job.Options}
-			t := &Task{ID: fmt.Sprintf("sum:%d", i)}
-			t.Run = func() error {
-				var err error
-				summaries[i], _, err = cached(rs, t, "lanes", "sum:"+fn.Name, fn.Name, key, func() (global.Summary, []string) {
+			t := &task{ID: fmt.Sprintf("sum:%d", i)}
+			t.Run = func() {
+				summaries[i], _ = cached(rs, t, "lanes", "sum:"+fn.Name, fn.Name, key, func() (global.Summary, []string) {
 					return *global.FromCFG(p.Graphs[i], checkers.LaneAnnotator), nil
 				})
-				return err
 			}
-			sumIDs = append(sumIDs, t.ID)
-			tasks = append(tasks, t)
+			sums = append(sums, t)
 		}
-		tasks = append(tasks, &Task{ID: "link", Deps: sumIDs, Run: func() error {
-			linked, linkErrs = global.Link(summaries)
-			return nil
-		}})
+		link = []*task{{ID: "link", Run: func() { linked, linkErrs = global.Link(summaries) }}}
 		break
 	}
 
@@ -367,9 +364,9 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 			for i, fn := range p.Fns {
 				key := depot.Key{Kind: reportsKind, Source: fps[i], Checker: job.Name,
 					Version: job.Version, Options: job.Options}
-				t, si := add(fmt.Sprintf("sm:%d:%d", ji, i))
-				t.Run = func() error {
-					return a.report(rs, t, &slots[si], job.Name, "sm:"+fn.Name, fn.Name, key, func() (artifact, []string) {
+				t, si := add(&reports, fmt.Sprintf("sm:%d:%d", ji, i))
+				t.Run = func() {
+					a.report(rs, t, &slots[si], job.Name, "sm:"+fn.Name, fn.Name, key, func() (artifact, []string) {
 						reports, cov := engine.RunCov(p.Graphs[i], job.SM)
 						return mkArtifact(reports, cov), nil
 					})
@@ -378,12 +375,12 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 
 		case job.Lanes:
 			for _, h := range handlers {
-				t, si := add(fmt.Sprintf("lanes:%d:%s", ji, h), "link")
-				t.Run = func() error {
+				t, si := add(&reports, fmt.Sprintf("lanes:%d:%s", ji, h))
+				t.Run = func() {
 					reach := linked.Reachable([]string{h})
 					key := depot.Key{Kind: reportsKind, Source: reachFingerprint(h, reach, fpByFn),
 						Checker: job.Name, Version: job.Version, Options: job.Options}
-					return a.report(rs, t, &slots[si], job.Name, "lanes:"+h, h, key, func() (artifact, []string) {
+					a.report(rs, t, &slots[si], job.Name, "lanes:"+h, h, key, func() (artifact, []string) {
 						one := &flash.Spec{Hardware: []string{h}, Allowance: specAllowance(req.Spec)}
 						got, cov := checkers.CheckLanesCov(linked, one)
 						return mkArtifact(got, cov), summaryDepKeys(reach, fpByFn, job.Version, job.Options)
@@ -396,9 +393,9 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 		case job.Run != nil || job.RunCov != nil:
 			key := depot.Key{Kind: reportsKind, Source: progFP, Checker: job.Name,
 				Version: job.Version, Options: job.Options}
-			t, si := add(fmt.Sprintf("glob:%d", ji))
-			t.Run = func() error {
-				return a.report(rs, t, &slots[si], job.Name, "glob", "", key, func() (artifact, []string) {
+			t, si := add(&whole, fmt.Sprintf("glob:%d", ji))
+			t.Run = func() {
+				a.report(rs, t, &slots[si], job.Name, "glob", "", key, func() (artifact, []string) {
 					if job.RunCov != nil {
 						reports, covs := job.RunCov(p)
 						return mkArtifact(reports, covs...), nil
@@ -412,9 +409,18 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 		}
 	}
 
-	stats, err := RunTraced(a.Workers, tracer, tasks)
-	if err != nil {
+	// Whole-program tasks lead the report pass: each walks the whole
+	// program, so it runs far longer than a typical per-function or
+	// per-handler task, and claiming it first lets the short tasks fill
+	// in around it rather than leave a worker idle at the end of the
+	// pass (EXPERIMENTS.md "One pool, three passes").
+	reports = append(whole, reports...)
+	if err := uniqueIDs(sums, link, reports); err != nil {
 		return nil, err
+	}
+	var stats runStats
+	for _, tasks := range [][]*task{sums, link, reports} {
+		stats.add(pass(a.Workers, tracer, tasks))
 	}
 
 	for si, name := range linkSlots {
@@ -422,8 +428,7 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 			slots[si].reports = append(slots[si].reports, engine.Report{SM: name, Rule: "link", Msg: e.Error(),
 				Trace: engine.Witness(token.Pos{}, "link", e.Error())})
 		}
-		// Link runs live on every call (it is the barrier, never
-		// cached), so its coverage is recorded here identically on warm
+		// Link runs live on every call (it is never cached), so its coverage is recorded here identically on warm
 		// and cold paths.
 		a.Coverage.Record(name, checkers.LinkCoverage(len(linkErrs)))
 	}
@@ -442,16 +447,15 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 	}
 
 	res.Stats = Stats{
-		Functions:     len(p.Fns),
-		Tasks:         stats.Tasks,
-		MaxQueueDepth: stats.MaxQueueDepth,
-		TaskTime:      stats.TaskTime,
-		Elapsed:       time.Since(start),
-		QueueWait:     stats.QueueWait,
-		CacheHits:     rs.hits,
-		CacheMisses:   rs.misses,
-		GlobalReruns:  rs.globals,
-		Decisions:     rs.decisions,
+		Functions:    len(p.Fns),
+		Tasks:        stats.tasks,
+		TaskTime:     stats.taskTime,
+		Elapsed:      time.Since(start),
+		QueueWait:    stats.queueWait,
+		CacheHits:    rs.hits,
+		CacheMisses:  rs.misses,
+		GlobalReruns: rs.globals,
+		Decisions:    rs.decisions,
 	}
 	for fn := range rs.reanalyzed {
 		res.Stats.Reanalyzed = append(res.Stats.Reanalyzed, fn)
@@ -558,37 +562,6 @@ func BuildJobs(prog *core.Program, spec *flash.Spec, adhoc []AdHocChecker, flash
 		}
 	}
 	return set, nil
-}
-
-// ConventionSpec derives a protocol spec from the h_*/sw_* naming
-// convention, for checking code without an explicit specification
-// (cmd/mcheck and cmd/mcheckd both run under it). A handler defined
-// twice is listed once; the lane pass's link keeps the first
-// definition and reports the second.
-func ConventionSpec(prog *core.Program) *flash.Spec {
-	spec := &flash.Spec{
-		Protocol:        "cli",
-		Allowance:       map[string]flash.LaneVector{},
-		NoStack:         map[string]bool{},
-		BufferFreeFns:   map[string]bool{},
-		BufferUseFns:    map[string]bool{},
-		CondFreeFns:     map[string]bool{},
-		DirWritebackFns: map[string]bool{},
-	}
-	seen := map[string]bool{}
-	for _, fn := range prog.Fns {
-		if seen[fn.Name] {
-			continue
-		}
-		seen[fn.Name] = true
-		switch flash.ClassifyName(fn.Name) {
-		case flash.HardwareHandler:
-			spec.Hardware = append(spec.Hardware, fn.Name)
-		case flash.SoftwareHandler:
-			spec.Software = append(spec.Software, fn.Name)
-		}
-	}
-	return spec
 }
 
 // SpecHash content-addresses a protocol spec (deterministically:

@@ -13,6 +13,7 @@ import (
 	"flashmc/internal/core"
 	"flashmc/internal/depot"
 	"flashmc/internal/engine"
+	"flashmc/internal/flash"
 	"flashmc/internal/flashgen"
 	"flashmc/internal/global"
 )
@@ -143,7 +144,7 @@ func TestDuplicateHandlerLinkReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := ConventionSpec(prog)
+	spec := flash.ConventionSpec(prog.FnNames())
 	if got := strings.Join(spec.Hardware, ","); got != "h_foo" {
 		t.Fatalf("spec hardware = %q, want h_foo once", got)
 	}
