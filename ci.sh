@@ -101,6 +101,11 @@ done
 # default spends 60s shrinking every new interesting input).
 go test -run FuzzSymEval -fuzz FuzzSymEval -fuzztime 15s -fuzzminimizetime 1x ./internal/sym/
 
+# Line-marker fuzz: cpp's markers must read back as the file names and
+# lines it wrote, for any name, and any other '#' line must take the
+# lexer's directive-error path without a panic. Same short budget.
+go test -run FuzzLineMarker -fuzz FuzzLineMarker -fuzztime 15s -fuzzminimizetime 1x ./internal/cc/lexer/
+
 # Engine-equivalence fuzz: the dataflow engine must report exactly the
 # (position, message) multiset the every-path walk reports, for every
 # SM checker over generated protocols. Same short budget.

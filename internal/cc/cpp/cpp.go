@@ -5,13 +5,18 @@
 // constant-expression evaluation and defined(), #error, and #pragma
 // (ignored).
 //
-// Output is a single preprocessed text buffer in which include
-// boundaries are recorded as line markers
+// Output is a single preprocessed text buffer, one line per emitted
+// logical source line, in which positions are recorded as line markers
 //
 //	# <line> "<file>"
 //
-// which package lexer interprets, so downstream positions refer to the
-// original files.
+// (the file name quoted as strconv.Quote writes it), which package
+// lexer interprets, so downstream positions refer to the original
+// files. Markers are written only where the position jumps: at the
+// start of each file, after an #include returns, and before a line
+// whose number is not the previous output line's plus one (after a
+// directive, a skipped #if block or a continuation). Every other line
+// is where the lexer's own line count puts it.
 //
 // Files are read through the Source interface so corpora can live
 // purely in memory (package flashgen) or on disk (cmd/mcheck).
@@ -21,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 )
 
@@ -105,6 +111,17 @@ type Preprocessor struct {
 	errs        []error
 	depth       int
 
+	// outFile and outLine are the position the lexer will give the
+	// next output line; a marker is written only where that is wrong.
+	outFile string
+	outLine int
+
+	// Buffers reused across lines: a marker's text, and one logical
+	// line's scanned and top-level expanded tokens.
+	markBuf []byte
+	scanBuf []ppTok
+	expBuf  []ppTok
+
 	// KeepMacros lists function-like macro names that must NOT be
 	// expanded even if defined; the FLASH checkers pattern-match their
 	// invocations (the paper's xg++ workaround, §11).
@@ -176,7 +193,7 @@ func (p *Preprocessor) processText(file, text string) {
 	p.depth++
 	defer func() { p.depth-- }()
 
-	fmt.Fprintf(&p.out, "# %d %q\n", 1, file)
+	p.marker(1, file)
 	lines := splitLogicalLines(text)
 	var conds []condState
 
@@ -198,14 +215,27 @@ func (p *Preprocessor) processText(file, text string) {
 		if !live() {
 			continue
 		}
-		expanded := p.expandLine(file, ln.line, ln.text)
-		fmt.Fprintf(&p.out, "# %d %q\n", ln.line, file)
-		p.out.WriteString(expanded)
-		p.out.WriteByte('\n')
+		if ln.line != p.outLine || file != p.outFile {
+			p.marker(ln.line, file)
+		}
+		p.expandLine(file, ln.line, ln.text)
 	}
 	for _, c := range conds {
 		p.errorf(file, c.openLine, "unterminated #if")
 	}
+}
+
+// marker writes a line marker giving the next output line the
+// position (file, line).
+func (p *Preprocessor) marker(line int, file string) {
+	b := append(p.markBuf[:0], "# "...)
+	b = strconv.AppendInt(b, int64(line), 10)
+	b = append(b, ' ')
+	b = strconv.AppendQuote(b, file)
+	b = append(b, '\n')
+	p.out.Write(b)
+	p.markBuf = b
+	p.outFile, p.outLine = file, line
 }
 
 type logicalLine struct {
@@ -218,17 +248,32 @@ type logicalLine struct {
 func splitLogicalLines(text string) []logicalLine {
 	text = stripBlockComments(text)
 	raw := strings.Split(text, "\n")
-	var out []logicalLine
+	out := make([]logicalLine, 0, len(raw))
 	for i := 0; i < len(raw); i++ {
 		start := i + 1
 		line := raw[i]
-		for strings.HasSuffix(line, "\\") && i+1 < len(raw) {
-			line = line[:len(line)-1] + raw[i+1]
+		for i+1 < len(raw) {
+			head, ok := continued(line)
+			if !ok {
+				break
+			}
+			line = head + raw[i+1]
 			i++
 		}
 		out = append(out, logicalLine{line: start, text: line})
 	}
 	return out
+}
+
+// continued reports whether line ends in a backslash continuation,
+// with or without a CRLF line ending's '\r', and returns the line
+// without it.
+func continued(line string) (string, bool) {
+	head := strings.TrimSuffix(line, "\r")
+	if !strings.HasSuffix(head, "\\") {
+		return line, false
+	}
+	return head[:len(head)-1], true
 }
 
 // stripBlockComments replaces /*...*/ comments with spaces (preserving
@@ -404,7 +449,7 @@ func (p *Preprocessor) include(file string, line int, arg string) {
 		text, err := p.src.ReadFile(c)
 		if err == nil {
 			p.processText(c, text)
-			fmt.Fprintf(&p.out, "# %d %q\n", line+1, file)
+			p.marker(line+1, file)
 			return
 		}
 	}

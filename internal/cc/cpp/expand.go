@@ -30,8 +30,10 @@ func isIdentB(c byte) bool {
 }
 
 // scanAll tokenizes a single logical line into preprocessing tokens.
-func scanAll(s string) []ppTok {
-	var out []ppTok
+func scanAll(s string) []ppTok { return scan(nil, s) }
+
+// scan appends the preprocessing tokens of one logical line to out.
+func scan(out []ppTok, s string) []ppTok {
 	i := 0
 	space := false
 	for i < len(s) {
@@ -98,17 +100,15 @@ func scanAll(s string) []ppTok {
 	return out
 }
 
-// render converts tokens back to text, inserting spaces where needed to
-// keep adjacent tokens from gluing into different tokens.
-func render(toks []ppTok) string {
-	var b strings.Builder
+// render writes tokens back as text to b, inserting spaces where needed
+// to keep adjacent tokens from gluing into different tokens.
+func render(b *strings.Builder, toks []ppTok) {
 	for i, t := range toks {
 		if i > 0 && needSpace(toks[i-1], t) {
 			b.WriteByte(' ')
 		}
 		b.WriteString(t.text)
 	}
-	return b.String()
 }
 
 func needSpace(a, b ppTok) bool {
@@ -141,18 +141,26 @@ var glueHazard = map[string]bool{
 	"/*": true, "*/": true, "##": true, "..": true,
 }
 
-// expandLine macro-expands one logical source line.
-func (p *Preprocessor) expandLine(file string, line int, text string) string {
-	toks := scanAll(text)
-	out := p.expand(file, line, toks)
-	return render(out)
+// expandLine macro-expands one logical source line and writes it to
+// the output as one line.
+func (p *Preprocessor) expandLine(file string, line int, text string) {
+	p.scanBuf = scan(p.scanBuf[:0], text)
+	p.expBuf = p.expand(p.expBuf[:0], file, line, p.scanBuf)
+	render(&p.out, p.expBuf)
+	p.out.WriteByte('\n')
+	p.outLine++
+	// A line that expands to something starting with '#' may read as a
+	// line marker, so the next line's position is no longer known.
+	if len(p.expBuf) > 0 && strings.HasPrefix(p.expBuf[0].text, "#") {
+		p.outLine = 0
+	}
 }
 
-// expand performs macro replacement over toks until no replaceable
-// macro invocation remains. Recursion is prevented with per-token hide
-// sets (a simplification of Prosser's algorithm sufficient in practice).
-func (p *Preprocessor) expand(file string, line int, toks []ppTok) []ppTok {
-	var out []ppTok
+// expand appends to out the result of macro replacement over toks,
+// repeated until no replaceable macro invocation remains. Recursion is
+// prevented with per-token hide sets (a simplification of Prosser's
+// algorithm sufficient in practice).
+func (p *Preprocessor) expand(out []ppTok, file string, line int, toks []ppTok) []ppTok {
 	i := 0
 	for i < len(toks) {
 		t := toks[i]
@@ -170,7 +178,7 @@ func (p *Preprocessor) expand(file string, line int, toks []ppTok) []ppTok {
 		if !m.FuncLike {
 			rep := p.substitute(file, line, m, nil)
 			rep = hide(rep, m.Name, t.noExpand)
-			rep = p.expand(file, line, rep)
+			rep = p.expand(nil, file, line, rep)
 			if len(rep) > 0 {
 				rep[0].spaceBefore = t.spaceBefore
 			}
@@ -199,7 +207,7 @@ func (p *Preprocessor) expand(file string, line int, toks []ppTok) []ppTok {
 		}
 		rep := p.substitute(file, line, m, args)
 		rep = hide(rep, m.Name, t.noExpand)
-		rep = p.expand(file, line, rep)
+		rep = p.expand(nil, file, line, rep)
 		if len(rep) > 0 {
 			rep[0].spaceBefore = t.spaceBefore
 		}
@@ -289,8 +297,10 @@ func (p *Preprocessor) substitute(file string, line int, m *Macro, args [][]ppTo
 		// # param -> string literal
 		if t.text == "#" && m.FuncLike && i+1 < len(body) && body[i+1].kind == tkIdent {
 			if pi := paramIdx(body[i+1].text); pi >= 0 {
+				var b strings.Builder
+				render(&b, argFor(pi))
 				out = append(out, ppTok{kind: tkString,
-					text:        strconv.Quote(render(argFor(pi))),
+					text:        strconv.Quote(b.String()),
 					spaceBefore: t.spaceBefore})
 				i++
 				continue
@@ -316,7 +326,7 @@ func (p *Preprocessor) substitute(file string, line int, m *Macro, args [][]ppTo
 			if pi := paramIdx(t.text); pi >= 0 {
 				// Arguments are macro-expanded before substitution
 				// (except for #/## operands, handled above).
-				rep := p.expand(file, line, argFor(pi))
+				rep := p.expand(nil, file, line, argFor(pi))
 				if len(rep) > 0 {
 					rep[0].spaceBefore = t.spaceBefore
 				}
@@ -387,7 +397,7 @@ func (p *Preprocessor) evalCond(file string, line int, expr string) bool {
 		}
 		pre = append(pre, t)
 	}
-	expanded := p.expand(file, line, pre)
+	expanded := p.expand(nil, file, line, pre)
 	ev := condEval{toks: expanded}
 	v := ev.ternary()
 	if ev.err != "" {

@@ -9,13 +9,22 @@
 //
 //	# <line> "<file>"
 //
-// (emitted by cpp at include boundaries) are honoured so token
-// positions refer to the original files.
+// (written by cpp where the position jumps) are honoured so token
+// positions refer to the original files. A marker is exactly what cpp
+// writes, in column 1 and up to the end of its line: "# ", a decimal
+// line number, one space and a double-quoted Go string literal as
+// strconv.Unquote accepts it. Anything else starting with '#' in
+// column 1, such as "#1 \"x\"", "# +5 \"x\"" or "# 5 \"x\" int y;", is
+// reported as an unexpected preprocessor directive and its line
+// skipped.
 package lexer
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"flashmc/internal/cc/token"
 )
@@ -130,29 +139,61 @@ func (l *Lexer) skipSpace() {
 	}
 }
 
-// lineMarker parses "# line "file"" directives emitted by cpp. Any
-// other directive reaching the lexer is an error (cpp should have
-// consumed it); it is reported and the line skipped.
+// lineMarker handles a '#' in column 1: a line marker written by cpp
+// sets the position of the next line. Any other directive reaching the
+// lexer is an error (cpp should have consumed it); it is reported and
+// the line skipped.
 func (l *Lexer) lineMarker() {
 	pos := l.pos()
-	start := l.off
-	for l.off < len(l.src) && l.peek() != '\n' {
-		l.advance()
+	end := strings.IndexByte(l.src[l.off:], '\n')
+	if end < 0 {
+		end = len(l.src)
+	} else {
+		end += l.off
 	}
-	text := l.src[start:l.off]
-	var lineNo int
-	var file string
-	n, _ := fmt.Sscanf(text, "# %d %q", &lineNo, &file)
-	if n == 2 {
-		l.file = file
-		l.line = lineNo
-		l.col = 1
+	text := l.src[l.off:end]
+	if line, file, ok := parseMarker(text); ok {
+		l.file, l.line, l.col = file, line, 1
+		l.off = end
 		if l.off < len(l.src) {
 			l.off++ // consume '\n' without bumping line (marker sets it)
 		}
 		return
 	}
+	l.off = end
+	l.col += len(text)
 	l.errorf(pos, "unexpected preprocessor directive %q (cpp should have removed it)", strings.TrimSpace(text))
+}
+
+// parseMarker parses one line-marker line, "# <decimal> <quoted>". A
+// name that strconv.Unquote would return unchanged is a substring of s.
+func parseMarker(s string) (line int, file string, ok bool) {
+	if len(s) < 2 || s[0] != '#' || s[1] != ' ' {
+		return 0, "", false
+	}
+	i := 2
+	for ; i < len(s) && isDigit(s[i]); i++ {
+		d := int(s[i] - '0')
+		if line > (math.MaxInt-d)/10 {
+			return 0, "", false
+		}
+		line = line*10 + d
+	}
+	if i == 2 || i == len(s) || s[i] != ' ' {
+		return 0, "", false
+	}
+	q := s[i+1:]
+	if len(q) < 2 || q[0] != '"' || q[len(q)-1] != '"' {
+		return 0, "", false
+	}
+	file = q[1 : len(q)-1]
+	if strings.IndexByte(file, '\\') >= 0 || strings.IndexByte(file, '"') >= 0 || !utf8.ValidString(file) {
+		var err error
+		if file, err = strconv.Unquote(q); err != nil {
+			return 0, "", false
+		}
+	}
+	return line, file, true
 }
 
 // Next returns the next token. At end of input it returns an EOF token
@@ -182,7 +223,9 @@ func (l *Lexer) Next() token.Token {
 
 // All tokenizes the remaining input, always ending with an EOF token.
 func (l *Lexer) All() []token.Token {
-	var toks []token.Token
+	// Preprocessed protocol C runs 2.3-2.6 bytes per token, so half the
+	// input's length holds every token in one allocation.
+	toks := make([]token.Token, 0, (len(l.src)-l.off)/2+1)
 	for {
 		t := l.Next()
 		toks = append(toks, t)
@@ -377,7 +420,7 @@ func (l *Lexer) operator(pos token.Pos) token.Token {
 	}
 	c := l.advance()
 	if k, ok := ops1[c]; ok {
-		return token.Token{Kind: k, Pos: pos, Text: string(c)}
+		return token.Token{Kind: k, Pos: pos, Text: l.src[l.off-1 : l.off]}
 	}
 	l.errorf(pos, "illegal character %q", c)
 	// Return something the parser can resynchronize on.

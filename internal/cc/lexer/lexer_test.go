@@ -160,6 +160,49 @@ func TestLineMarkers(t *testing.T) {
 	}
 }
 
+// Only the exact marker cpp writes moves positions; near misses that
+// fmt.Sscanf("# %d %q") used to accept are directive errors now.
+func TestLineMarkerGrammar(t *testing.T) {
+	for m, file := range map[string]string{
+		`# 5 "x"`:               "x",
+		`# 05 "x"`:              "x",
+		`# 5 ""`:                "",
+		`# 5 "dir/é.h"`:         "dir/é.h",
+		`# 5 "a\"b\\c\x00\xff"`: "a\"b\\c\x00\xff",
+	} {
+		toks := New("t.c", m+"\nint").All()
+		if toks[0].Pos != (token.Pos{File: file, Line: 5, Col: 1}) {
+			t.Errorf("%s: int at %v, want %q:5:1", m, toks[0].Pos, file)
+		}
+	}
+	for _, m := range []string{
+		`#1 "x"`,
+		`# +5 "x"`,
+		`# -5 "x"`,
+		`# 5 "x" int y;`,
+		`# 5  "x"`,
+		`# 5 "x"` + "\r",
+		`# 5 x`,
+		`# 5 'x'`,
+		"# 5 `x`",
+		`# 5 "x`,
+		`# 5 "x\q"`,
+		`# 99999999999999999999 "x"`,
+		`# 5`,
+		`#`,
+	} {
+		l := New("t.c", m+"\nint")
+		toks := l.All()
+		if toks[0].Pos != (token.Pos{File: "t.c", Line: 2, Col: 1}) {
+			t.Errorf("%q: int at %v, want t.c:2:1", m, toks[0].Pos)
+		}
+		if errs := l.Errors(); len(errs) != 1 ||
+			!strings.Contains(errs[0].Error(), "t.c:1:1: unexpected preprocessor directive") {
+			t.Errorf("%q: errors %v", m, errs)
+		}
+	}
+}
+
 func TestKeywordsVsIdents(t *testing.T) {
 	got := kinds("while whiles struct structx if iffy")
 	want := []token.Kind{token.KwWhile, token.Ident, token.KwStruct,
