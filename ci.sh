@@ -111,6 +111,12 @@ go test -run FuzzLineMarker -fuzz FuzzLineMarker -fuzztime 15s -fuzzminimizetime
 # SM checker over generated protocols. Same short budget.
 go test -run FuzzEngineVsPaths -fuzz FuzzEngineVsPaths -fuzztime 15s -fuzzminimizetime 1x ./internal/checkers/
 
+# Matcher-equivalence fuzz: match.First and match.Find must agree with
+# the clone-per-candidate reference matcher kept in the test, for the
+# six SM checkers' patterns over seed-1 protocol statements, and must
+# never change the caller's Env. Same short budget.
+go test -run FuzzMatchFirst -fuzz FuzzMatchFirst -fuzztime 15s -fuzzminimizetime 1x ./internal/match/
+
 # Daemon trace gate: one local mcheckd must serve a valid Chrome
 # trace for a /check it answered (fetched by mcheckclient -trace from
 # /debug/trace/<X-Trace-Id>), and obscheck's per-process breakdown

@@ -420,25 +420,59 @@ func (c config) withoutCond(name string) config {
 // trace a report carries — is as deterministic as the insertion
 // sequence, which is: the work list is a slice, predecessor edges are
 // slices, and every iteration below walks list order.
+//
+// Sets are tiny: over perfbench's cold_suite and edit_loop, 99.9% of
+// sets hold one configuration and none holds more than two; no checker
+// run in the tests builds one of more than four. So add scans the
+// list's keys and builds the idx map only once the set outgrows
+// smallSet, which bounds the cost of an unusually wide join. At eight
+// members a scan and a map lookup cost the same on keys of this shape;
+// past that the map wins (EXPERIMENTS.md).
 type configSet struct {
+	list []keyedConfig
 	idx  map[string]struct{}
-	list []config
 }
+
+// keyedConfig is a set member with its key, computed once by add.
+type keyedConfig struct {
+	key string
+	config
+}
+
+const smallSet = 8
 
 func (s *configSet) add(c config) bool {
 	k := c.key()
-	if _, ok := s.idx[k]; ok {
-		return false
+	if s.idx != nil {
+		if _, ok := s.idx[k]; ok {
+			return false
+		}
+		s.idx[k] = struct{}{}
+	} else {
+		for _, x := range s.list {
+			if x.key == k {
+				return false
+			}
+		}
+		if len(s.list) == smallSet {
+			s.idx = make(map[string]struct{}, 2*smallSet)
+			for _, x := range s.list {
+				s.idx[x.key] = struct{}{}
+			}
+			s.idx[k] = struct{}{}
+		}
 	}
-	if s.idx == nil {
-		s.idx = map[string]struct{}{}
-	}
-	s.idx[k] = struct{}{}
-	s.list = append(s.list, c)
+	s.list = append(s.list, keyedConfig{k, c})
 	return true
 }
 
-func (s *configSet) configs() []config { return s.list }
+// reset empties s, keeping its storage for the next visit.
+func (s *configSet) reset() {
+	s.list = s.list[:0]
+	s.idx = nil
+}
+
+func (s *configSet) configs() []keyedConfig { return s.list }
 
 // smPlan is the compile-time shape of one SM: its rules partitioned by
 // owning state, so transfer need not rescan every rule per event.
@@ -571,9 +605,6 @@ func (r *runner) runToFixpoint() {
 
 	// out[n] = configurations holding immediately after n's event.
 	out := make([]configSet, len(g.Nodes))
-	for i := range out {
-		out[i] = configSet{}
-	}
 
 	work := []*cfg.Node{g.Entry}
 	inWork := make([]bool, len(g.Nodes))
@@ -581,11 +612,9 @@ func (r *runner) runToFixpoint() {
 
 	// Seed: entry's transfer on the start configuration.
 	seed := config{state: start, env: match.Env{}}
-	for _, c := range r.transfer(g.Entry, seed) {
-		if out[g.Entry.ID].add(c) {
-			r.nConfigs++
-			cov.hitState(c.state)
-		}
+	if c, ok := r.transfer(g.Entry, seed); ok && out[g.Entry.ID].add(c) {
+		r.nConfigs++
+		cov.hitState(c.state)
 	}
 	inWork[g.Entry.ID] = false
 	for _, e := range g.Entry.Succs {
@@ -595,6 +624,8 @@ func (r *runner) runToFixpoint() {
 		}
 	}
 
+	// in gathers one visit's input configurations; each visit resets it.
+	var in configSet
 	for len(work) > 0 {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -604,23 +635,21 @@ func (r *runner) runToFixpoint() {
 		}
 		// Gather input configs across incoming edges, applying branch
 		// refinement when the predecessor is a branch node.
-		in := configSet{}
+		in.reset()
 		for _, e := range n.Preds {
-			for _, c := range out[e.From.ID].configs() {
-				rc, keep := r.refine(c, e)
+			for _, k := range out[e.From.ID].configs() {
+				rc, keep := r.refine(k.config, e)
 				if keep {
 					in.add(rc)
 				}
 			}
 		}
 		changed := false
-		for _, c := range in.configs() {
-			for _, nc := range r.transfer(n, c) {
-				if out[n.ID].add(nc) {
-					r.nConfigs++
-					cov.hitState(nc.state)
-					changed = true
-				}
+		for _, k := range in.configs() {
+			if nc, ok := r.transfer(n, k.config); ok && out[n.ID].add(nc) {
+				r.nConfigs++
+				cov.hitState(nc.state)
+				changed = true
 			}
 		}
 		if changed {
@@ -634,7 +663,8 @@ func (r *runner) runToFixpoint() {
 	}
 
 	if sm.AtExit != nil {
-		for _, c := range out[g.Exit.ID].configs() {
+		for _, k := range out[g.Exit.ID].configs() {
+			c := k.config
 			ctx := &Ctx{Env: c.env, Node: g.Exit, MatchPos: g.Exit.Pos(),
 				State: c.state, eng: r, ruleTag: "at-exit", trace: c.trace}
 			sm.AtExit(ctx)
@@ -668,11 +698,10 @@ func (r *runner) refine(c config, e *cfg.Edge) (config, bool) {
 			continue
 		}
 		r.nEvals++
-		results := match.Find(cr.Pattern, cond, c.env)
-		if len(results) == 0 {
+		_, matched, ok := match.First(cr.Pattern, cond, c.env)
+		if !ok {
 			continue
 		}
-		matched := results[0].Env
 		r.cov.hitCond(r.condKeys[ci])
 		isTrue := e.Label == cfg.True
 		if negated {
@@ -725,8 +754,10 @@ func stripNot(e ast.Expr) (ast.Expr, bool) {
 	}
 }
 
-// transfer processes node n's event for configuration c.
-func (r *runner) transfer(n *cfg.Node, c config) []config {
+// transfer processes node n's event for configuration c. It yields the
+// one configuration holding after the event; ok is false when a rule
+// moved c to Stop.
+func (r *runner) transfer(n *cfg.Node, c config) (config, bool) {
 	var event ast.Node
 	switch n.Kind {
 	case cfg.KindStmt:
@@ -734,7 +765,7 @@ func (r *runner) transfer(n *cfg.Node, c config) []config {
 	case cfg.KindBranch:
 		event = n.Cond
 	default:
-		return []config{c}
+		return c, true
 	}
 
 	// Writes to a variable whose branch outcome was recorded
@@ -761,7 +792,7 @@ func (r *runner) transfer(n *cfg.Node, c config) []config {
 
 	// State-specific rules first, then all-state rules (paper §5).
 	r.nVisits++
-	fire := func(rules []*Rule) ([]config, bool) {
+	fire := func(rules []*Rule) (next config, alive, fired bool) {
 		for _, rule := range rules {
 			env, pos, alt, ok := r.matchRule(rule, event, c.env)
 			if !ok {
@@ -786,23 +817,23 @@ func (r *runner) transfer(n *cfg.Node, c config) []config {
 			}
 			switch rule.Target {
 			case "":
-				return []config{{state: c.state, env: r.sm.keepTracked(env), conds: c.conds, trace: tr}}, true
+				return config{state: c.state, env: r.sm.keepTracked(env), conds: c.conds, trace: tr}, true, true
 			case Stop:
-				return nil, true
+				return config{}, false, true
 			default:
-				return []config{{state: rule.Target, env: r.sm.envFor(rule.Target, env), conds: c.conds, trace: tr}}, true
+				return config{state: rule.Target, env: r.sm.envFor(rule.Target, env), conds: c.conds, trace: tr}, true, true
 			}
 		}
-		return nil, false
+		return config{}, false, false
 	}
 
-	if out, fired := fire(r.plan.byState[c.state]); fired {
-		return out
+	if next, alive, fired := fire(r.plan.byState[c.state]); fired {
+		return next, alive
 	}
-	if out, fired := fire(r.plan.allRules); fired {
-		return out
+	if next, alive, fired := fire(r.plan.allRules); fired {
+		return next, alive
 	}
-	return []config{c}
+	return c, true
 }
 
 // matchRule tries each alternative of a rule against the event. The
@@ -829,15 +860,15 @@ func evalPattern(p Pattern, event ast.Node, env match.Env) (match.Env, token.Pos
 		// Expression-statement patterns also match as
 		// sub-expressions of any event.
 		if es, ok := p.Stmt.(*ast.ExprStmt); ok {
-			if results := match.Find(es.X, event, env); len(results) > 0 {
-				return results[0].Env, results[0].Expr.Pos(), true
+			if hit, got, ok := match.First(es.X, event, env); ok {
+				return got, hit.Pos(), true
 			}
 		}
 		return nil, token.Pos{}, false
 	}
 	if p.Expr != nil {
-		if results := match.Find(p.Expr, event, env); len(results) > 0 {
-			return results[0].Env, results[0].Expr.Pos(), true
+		if hit, got, ok := match.First(p.Expr, event, env); ok {
+			return got, hit.Pos(), true
 		}
 	}
 	return nil, token.Pos{}, false

@@ -49,12 +49,12 @@ func RunPaths(g *cfg.Graph, sm *SM, limit int) []Report {
 					}
 				}
 			}
-			next := r.transfer(n, c)
-			if len(next) == 0 {
+			next, ok := r.transfer(n, c)
+			if !ok {
 				alive = false
 				break
 			}
-			c = next[0]
+			c = next
 		}
 		if alive && sm.AtExit != nil {
 			ctx := &Ctx{Env: c.env, Node: g.Exit, MatchPos: g.Exit.Pos(),

@@ -30,9 +30,6 @@ type Config struct {
 // State returns the configuration's SM state.
 func (c Config) State() string { return c.c.state }
 
-// Env returns the configuration's tracked wildcard bindings.
-func (c Config) Env() match.Env { return c.c.env }
-
 // NewSim prepares a stepper for sm over g.
 func NewSim(g *cfg.Graph, sm *SM) *Sim {
 	start := sm.Start
@@ -54,11 +51,11 @@ func (s *Sim) Start() (Config, bool) {
 // Transfer processes node n's event for c, firing rule actions. ok is
 // false when the configuration was killed (a rule moved it to Stop).
 func (s *Sim) Transfer(n *cfg.Node, c Config) (Config, bool) {
-	out := s.r.transfer(n, c.c)
-	if len(out) == 0 {
+	out, ok := s.r.transfer(n, c.c)
+	if !ok {
 		return Config{}, false
 	}
-	return Config{out[0]}, true
+	return Config{out}, true
 }
 
 // Refine applies branch-condition rules (and the SM's own

@@ -9,6 +9,14 @@
 // Parentheses are transparent on both sides: the pattern "f(x)"
 // matches the subject "(f((x)))", mirroring xg++'s source-level
 // matching behaviour.
+//
+// Matching never copies the caller's Env. A binder reads it as the
+// base and records new bindings on a trail (a short slice of name,
+// expression pairs); a failed candidate truncates the trail, and an
+// Env map is built only for a hit. Nearly every evaluation the engine
+// makes is a miss, so a miss allocates nothing. First returns the
+// first hit of a sub-expression search — all the engine needs — and
+// stops there; Find returns every hit.
 package match
 
 import (
@@ -20,7 +28,65 @@ import (
 // is a valid empty environment.
 type Env map[string]ast.Expr
 
-// clone copies e so failed alternatives don't leak bindings.
+// binder holds the bindings of one match attempt: the caller's Env,
+// read-only, plus the trail of bindings the attempt added. The trail
+// starts in a [trailLen]binding array on the caller's stack and moves
+// to the heap only past its length, so a match that binds a few
+// wildcards and then fails allocates nothing.
+type binder struct {
+	base  Env
+	trail []binding
+}
+
+type binding struct {
+	name string
+	expr ast.Expr
+}
+
+// trailLen covers every pattern the built-in checkers compile: the
+// widest binds six wildcards.
+const trailLen = 8
+
+// bind appends to the trail. It grows the trail into a fresh array
+// rather than with append, which would let escape analysis move every
+// caller's stack array to the heap.
+func (b *binder) bind(name string, e ast.Expr) {
+	if len(b.trail) == cap(b.trail) {
+		grown := make([]binding, len(b.trail), 2*cap(b.trail))
+		copy(grown, b.trail)
+		b.trail = grown
+	}
+	b.trail = b.trail[:len(b.trail)+1]
+	b.trail[len(b.trail)-1] = binding{name, e}
+}
+
+func (b *binder) lookup(name string) (ast.Expr, bool) {
+	for _, x := range b.trail {
+		if x.name == name {
+			return x.expr, true
+		}
+	}
+	e, ok := b.base[name]
+	return e, ok
+}
+
+// try matches pat against subj from an empty trail, so a failed
+// candidate leaves nothing behind for the next one.
+func (b *binder) try(pat, subj ast.Expr) bool {
+	b.trail = b.trail[:0]
+	return exprInto(pat, subj, b)
+}
+
+// env builds the Env of a hit: a fresh map of base plus trail.
+func (b *binder) env() Env {
+	out := b.base.clone()
+	for _, x := range b.trail {
+		out[x.name] = x.expr
+	}
+	return out
+}
+
+// clone copies e into a fresh map.
 func (e Env) clone() Env {
 	out := make(Env, len(e)+2)
 	for k, v := range e {
@@ -43,18 +109,19 @@ func stripParens(e ast.Expr) ast.Expr {
 // Expr matches pattern pat against subject subj under env. On success
 // it returns the extended environment (a copy; env is not mutated).
 func Expr(pat, subj ast.Expr, env Env) (Env, bool) {
-	out := env.clone()
-	if exprInto(pat, subj, out) {
-		return out, true
+	var buf [trailLen]binding
+	b := binder{base: env, trail: buf[:0]}
+	if b.try(pat, subj) {
+		return b.env(), true
 	}
 	return nil, false
 }
 
-func exprInto(pat, subj ast.Expr, env Env) bool {
+func exprInto(pat, subj ast.Expr, b *binder) bool {
 	pat = stripParens(pat)
 	subj = stripParens(subj)
 	if w, ok := pat.(*ast.Wildcard); ok {
-		return bindWildcard(w, subj, env)
+		return bindWildcard(w, subj, b)
 	}
 	switch p := pat.(type) {
 	case *ast.Ident:
@@ -74,39 +141,39 @@ func exprInto(pat, subj ast.Expr, env Env) bool {
 		return ok && s.Value == p.Value
 	case *ast.Unary:
 		s, ok := subj.(*ast.Unary)
-		return ok && s.Op == p.Op && s.Postfix == p.Postfix && exprInto(p.X, s.X, env)
+		return ok && s.Op == p.Op && s.Postfix == p.Postfix && exprInto(p.X, s.X, b)
 	case *ast.Binary:
 		s, ok := subj.(*ast.Binary)
-		return ok && s.Op == p.Op && exprInto(p.X, s.X, env) && exprInto(p.Y, s.Y, env)
+		return ok && s.Op == p.Op && exprInto(p.X, s.X, b) && exprInto(p.Y, s.Y, b)
 	case *ast.Assign:
 		s, ok := subj.(*ast.Assign)
-		return ok && s.Op == p.Op && exprInto(p.LHS, s.LHS, env) && exprInto(p.RHS, s.RHS, env)
+		return ok && s.Op == p.Op && exprInto(p.LHS, s.LHS, b) && exprInto(p.RHS, s.RHS, b)
 	case *ast.Cond:
 		s, ok := subj.(*ast.Cond)
-		return ok && exprInto(p.C, s.C, env) && exprInto(p.Then, s.Then, env) && exprInto(p.Else, s.Else, env)
+		return ok && exprInto(p.C, s.C, b) && exprInto(p.Then, s.Then, b) && exprInto(p.Else, s.Else, b)
 	case *ast.Call:
 		s, ok := subj.(*ast.Call)
-		if !ok || len(s.Args) != len(p.Args) || !exprInto(p.Fun, s.Fun, env) {
+		if !ok || len(s.Args) != len(p.Args) || !exprInto(p.Fun, s.Fun, b) {
 			return false
 		}
 		for i := range p.Args {
-			if !exprInto(p.Args[i], s.Args[i], env) {
+			if !exprInto(p.Args[i], s.Args[i], b) {
 				return false
 			}
 		}
 		return true
 	case *ast.Index:
 		s, ok := subj.(*ast.Index)
-		return ok && exprInto(p.X, s.X, env) && exprInto(p.Idx, s.Idx, env)
+		return ok && exprInto(p.X, s.X, b) && exprInto(p.Idx, s.Idx, b)
 	case *ast.Member:
 		s, ok := subj.(*ast.Member)
-		return ok && s.Name == p.Name && s.Arrow == p.Arrow && exprInto(p.X, s.X, env)
+		return ok && s.Name == p.Name && s.Arrow == p.Arrow && exprInto(p.X, s.X, b)
 	case *ast.Cast:
 		s, ok := subj.(*ast.Cast)
-		return ok && types.Equal(s.To, p.To) && exprInto(p.X, s.X, env)
+		return ok && types.Equal(s.To, p.To) && exprInto(p.X, s.X, b)
 	case *ast.SizeofExpr:
 		s, ok := subj.(*ast.SizeofExpr)
-		return ok && exprInto(p.X, s.X, env)
+		return ok && exprInto(p.X, s.X, b)
 	case *ast.SizeofType:
 		s, ok := subj.(*ast.SizeofType)
 		return ok && types.Equal(s.Of, p.Of)
@@ -116,7 +183,7 @@ func exprInto(pat, subj ast.Expr, env Env) bool {
 			return false
 		}
 		for i := range p.Elems {
-			if !exprInto(p.Elems[i], s.Elems[i], env) {
+			if !exprInto(p.Elems[i], s.Elems[i], b) {
 				return false
 			}
 		}
@@ -127,24 +194,26 @@ func exprInto(pat, subj ast.Expr, env Env) bool {
 
 // bindWildcard checks w's constraint against subj and records or
 // verifies the binding.
-func bindWildcard(w *ast.Wildcard, subj ast.Expr, env Env) bool {
+func bindWildcard(w *ast.Wildcard, subj ast.Expr, b *binder) bool {
 	if !constraintOK(w.Constraint, subj) {
 		return false
 	}
 	if w.Name == "" || w.Name == "_" {
 		return true
 	}
-	if prev, ok := env[w.Name]; ok {
+	if prev, ok := b.lookup(w.Name); ok {
 		return EqualExpr(prev, subj)
 	}
-	env[w.Name] = subj
+	b.bind(w.Name, subj)
 	return true
 }
 
 // constraintOK implements the wildcard constraint vocabulary. Unknown
 // subject types (unchecked pattern fragments, lenient frontend) are
-// accepted for type-based constraints, matching the paper's permissive
-// matching of macro-heavy code.
+// accepted by the scalar, integer and pointer constraints, matching the
+// paper's permissive matching of macro-heavy code. "float" is the
+// exception: it rejects an unknown type, or the no-float checker would
+// flag every untyped expression.
 func constraintOK(c string, subj ast.Expr) bool {
 	switch c {
 	case "", "expr", "any", "node":
@@ -308,18 +377,40 @@ type Result struct {
 
 // Find collects every sub-expression of root that matches pat. root
 // may be any AST node (statement, expression or declaration); the
-// search recurses through all expressions it contains.
+// search recurses through all expressions it contains, in ast.Inspect
+// order.
 func Find(pat ast.Expr, root ast.Node, env Env) []Result {
 	var out []Result
+	var buf [trailLen]binding
+	b := binder{base: env, trail: buf[:0]}
 	ast.Inspect(root, func(n ast.Node) bool {
-		e, ok := n.(ast.Expr)
-		if !ok {
-			return true
-		}
-		if got, matched := Expr(pat, e, env); matched {
-			out = append(out, Result{Expr: e, Env: got})
+		if e, ok := n.(ast.Expr); ok && b.try(pat, e) {
+			out = append(out, Result{Expr: e, Env: b.env()})
 		}
 		return true
 	})
 	return out
+}
+
+// First returns the first sub-expression of root, in Find's order, that
+// matches pat, with its environment. It is Find(pat, root, env)[0]
+// without the search past the first hit; ok is false when Find would
+// return nothing.
+func First(pat ast.Expr, root ast.Node, env Env) (hit ast.Expr, got Env, ok bool) {
+	var buf [trailLen]binding
+	b := binder{base: env, trail: buf[:0]}
+	ast.Inspect(root, func(n ast.Node) bool {
+		if ok {
+			return false
+		}
+		if e, isExpr := n.(ast.Expr); isExpr && b.try(pat, e) {
+			hit, ok = e, true
+			return false
+		}
+		return true
+	})
+	if !ok {
+		return nil, nil, false
+	}
+	return hit, b.env(), true
 }

@@ -340,3 +340,118 @@ func TestUnderscoreWildcardDoesNotBind(t *testing.T) {
 		t.Error("underscore bound")
 	}
 }
+
+// firstStmt parses a one-function file and returns the first statement
+// of its body.
+func firstStmt(t *testing.T, src string) ast.Stmt {
+	t.Helper()
+	f, errs := parser.ParseText("t.c", src)
+	if len(errs) != 0 {
+		t.Fatal(errs)
+	}
+	return f.Funcs()[0].Body.Stmts[0]
+}
+
+func TestFirstMissAllocatesNothing(t *testing.T) {
+	s := firstStmt(t, `void g(void) {
+	v = MISCBUS_READ_DB(a, b) + MISCBUS_READ_DB(c, d) + DIR_ADDR(f(a, a));
+}`)
+	base := Env{"y": subj(t, "e")}
+	for _, tc := range []struct {
+		src  string
+		wild map[string]string
+	}{
+		// No candidate gets past the callee.
+		{"WAIT_FOR_DB_FULL(x)", map[string]string{"x": ""}},
+		// Every call binds x to its first argument, then fails.
+		{"MISCBUS_READ_DB(x, x)", map[string]string{"x": ""}},
+		// Binds x, then fails on the base Env's y.
+		{"MISCBUS_READ_DB(x, y)", map[string]string{"x": "", "y": ""}},
+	} {
+		p := pat(t, tc.src, tc.wild)
+		if _, _, ok := First(p, s, base); ok {
+			t.Fatalf("%s matched", tc.src)
+		}
+		if n := testing.AllocsPerRun(100, func() { First(p, s, base) }); n != 0 {
+			t.Errorf("a First miss of %s allocates %v objects, want 0", tc.src, n)
+		}
+	}
+}
+
+func TestTrailUndo(t *testing.T) {
+	p := pat(t, "k(x, x)", map[string]string{"x": ""})
+	s := subj(t, "g(k(a, b), k(c, c))")
+	// k(a, b) binds x=a and fails; the hit must not see that binding.
+	hit, env, ok := First(p, s, nil)
+	if !ok || ast.ExprString(hit) != "k(c, c)" || ast.ExprString(env["x"]) != "c" || len(env) != 1 {
+		t.Fatalf("First = %v %v %v, want k(c, c) {x: c}", hit, env, ok)
+	}
+	if got := Find(p, s, nil); len(got) != 1 || got[0].Expr != hit || len(got[0].Env) != 1 {
+		t.Fatalf("Find = %v, want just k(c, c)", got)
+	}
+	// A pre-bound x is honoured, not shadowed by the trail.
+	c := subj(t, "c")
+	if hit, env, ok := First(p, s, Env{"x": c}); !ok || ast.ExprString(hit) != "k(c, c)" || env["x"] != c {
+		t.Errorf("with x=c bound: First = %v %v %v, want k(c, c) with the caller's c", hit, env, ok)
+	}
+	if hit, _, ok := First(p, s, Env{"x": subj(t, "a")}); ok {
+		t.Errorf("with x=a bound: First hit %s", ast.ExprString(hit))
+	}
+	if got := Find(p, s, Env{"x": subj(t, "a")}); len(got) != 0 {
+		t.Errorf("with x=a bound: Find = %v", got)
+	}
+}
+
+// TestCallerEnvNeverMutated covers every entry point, on a hit and on a
+// miss, with the caller's Env holding one of the pattern's names.
+func TestCallerEnvNeverMutated(t *testing.T) {
+	p := pat(t, "k(x, y)", map[string]string{"x": "", "y": ""})
+	stmtPat, err := parser.ParseStmtPattern("k(x, y);", parser.PatternContext{
+		Wildcards: map[string]string{"x": "", "y": ""}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := firstStmt(t, `void g(void) { k(a, k(a, b)); }`)
+	miss := firstStmt(t, `void g(void) { k(b, c); }`)
+	a := subj(t, "a")
+	base := Env{"x": a}
+	for _, s := range []ast.Stmt{hit, miss} {
+		e := s.(*ast.ExprStmt).X
+		Stmt(stmtPat, s, base)
+		Expr(p, e, base)
+		First(p, s, base)
+		Find(p, s, base)
+		if len(base) != 1 || base["x"] != a {
+			t.Fatalf("matching %s changed the caller's Env to %v", ast.StmtString(s), base)
+		}
+	}
+	// The hits themselves extend a copy.
+	if env, ok := Stmt(stmtPat, hit, base); !ok || ast.ExprString(env["y"]) != "k(a, b)" {
+		t.Errorf("Stmt = %v %v", env, ok)
+	}
+	if _, env, ok := First(p, hit, base); !ok || ast.ExprString(env["y"]) != "k(a, b)" {
+		t.Errorf("First = %v %v", env, ok)
+	}
+	if _, ok := Expr(p, miss.(*ast.ExprStmt).X, base); ok {
+		t.Error("k(b, c) matched with x=a bound")
+	}
+}
+
+// TestConstraintUnknownType pins constraintOK's contract for subjects
+// without a type: the scalar, integer and pointer constraints accept
+// them, float rejects them.
+func TestConstraintUnknownType(t *testing.T) {
+	s := subj(t, "f(n)") // pattern-parsed: no types
+	if s.(*ast.Call).Args[0].Type() != nil {
+		t.Fatal("subject unexpectedly typed")
+	}
+	for c, want := range map[string]bool{
+		"scalar": true, "unsigned": true, "int": true, "integer": true,
+		"ptr": true, "pointer": true, "float": false,
+	} {
+		p := pat(t, "f(v)", map[string]string{"v": c})
+		if _, ok := Expr(p, s, nil); ok != want {
+			t.Errorf("constraint %s on an untyped subject: matched=%v, want %v", c, ok, want)
+		}
+	}
+}
