@@ -106,6 +106,12 @@ go test -run FuzzSymEval -fuzz FuzzSymEval -fuzztime 15s -fuzzminimizetime 1x ./
 # lexer's directive-error path without a panic. Same short budget.
 go test -run FuzzLineMarker -fuzz FuzzLineMarker -fuzztime 15s -fuzzminimizetime 1x ./internal/cc/lexer/
 
+# Token-buffer fuzz: core.Load lexes every unit into one reused token
+# buffer; for 2-5 units cut from seed-1 protocol sources, with fuzzed
+# byte edits and order, it must load the same diagnostics and the same
+# fingerprints as a fresh lexer.All() slice per unit. Same short budget.
+go test -run FuzzLoadUnits -fuzz FuzzLoadUnits -fuzztime 15s -fuzzminimizetime 1x ./internal/core/
+
 # Engine-equivalence fuzz: the dataflow engine must report exactly the
 # (position, message) multiset the every-path walk reports, for every
 # SM checker over generated protocols. Same short budget.

@@ -17,6 +17,10 @@
 // column 1, such as "#1 \"x\"", "# +5 \"x\"" or "# 5 \"x\" int y;", is
 // reported as an unexpected preprocessor directive and its line
 // skipped.
+//
+// All returns a fresh token slice; AppendAll appends to the caller's
+// and keeps no reference to it, so a caller lexing many buffers can
+// reuse one slice across them.
 package lexer
 
 import (
@@ -222,15 +226,23 @@ func (l *Lexer) Next() token.Token {
 }
 
 // All tokenizes the remaining input, always ending with an EOF token.
-func (l *Lexer) All() []token.Token {
+func (l *Lexer) All() []token.Token { return l.AppendAll(nil) }
+
+// AppendAll tokenizes the remaining input onto dst, always ending with
+// an EOF token, and returns the extended slice. It keeps no reference
+// to dst, so a caller lexing unit after unit can hand back the previous
+// result truncated to zero length and reuse one buffer.
+func (l *Lexer) AppendAll(dst []token.Token) []token.Token {
 	// Preprocessed protocol C runs 2.3-2.6 bytes per token, so half the
 	// input's length holds every token in one allocation.
-	toks := make([]token.Token, 0, (len(l.src)-l.off)/2+1)
+	if need := len(dst) + (len(l.src)-l.off)/2 + 1; need > cap(dst) {
+		dst = append(make([]token.Token, 0, need), dst...)
+	}
 	for {
 		t := l.Next()
-		toks = append(toks, t)
+		dst = append(dst, t)
 		if t.Kind == token.EOF {
-			return toks
+			return dst
 		}
 	}
 }

@@ -60,7 +60,10 @@ type Parser struct {
 	enumConsts map[string]int64
 }
 
-// New returns a parser over toks.
+// New returns a parser over toks. File reads toks and nothing after
+// it does: once File returns, Errors, Typedefs and EnumConsts stay
+// valid and the caller may overwrite toks (core.Load lexes every
+// translation unit into one reused buffer).
 func New(toks []token.Token, cfg Config) *Parser {
 	p := &Parser{
 		toks:       toks,

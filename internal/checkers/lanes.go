@@ -148,8 +148,7 @@ type laneWalker struct {
 	allow   flash.LaneVector
 	handler string
 	reports *[]engine.Report
-	memo    map[string][]flash.LaneVector
-	inProg  map[string]bool
+	visits  map[walkKey]visit
 	trace   []string
 	warned  map[string]bool
 }
@@ -183,8 +182,7 @@ func CheckLanesCov(prog *global.Program, spec *flash.Spec) ([]engine.Report, *en
 		}
 		w := &laneWalker{
 			prog: prog, allow: allow, handler: h, reports: &reports,
-			memo:   map[string][]flash.LaneVector{},
-			inProg: map[string]bool{},
+			visits: map[walkKey]visit{},
 			warned: map[string]bool{},
 		}
 		w.fnExits(h, flash.LaneVector{})
@@ -195,6 +193,42 @@ func CheckLanesCov(prog *global.Program, spec *flash.Spec) ([]engine.Report, *en
 	return reports, cov
 }
 
+// walkKey identifies one walker visit: entering function fn (node -1)
+// or reaching node of fn's summary, with lane vector vec.
+type walkKey struct {
+	fn   string
+	node int
+	vec  flash.LaneVector
+}
+
+// visit is what the walker knows of one walkKey: busy while the walk is
+// inside it (re-entering is the paper's fixed point), done once exits
+// holds its result. One map of these serves as both the memo and the
+// in-progress set.
+type visit struct {
+	exits      []flash.LaneVector
+	busy, done bool
+}
+
+// enter looks key up: ok is false when the walk must stop or reuse a
+// result (returned as exits); otherwise key is marked busy.
+func (w *laneWalker) enter(key walkKey) (exits []flash.LaneVector, ok bool) {
+	switch v := w.visits[key]; {
+	case v.busy:
+		return nil, false // fixed point: the cycle added no sends
+	case v.done:
+		return v.exits, false
+	}
+	w.visits[key] = visit{busy: true}
+	return nil, true
+}
+
+// leave records key's result, ending its busy span, and returns it.
+func (w *laneWalker) leave(key walkKey, exits []flash.LaneVector) []flash.LaneVector {
+	w.visits[key] = visit{exits: exits, done: true}
+	return exits
+}
+
 // fnExits returns the possible lane vectors at fn's exit when entered
 // with vec. Re-entry with the same vector is the paper's fixed point.
 func (w *laneWalker) fnExits(fn string, vec flash.LaneVector) []flash.LaneVector {
@@ -202,33 +236,22 @@ func (w *laneWalker) fnExits(fn string, vec flash.LaneVector) []flash.LaneVector
 	if s == nil {
 		return []flash.LaneVector{vec} // external/macro: no sends
 	}
-	key := fmt.Sprintf("F|%s|%v", fn, vec)
-	if w.inProg[key] {
-		return nil // fixed point: cycle added no sends; stop this path
+	key := walkKey{fn, -1, vec}
+	if exits, ok := w.enter(key); !ok {
+		return exits
 	}
-	if m, ok := w.memo[key]; ok {
-		return m
-	}
-	w.inProg[key] = true
 	w.trace = append(w.trace, fn)
 	exits := w.nodeExits(s, s.Entry, vec)
 	w.trace = w.trace[:len(w.trace)-1]
-	w.inProg[key] = false
-	w.memo[key] = exits
-	return exits
+	return w.leave(key, exits)
 }
 
 // nodeExits returns exit vectors reachable from node id of s with vec.
 func (w *laneWalker) nodeExits(s *global.Summary, id int, vec flash.LaneVector) []flash.LaneVector {
-	key := fmt.Sprintf("N|%s|%d|%v", s.Fn, id, vec)
-	if w.inProg[key] {
-		return nil // loop fixed point (no sends since last visit)
+	key := walkKey{s.Fn, id, vec}
+	if exits, ok := w.enter(key); !ok {
+		return exits
 	}
-	if m, ok := w.memo[key]; ok {
-		return m
-	}
-	w.inProg[key] = true
-	defer func() { w.inProg[key] = false }()
 
 	n := &s.Nodes[id]
 	// Apply this node's annotations in order.
@@ -239,8 +262,7 @@ func (w *laneWalker) nodeExits(s *global.Summary, id int, vec flash.LaneVector) 
 			vec = vec.Add(lane)
 			if vec[lane] > w.allow[lane] {
 				w.reportExceed(s, n, lane, vec[lane])
-				w.memo[key] = nil
-				return nil // cap: stop exploring past the violation
+				return w.leave(key, nil) // cap: stop exploring past the violation
 			}
 		case strings.HasPrefix(ann, "space:"):
 			lane, _ := strconv.Atoi(ann[len("space:"):])
@@ -256,13 +278,11 @@ func (w *laneWalker) nodeExits(s *global.Summary, id int, vec flash.LaneVector) 
 		}
 		vecs = dedupVecs(next)
 		if len(vecs) == 0 {
-			w.memo[key] = nil
-			return nil
+			return w.leave(key, nil)
 		}
 	}
 	if id == s.Exit {
-		w.memo[key] = vecs
-		return vecs
+		return w.leave(key, vecs)
 	}
 	var out []flash.LaneVector
 	for i, succ := range n.Succs {
@@ -271,9 +291,7 @@ func (w *laneWalker) nodeExits(s *global.Summary, id int, vec flash.LaneVector) 
 			out = append(out, w.nodeExits(s, succ, v)...)
 		}
 	}
-	out = dedupVecs(out)
-	w.memo[key] = out
-	return out
+	return w.leave(key, dedupVecs(out))
 }
 
 // reportExceed emits one violation with an inter-procedural backtrace.

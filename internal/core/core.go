@@ -3,6 +3,10 @@
 // type checker, builds control-flow graphs, and applies compiled
 // checkers (metal programs or Go-built state machines) to every
 // function — the role xg++ plays in the paper.
+//
+// Load lexes every translation unit into one token buffer: the parser
+// is done with a unit's tokens when it returns the unit's AST, so the
+// next unit reuses the storage.
 package core
 
 import (
@@ -16,6 +20,7 @@ import (
 	"flashmc/internal/cc/lexer"
 	"flashmc/internal/cc/parser"
 	"flashmc/internal/cc/sem"
+	"flashmc/internal/cc/token"
 	"flashmc/internal/cc/types"
 	"flashmc/internal/cfg"
 	"flashmc/internal/engine"
@@ -85,6 +90,8 @@ func Load(name string, src cpp.Source, rootFiles []string, includeDirs ...string
 	// Typedefs and enum constants accumulate across units, as in a
 	// protocol build where every unit includes the same headers.
 	var carriedTypedefs map[string]types.Type
+	// One token buffer serves every unit (see the package doc).
+	var toks []token.Token
 
 	for _, rf := range rootFiles {
 		pp := cpp.New(src, includeDirs...)
@@ -98,7 +105,7 @@ func Load(name string, src cpp.Source, rootFiles []string, includeDirs ...string
 		}
 
 		lx := lexer.New(rf, text)
-		toks := lx.All()
+		toks = lx.AppendAll(toks[:0])
 		for _, e := range lx.Errors() {
 			p.ParseErrors = append(p.ParseErrors, e)
 		}

@@ -89,14 +89,21 @@ type Key struct {
 	Options string
 }
 
-// ID returns the hex content address of the key.
+// ID returns the hex content address of the key: the SHA-256 of each
+// field followed by a 0 byte. The fields are gathered in a stack
+// buffer (keys of ordinary size fit) and hex-encoded into a fixed
+// array, so the returned string is the only allocation.
 func (k Key) ID() string {
-	h := sha256.New()
-	for _, f := range []string{k.Kind, k.Source, k.Checker, k.Version, k.Options} {
-		h.Write([]byte(f))
-		h.Write([]byte{0})
+	var stack [512]byte
+	b := stack[:0]
+	for _, f := range [...]string{k.Kind, k.Source, k.Checker, k.Version, k.Options} {
+		b = append(b, f...)
+		b = append(b, 0)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // memEntry is one in-memory artifact plus the recency state that
@@ -257,8 +264,13 @@ func count(hit bool) {
 // Put stores blob under key. On-disk writes go through a temp file in
 // the destination directory and a rename, so readers never observe a
 // partial artifact and concurrent writers of the same key converge.
-// A failed write is counted in depot_put_errors_total.
-func (d *Depot) Put(key Key, blob []byte) (err error) {
+// A failed write is counted in depot_put_errors_total. Put keeps no
+// reference to blob: the caller may reuse the slice once Put returns.
+func (d *Depot) Put(key Key, blob []byte) error { return d.put(key, blob, false) }
+
+// put is Put; owned says the caller hands blob over and will not touch
+// it again, so the in-memory store may keep it without a copy.
+func (d *Depot) put(key Key, blob []byte, owned bool) (err error) {
 	defer func() {
 		if err != nil {
 			mPutErrors.Inc()
@@ -270,7 +282,10 @@ func (d *Depot) Put(key Key, blob []byte) (err error) {
 	if d.mem != nil {
 		d.mu.Lock()
 		d.seq++
-		d.mem[id] = &memEntry{data: append([]byte(nil), blob...), atime: time.Now(), seq: d.seq}
+		if !owned {
+			blob = append([]byte(nil), blob...)
+		}
+		d.mem[id] = &memEntry{data: blob, atime: time.Now(), seq: d.seq}
 		d.mu.Unlock()
 		d.notePut(len(blob))
 		return nil
@@ -340,13 +355,14 @@ func (d *Depot) notePut(n int) {
 	d.GC(p.maxAge, p.maxBytes)
 }
 
-// PutJSON marshals v and stores it under key.
+// PutJSON marshals v and stores it under key. The marshalled buffer
+// is PutJSON's own, so the store keeps it as is.
 func (d *Depot) PutJSON(key Key, v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("depot: %w", err)
 	}
-	return d.Put(key, b)
+	return d.put(key, b, true)
 }
 
 // GetJSON loads the artifact under key into v; the bool reports

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -76,6 +77,46 @@ func TestKeyFields(t *testing.T) {
 	b := Key{Kind: "a", Source: "bc"}
 	if a.ID() == b.ID() {
 		t.Fatal("field concatenation is ambiguous")
+	}
+}
+
+// TestKeyIDGolden pins ID() of fixed keys at the addresses earlier
+// releases computed, so a depot they populated still hits. The last
+// key outgrows ID's stack buffer.
+func TestKeyIDGolden(t *testing.T) {
+	for _, c := range []struct {
+		key  Key
+		want string
+	}{
+		{Key{}, "8855508aade16ec573d21e6a485dfd0a7624085c1a14b5ecdd6485de0c6839a4"},
+		{Key{Kind: "reports/v3", Source: "9f2c7d4e", Checker: "buffer_race", Version: "1.1.0", Options: "spec:flash"},
+			"f9e83939cc440c5015ea341889a006259d9b70d0cb99119a254cc0594e68444d"},
+		{Key{Kind: "summary", Source: strings.Repeat("ab", 400), Options: strings.Repeat("o", 300)},
+			"57e7651636ed6531da1c908622b0e4e7e7d4280601c64c2e297a30d698051aaa"},
+	} {
+		if got := c.key.ID(); got != c.want {
+			t.Errorf("ID(%.40v) = %s, want %s", c.key, got, c.want)
+		}
+	}
+	k := Key{Kind: "reports/v3", Source: strings.Repeat("f", 64), Checker: "lanes", Version: "1.1.0", Options: strings.Repeat("0", 64)}
+	if n := testing.AllocsPerRun(100, func() { _ = k.ID() }); n != 1 {
+		t.Errorf("ID allocates %v times, want 1 (the result)", n)
+	}
+}
+
+// TestPutCopiesBlob: Put's caller may reuse its slice, so mutating it
+// after Put must not change the stored artifact.
+func TestPutCopiesBlob(t *testing.T) {
+	for name, d := range backends(t) {
+		key := Key{Kind: "reports", Source: "reuse"}
+		blob := []byte(`["r1"]`)
+		if err := d.Put(key, blob); err != nil {
+			t.Fatal(err)
+		}
+		copy(blob, `["XX"]`)
+		if b, ok := d.Get(key); !ok || string(b) != `["r1"]` {
+			t.Fatalf("%s: got %q ok=%v after the caller reused its slice", name, b, ok)
+		}
 	}
 }
 

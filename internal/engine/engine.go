@@ -19,12 +19,19 @@
 //     depending on whether or not they freed a buffer" (§6).
 //   - At-exit hooks let a checker flag configurations that reach the
 //     function exit in a bad state (buffer leaks).
+//
+// A run's working storage (per-node configuration sets, the work list)
+// is scratch that dies with the run, so the fixed-point loop takes it
+// from a pool and hands it back emptied: a worker checking function
+// after function reuses one scratch instead of allocating one per
+// function × checker.
 package engine
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"flashmc/internal/cc/ast"
 	"flashmc/internal/cc/token"
@@ -472,6 +479,13 @@ func (s *configSet) reset() {
 	s.idx = nil
 }
 
+// drop empties s like reset and also zeroes every slot the list has
+// ever held, so the kept storage references no configuration.
+func (s *configSet) drop() {
+	clear(s.list[:cap(s.list)])
+	s.reset()
+}
+
 func (s *configSet) configs() []keyedConfig { return s.list }
 
 // smPlan is the compile-time shape of one SM: its rules partitioned by
@@ -596,18 +610,61 @@ func RunCov(g *cfg.Graph, sm *SM) ([]Report, *Coverage) {
 	return r.reports, cov
 }
 
+// fixScratch is runToFixpoint's working storage: the per-node out
+// sets, the work list, its membership bits and the visit's input set.
+// It outlives a run in scratchPool, so a worker that runs one SM over
+// many functions reuses the same backing arrays instead of allocating
+// one set of them per function × checker. release empties every part,
+// so a pooled scratch pins no configuration's env, conds or witness.
+type fixScratch struct {
+	out    []configSet
+	inWork []bool
+	work   []*cfg.Node
+	in     configSet
+}
+
+// scratchPool holds idle scratches. RunCov runs concurrently across
+// functions and checkers; each run takes its own.
+var scratchPool = &sync.Pool{New: func() any { return new(fixScratch) }}
+
+// getScratch takes a scratch sized for n nodes, growing it only when
+// it is too small. Grown out sets keep the lists they already had.
+func getScratch(n int) *fixScratch {
+	s := scratchPool.Get().(*fixScratch)
+	if n > cap(s.out) {
+		s.out = append(s.out[:cap(s.out)], make([]configSet, n-cap(s.out))...)
+	}
+	if n > cap(s.inWork) {
+		s.inWork = make([]bool, n)
+	}
+	s.out, s.inWork = s.out[:n], s.inWork[:n]
+	return s
+}
+
+// release empties s and returns it to the pool.
+func (s *fixScratch) release() {
+	for i := range s.out {
+		s.out[i].drop()
+	}
+	s.in.drop()
+	clear(s.inWork)
+	clear(s.work[:cap(s.work)])
+	s.work = s.work[:0]
+	scratchPool.Put(s)
+}
+
 // runToFixpoint drives the worklist to a fixed point, runs the at-exit
 // hooks, and flushes metrics. The caller has already resolved a
 // non-empty start state.
 func (r *runner) runToFixpoint() {
 	g, sm, cov := r.g, r.sm, r.cov
 	start := startState(sm, g.Fn)
+	s := getScratch(len(g.Nodes))
+	defer s.release()
 
 	// out[n] = configurations holding immediately after n's event.
-	out := make([]configSet, len(g.Nodes))
-
-	work := []*cfg.Node{g.Entry}
-	inWork := make([]bool, len(g.Nodes))
+	out, inWork := s.out, s.inWork
+	work := append(s.work, g.Entry)
 	inWork[g.Entry.ID] = true
 
 	// Seed: entry's transfer on the start configuration.
@@ -625,7 +682,7 @@ func (r *runner) runToFixpoint() {
 	}
 
 	// in gathers one visit's input configurations; each visit resets it.
-	var in configSet
+	in := &s.in
 	for len(work) > 0 {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -661,6 +718,7 @@ func (r *runner) runToFixpoint() {
 			}
 		}
 	}
+	s.work = work
 
 	if sm.AtExit != nil {
 		for _, k := range out[g.Exit.ID].configs() {
