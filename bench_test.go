@@ -204,7 +204,7 @@ func BenchmarkAblationDataflow16(b *testing.B) {
 	sm := ablationSM(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := engine.Run(g, sm); len(got) != 1 {
+		if got, _ := engine.RunCov(g, sm); len(got) != 1 {
 			b.Fatalf("reports %d", len(got))
 		}
 	}
@@ -233,7 +233,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range c.Gen.Protocols {
-			chk.Check(c.Programs[p.Name], p.Spec)
+			chk.CheckCov(c.Programs[p.Name], p.Spec)
 		}
 	}
 }

@@ -42,6 +42,25 @@ for proto in bitvector dyn_ptr sci coma rac common; do
     cmp "$tmp/cold.$proto" "$tmp/warm.$proto"
 done
 
+# Two-pass lanes gate: the paper's local/global interface must give the
+# pipeline's lane answer. For each protocol, -emit writes the local
+# pass's per-function flow graphs and -link runs the global lane pass
+# over them; the sorted [lanes] lines must equal those of -flash on the
+# same files, and must not be empty (every generated protocol has lane
+# findings). Both runs name the files by the same relative paths.
+for proto in bitvector dyn_ptr sci coma rac common; do
+    (
+        cd "$tmp/corpus/$proto"
+        "$tmp/mcheck" -emit "$tmp/sums.$proto.json" *.c > /dev/null
+        { "$tmp/mcheck" -link "$tmp/sums.$proto.json" || true; } \
+            | grep ' \[lanes\] ' | sort > "$tmp/lanes-link.$proto"
+        { "$tmp/mcheck" -flash *.c || true; } \
+            | grep ' \[lanes\] ' | sort > "$tmp/lanes-flash.$proto"
+    )
+    test -s "$tmp/lanes-link.$proto"
+    cmp "$tmp/lanes-link.$proto" "$tmp/lanes-flash.$proto"
+done
+
 # Depot-churn gate: fill a tiny depot past its byte budget and
 # let LRU eviction run between a cold and a warm pass of every
 # protocol. Evicted artifacts recompute, surviving ones replay, and

@@ -62,7 +62,10 @@
 // workflow: the local pass annotates each send with its lane and
 // writes per-function flow graphs; the link pass merges any number of
 // summary files into a whole-protocol call graph and runs the lane
-// quota traversal (with default allowance 1/1/1/1 per handler).
+// quota traversal (with default allowance 1/1/1/1 per handler). Link
+// errors, such as a function defined in two files, print as [lanes]
+// reports exactly as -flash prints them, and count toward the exit
+// status.
 package main
 
 import (
@@ -374,16 +377,15 @@ func linkPass(files []string) int {
 		sums = append(sums, s...)
 	}
 	prog, errs := global.Link(sums)
-	for _, e := range errs {
-		fmt.Fprintf(os.Stderr, "mcheck: link: %v\n", e)
-	}
 	names := make([]string, 0, len(prog.Funcs))
 	for fn := range prog.Funcs {
 		names = append(names, fn)
 	}
 	sort.Strings(names)
 	spec := flash.ConventionSpec(names)
-	reports := checkers.CheckLanes(prog, spec)
+	reports, _ := checkers.CheckLanesCov(prog, spec)
+	linkReports, _ := checkers.LinkReports(errs)
+	reports = append(reports, linkReports...)
 	for _, r := range reports {
 		fmt.Printf("%s: [lanes] %s\n", r.Pos, r.Msg)
 	}

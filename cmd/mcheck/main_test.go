@@ -172,6 +172,8 @@ func TestUnwritableDepotWarnsOnce(t *testing.T) {
 // TestEmitThenLink pins the file-based inter-procedural workflow: -emit
 // writes every function's summary, and -link merges summary files and
 // runs the lane traversal over the naming-convention handlers, sorted.
+// A link error (a handler defined twice) is a [lanes] report exactly
+// as -flash prints it, counted and reflected in the exit status.
 func TestEmitThenLink(t *testing.T) {
 	dir := t.TempDir()
 	write(t, dir, "lanes.c", `#include "flash-includes.h"
@@ -200,5 +202,20 @@ void sw_once(void) {
 		"linked 4 functions, 3 handlers, 2 report(s)\n"
 	if code != 1 || stdout != want {
 		t.Fatalf("-link: exit %d, want 1 with\n%s\ngot:\n%s\nstderr:\n%s", code, want, stdout, stderr)
+	}
+
+	write(t, dir, "a.c", "void h_foo(void) {}\n")
+	write(t, dir, "b.c", "void h_foo(void) {}\n")
+	dup := "-: [lanes] duplicate definition of h_foo (kept a.c, dropped b.c)\n"
+	if stdout, _, code := mcheck(t, dir, "-flash", "a.c", "b.c"); code != 1 || !strings.Contains(stdout, dup) {
+		t.Fatalf("-flash: exit %d, want 1 with %q\nstdout:\n%s", code, dup, stdout)
+	}
+	if stdout, stderr, code = mcheck(t, dir, "-emit", "dup.json", "a.c", "b.c"); code != 0 {
+		t.Fatalf("-emit: exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	stdout, stderr, code = mcheck(t, dir, "-link", "dup.json")
+	want = dup + "linked 1 functions, 1 handlers, 1 report(s)\n"
+	if code != 1 || stdout != want {
+		t.Fatalf("-link duplicate: exit %d, want 1 with\n%s\ngot:\n%s\nstderr:\n%s", code, want, stdout, stderr)
 	}
 }

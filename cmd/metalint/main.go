@@ -179,7 +179,7 @@ func main() {
 			fail("-triage needs -c sources to run the checkers over")
 		}
 		for _, t := range targets {
-			reports := prog.RunSM(t.sm)
+			reports, _ := prog.RunSMCov(t.sm)
 			ranked := lint.TriageProgram(prog, t.sm, reports, lint.TriageOptions{Mode: triage.mode})
 			lint.SortRanked(ranked)
 			for _, rr := range ranked {

@@ -36,7 +36,8 @@ func main() {
 		reports := 0
 		applied := 0
 		for _, p := range corpus.Protocols {
-			reports += len(chk.Check(programs[p.Name], p.Spec))
+			got, _ := chk.CheckCov(programs[p.Name], p.Spec)
+			reports += len(got)
 			if a := chk.Applied(programs[p.Name]); a > 0 {
 				applied += a
 			}

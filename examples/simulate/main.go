@@ -39,7 +39,8 @@ func main() {
 	fmt.Println("static checking (one pass over the source):")
 	staticHits := map[key]bool{}
 	for _, chk := range flashmc.FlashCheckers() {
-		for _, r := range chk.Check(prog, p.Spec) {
+		reports, _ := chk.CheckCov(prog, p.Spec)
+		for _, r := range reports {
 			k := key{r.Pos.File, r.Pos.Line}
 			if note, ok := seeded[k]; ok && !staticHits[k] {
 				staticHits[k] = true

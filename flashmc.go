@@ -95,7 +95,8 @@ func RunMetal(prog *Program, metalSrc string) ([]Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("compile checker: %w", err)
 	}
-	return prog.RunSM(mp.SM), nil
+	reports, _ := prog.RunSMCov(mp.SM)
+	return reports, nil
 }
 
 // FlashHeader returns the flash-includes.h programming environment as

@@ -66,7 +66,8 @@ func TestPublicCorpusAndCheckers(t *testing.T) {
 	}
 	total := 0
 	for _, chk := range flashmc.FlashCheckers() {
-		total += len(chk.Check(prog, p.Spec))
+		reports, _ := chk.CheckCov(prog, p.Spec)
+		total += len(reports)
 	}
 	if total == 0 {
 		t.Error("checker suite found nothing in a corpus with seeded defects")

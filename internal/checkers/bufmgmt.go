@@ -57,11 +57,6 @@ const (
 	stHasBufNF = "has_buffer_nofree"
 )
 
-func (b *bufferMgmt) Check(p *core.Program, spec *flash.Spec) []engine.Report {
-	sm, _ := b.BuildSM(spec)
-	return p.RunSM(sm)
-}
-
 func (b *bufferMgmt) CheckCov(p *core.Program, spec *flash.Spec) ([]engine.Report, []*engine.Coverage) {
 	sm, _ := b.BuildSM(spec)
 	return p.RunSMCov(sm)

@@ -7,8 +7,8 @@
 // execution restrictions §8) or needed checker tables (§6, §9).
 //
 // All() lists the nine built-in checkers. Each implements Checker,
-// whose CheckCov is the one whole-program entry point that also
-// reports dynamic coverage; the six state-machine checkers also
+// whose one run method, CheckCov, returns the reports together with
+// the run's dynamic coverage; the six state-machine checkers also
 // implement SMProvider, so the scheduler can run their machine per
 // function instead.
 package checkers
@@ -26,8 +26,7 @@ import (
 	"flashmc/internal/metal"
 )
 
-// Checker is one system-rule checker. Check and CheckCov return the
-// same reports; CheckCov adds the run's coverage.
+// Checker is one system-rule checker.
 type Checker interface {
 	// Name is the stable checker identifier used in manifests.
 	Name() string
@@ -35,14 +34,14 @@ type Checker interface {
 	// the depot cache key, so bumping it when the checker's rules
 	// change invalidates every cached result the old rules produced.
 	Version() string
-	// Check runs the checker over a loaded program under a protocol
-	// spec and returns its reports.
-	Check(p *core.Program, spec *flash.Spec) []engine.Report
-	// CheckCov is Check plus the dynamic coverage the run produced:
-	// one engine.Coverage per analyzed function for SM checkers, a
-	// single synthesized coverage for AST and global passes. Empty
-	// coverages are omitted. internal/cover merges the results across
-	// checkers and protocols.
+	// CheckCov runs the checker over a loaded program under a protocol
+	// spec and returns its reports plus the dynamic coverage the run
+	// produced: one engine.Coverage per analyzed function for SM
+	// checkers, one per walked handler (plus one for link errors) for
+	// the lane pass, a single synthesized coverage for AST passes.
+	// Empty coverages are omitted. internal/cover merges the results
+	// across checkers and protocols; callers that want only the reports
+	// discard the coverage.
 	CheckCov(p *core.Program, spec *flash.Spec) ([]engine.Report, []*engine.Coverage)
 	// Applied returns how many program points the check examined (the
 	// tables' "Applied" columns); -1 if not meaningful.
@@ -129,10 +128,6 @@ func (m *metalChecker) Name() string { return m.name }
 func (m *metalChecker) Version() string { return m.version }
 
 func (m *metalChecker) LOC() int { return compileMetal(m.src).LOC }
-
-func (m *metalChecker) Check(p *core.Program, spec *flash.Spec) []engine.Report {
-	return p.RunSM(compileMetal(m.src).SM)
-}
 
 func (m *metalChecker) CheckCov(p *core.Program, spec *flash.Spec) ([]engine.Report, []*engine.Coverage) {
 	return p.RunSMCov(compileMetal(m.src).SM)

@@ -66,7 +66,7 @@ void h_local_get(void) {
 	MISCBUS_READ_DB(a, b);
 }`)
 	c := NewBufferRace()
-	reports := c.Check(p, testSpec())
+	reports, _ := c.CheckCov(p, testSpec())
 	if len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -81,7 +81,7 @@ void h_x(void) {
 	unsigned a;
 	OLD_MISCBUS_READ(a);
 }`)
-	reports := NewBufferRace().Check(p, testSpec())
+	reports, _ := NewBufferRace().CheckCov(p, testSpec())
 	if len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -100,7 +100,7 @@ void h_uncached_read(int queue_full) {
 	}
 }`)
 	c := NewMsglen()
-	reports := c.Check(p, testSpec())
+	reports, _ := c.CheckCov(p, testSpec())
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "data send, zero len") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -126,7 +126,7 @@ void h_coma_fp(int use_data) {
 		PI_SEND(F_NODATA, 1, 0, 0, 1, 0);
 	}
 }`)
-	reports := NewMsglen().Check(p, testSpec())
+	reports, _ := NewMsglen().CheckCov(p, testSpec())
 	if len(reports) != 2 {
 		t.Fatalf("expected the 2 infeasible-path reports, got: %v", reports)
 	}
@@ -142,7 +142,7 @@ void h_local_get(int c) {
 		DEC_DB_REF(0);
 	}
 }`)
-	reports := NewBufferMgmt().Check(p, testSpec())
+	reports, _ := NewBufferMgmt().CheckCov(p, testSpec())
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "freed twice") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -155,7 +155,7 @@ void h_local_get(int c) {
 		DEC_DB_REF(0);
 	}
 }`)
-	reports := NewBufferMgmt().Check(p, testSpec())
+	reports, _ := NewBufferMgmt().CheckCov(p, testSpec())
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "not freed on exit") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -166,7 +166,7 @@ func TestBufMgmtSoftwareHandlerMustAllocate(t *testing.T) {
 void sw_flush(void) {
 	NI_SEND(2, F_NODATA, 1, 0, 1, 0);
 }`)
-	reports := NewBufferMgmt().Check(p, testSpec())
+	reports, _ := NewBufferMgmt().CheckCov(p, testSpec())
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "without a data buffer") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -181,7 +181,7 @@ void h_local_get(int c) {
 	}
 	DEC_DB_REF(0);
 }`)
-	reports := NewBufferMgmt().Check(p, testSpec())
+	reports, _ := NewBufferMgmt().CheckCov(p, testSpec())
 	if len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -196,7 +196,7 @@ void h_local_get(void) {
 	NI_SEND(2, F_DATA, 1, 0, 1, 0);
 	DEC_DB_REF(b);
 }`)
-	reports := NewBufferMgmt().Check(p, testSpec())
+	reports, _ := NewBufferMgmt().CheckCov(p, testSpec())
 	if len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -212,7 +212,7 @@ void h_local_get(void) {
 }`)
 	// hardware handler starts has_buffer; alloc while holding = leak,
 	// then free, free = double free.
-	reports := NewBufferMgmt().Check(p, testSpec())
+	reports, _ := NewBufferMgmt().CheckCov(p, testSpec())
 	if len(reports) != 2 {
 		t.Fatalf("reports: %v", msgs(reports))
 	}
@@ -227,7 +227,7 @@ void h_local_get(int c) {
 	}
 	DEC_DB_REF(0);
 }`)
-	reports := NewBufferMgmt().Check(p, testSpec())
+	reports, _ := NewBufferMgmt().CheckCov(p, testSpec())
 	if len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -242,7 +242,7 @@ void h_local_get(int c) {
 	}
 	DEC_DB_REF(0);
 }`)
-	reports := NewBufferMgmt().Check(p, testSpec())
+	reports, _ := NewBufferMgmt().CheckCov(p, testSpec())
 	if len(reports) != 0 {
 		t.Fatalf("no_free_needed did not suppress: %v", reports)
 	}
@@ -256,7 +256,7 @@ void h_local_get(void) {
 	}
 	DEC_DB_REF(0);
 }`)
-	reports := NewBufferMgmt().Check(p, testSpec())
+	reports, _ := NewBufferMgmt().CheckCov(p, testSpec())
 	if len(reports) != 0 {
 		t.Fatalf("value-sensitive free not honored: %v", reports)
 	}
@@ -269,7 +269,7 @@ void h_local_get(void) {
 		DEC_DB_REF(0);
 	}
 }`)
-	reports := NewBufferMgmt().Check(p, testSpec())
+	reports, _ := NewBufferMgmt().CheckCov(p, testSpec())
 	// true arm: freed then freed again = double free; false arm: leak
 	// at exit.
 	if len(reports) != 2 {
@@ -282,7 +282,7 @@ func TestBufMgmtUseFnConsistency(t *testing.T) {
 void forward_data(void) {
 	DEC_DB_REF(0);
 }`)
-	reports := NewBufferMgmt().Check(p, testSpec())
+	reports, _ := NewBufferMgmt().CheckCov(p, testSpec())
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "buffer-user freed") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -293,7 +293,7 @@ func TestBufMgmtSubroutinesSkipped(t *testing.T) {
 void plain_helper(void) {
 	NI_SEND(2, F_NODATA, 1, 0, 1, 0);
 }`)
-	reports := NewBufferMgmt().Check(p, testSpec())
+	reports, _ := NewBufferMgmt().CheckCov(p, testSpec())
 	if len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -311,7 +311,7 @@ void h_local_get(void) {
 	DEC_DB_REF(0);
 	DEC_DB_REF(0); /* the "obvious double free" an implementor removed */
 }`)
-	reports := NewBufferMgmt().Check(p, testSpec())
+	reports, _ := NewBufferMgmt().CheckCov(p, testSpec())
 	var manual, doubleFree int
 	for _, r := range reports {
 		switch r.Rule {
@@ -344,7 +344,7 @@ void sw_flush(void) {
 	MISCBUS_WRITE_DB(b, v);
 }`)
 	c := NewAllocCheck()
-	reports := c.Check(p, testSpec())
+	reports, _ := c.CheckCov(p, testSpec())
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "before allocation error check") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -364,7 +364,7 @@ void sw_flush(void) {
 	}
 	MISCBUS_WRITE_DB(b, v);
 }`)
-	reports := NewAllocCheck().Check(p, testSpec())
+	reports, _ := NewAllocCheck().CheckCov(p, testSpec())
 	if len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -382,7 +382,7 @@ void sw_flush(void) {
 		return;
 	}
 }`)
-	reports := NewAllocCheck().Check(p, testSpec())
+	reports, _ := NewAllocCheck().CheckCov(p, testSpec())
 	if len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -399,7 +399,7 @@ void sw_flush(void) {
 	c = ALLOC_DB();
 	MISCBUS_WRITE_DB(c, v);
 }`)
-	reports := NewAllocCheck().Check(p, testSpec())
+	reports, _ := NewAllocCheck().CheckCov(p, testSpec())
 	if len(reports) != 1 {
 		t.Fatalf("second allocation not tracked freshly: %v", reports)
 	}
@@ -413,7 +413,7 @@ void h_local_get(unsigned a) {
 	DIR_LOAD(DIR_ADDR(a));
 	DIR_SET_STATE(2);
 }`)
-	reports := NewDirectory().Check(p, testSpec())
+	reports, _ := NewDirectory().CheckCov(p, testSpec())
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "not written back") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -428,7 +428,7 @@ void h_local_get(unsigned a) {
 	DIR_SET_STATE(s + 1);
 	DIR_WRITEBACK(DIR_ADDR(a));
 }`)
-	reports := NewDirectory().Check(p, testSpec())
+	reports, _ := NewDirectory().CheckCov(p, testSpec())
 	if len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -445,7 +445,7 @@ void h_speculative(unsigned a, int miss) {
 	}
 	DIR_WRITEBACK(DIR_ADDR(a));
 }`)
-	reports := NewDirectory().Check(p, testSpec())
+	reports, _ := NewDirectory().CheckCov(p, testSpec())
 	if len(reports) != 0 {
 		t.Fatalf("NAK exemption failed: %v", reports)
 	}
@@ -457,7 +457,7 @@ void h_local_get(void) {
 	unsigned s;
 	s = DIR_READ_STATE();
 }`)
-	reports := NewDirectory().Check(p, testSpec())
+	reports, _ := NewDirectory().CheckCov(p, testSpec())
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "before DIR_LOAD") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -468,7 +468,7 @@ func TestDirectoryExplicitAddress(t *testing.T) {
 void h_local_get(unsigned a) {
 	DIR_LOAD(a << 4);
 }`)
-	reports := NewDirectory().Check(p, testSpec())
+	reports, _ := NewDirectory().CheckCov(p, testSpec())
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "DIR_ADDR") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -496,7 +496,7 @@ void h_intervention(void) {
 	PI_SEND(F_NODATA, 1, 0, 1, 1, 0);
 }`)
 	c := NewSendWait()
-	reports := c.Check(p, testSpec())
+	reports, _ := c.CheckCov(p, testSpec())
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "never waits") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -513,7 +513,7 @@ void h_intervention(void) {
 	IO_SEND(F_NODATA, 1, 0, 1, 1, 0);
 	WAIT_FOR_IO_REPLY();
 }`)
-	reports := NewSendWait().Check(p, testSpec())
+	reports, _ := NewSendWait().CheckCov(p, testSpec())
 	if len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -525,7 +525,7 @@ void h_intervention(void) {
 	PI_SEND(F_NODATA, 1, 0, 1, 1, 0);
 	WAIT_FOR_IO_REPLY();
 }`)
-	reports := NewSendWait().Check(p, testSpec())
+	reports, _ := NewSendWait().CheckCov(p, testSpec())
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "IO interface for a PI reply") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -538,7 +538,7 @@ void h_intervention(void) {
 	NI_SEND(2, F_NODATA, 1, 0, 1, 0);
 	WAIT_FOR_PI_REPLY();
 }`)
-	reports := NewSendWait().Check(p, testSpec())
+	reports, _ := NewSendWait().CheckCov(p, testSpec())
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "second send") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -549,7 +549,7 @@ func TestSendWaitNonWaitingSendIgnored(t *testing.T) {
 void h_x(void) {
 	PI_SEND(F_NODATA, 1, 0, 0, 1, 0);
 }`)
-	reports := NewSendWait().Check(p, testSpec())
+	reports, _ := NewSendWait().CheckCov(p, testSpec())
 	if len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -581,7 +581,8 @@ void helper_wrong_prologue(void) {
 	spec := testSpec()
 	spec.Hardware = append(spec.Hardware, "h_good", "h_missing_defs", "h_missing_prologue")
 	var hookReports []engine.Report
-	for _, r := range NewExecRestrict().Check(p, spec) {
+	reports, _ := NewExecRestrict().CheckCov(p, spec)
+	for _, r := range reports {
 		if r.Rule == "hook-missing" {
 			hookReports = append(hookReports, r)
 		}
@@ -605,7 +606,8 @@ void h_bad_params(int x) {
 	spec := testSpec()
 	spec.Hardware = append(spec.Hardware, "h_bad_ret", "h_bad_params")
 	var sig int
-	for _, r := range NewExecRestrict().Check(p, spec) {
+	reports, _ := NewExecRestrict().CheckCov(p, spec)
+	for _, r := range reports {
 		if r.Rule == "handler-sig" {
 			sig++
 		}
@@ -623,7 +625,8 @@ void helper(void) {
 	OLD_MISCBUS_READ(4);
 }`)
 	var dep int
-	for _, r := range NewExecRestrict().Check(p, testSpec()) {
+	reports, _ := NewExecRestrict().CheckCov(p, testSpec())
+	for _, r := range reports {
 		if r.Rule == "deprecated" {
 			dep++
 		}
@@ -652,7 +655,8 @@ void h_nostack(void) {
 }`)
 	spec := testSpec()
 	counts := map[string]int{}
-	for _, r := range NewExecRestrict().Check(p, spec) {
+	reports, _ := NewExecRestrict().CheckCov(p, spec)
+	for _, r := range reports {
 		counts[r.Rule]++
 	}
 	if counts["nostack-size"] != 2 { // array + big struct
@@ -677,7 +681,8 @@ void h_nostack(void) {
 	DEC_DB_REF(0);
 }`)
 	var miss int
-	for _, r := range NewExecRestrict().Check(p, testSpec()) {
+	reports, _ := NewExecRestrict().CheckCov(p, testSpec())
+	for _, r := range reports {
 		if r.Rule == "nostack-decl" {
 			miss++
 		}
@@ -716,7 +721,7 @@ void helper(void) {
 	i = 1 + 2;
 	d = 1.5;
 }`)
-	reports := NewNoFloat().Check(p, testSpec())
+	reports, _ := NewNoFloat().CheckCov(p, testSpec())
 	if len(reports) == 0 {
 		t.Fatal("float not detected")
 	}
@@ -733,7 +738,7 @@ void helper(void) {
 	unsigned a;
 	a = (a << 2) | 1;
 }`)
-	if reports := NewNoFloat().Check(p, testSpec()); len(reports) != 0 {
+	if reports, _ := NewNoFloat().CheckCov(p, testSpec()); len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
 }
@@ -747,7 +752,7 @@ void h_local_get(void) {
 	NI_SEND(2, F_NODATA, 1, 0, 1, 0);
 	DEC_DB_REF(0);
 }`)
-	reports := NewLanes().Check(p, testSpec())
+	reports, _ := NewLanes().CheckCov(p, testSpec())
 	if len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -761,7 +766,7 @@ void h_local_get(int c) {
 		PI_SEND(F_NODATA, 1, 0, 0, 1, 0);
 	}
 }`)
-	reports := NewLanes().Check(p, testSpec())
+	reports, _ := NewLanes().CheckCov(p, testSpec())
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "exceeds lane 0") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -776,7 +781,7 @@ void h_local_get(void) {
 	NI_SEND(2, F_NODATA, 1, 0, 1, 0);
 	send_helper();
 }`)
-	reports := NewLanes().Check(p, testSpec())
+	reports, _ := NewLanes().CheckCov(p, testSpec())
 	if len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -792,7 +797,7 @@ void h_local_get(void) {
 	WAIT_FOR_SPACE(2);
 	NI_SEND(2, F_NODATA, 1, 0, 1, 0);
 }`)
-	reports := NewLanes().Check(p, testSpec())
+	reports, _ := NewLanes().CheckCov(p, testSpec())
 	if len(reports) != 0 {
 		t.Fatalf("space check not honored: %v", reports)
 	}
@@ -807,7 +812,7 @@ void h_local_get(int n) {
 	}
 	DEC_DB_REF(0);
 }`)
-	reports := NewLanes().Check(p, testSpec())
+	reports, _ := NewLanes().CheckCov(p, testSpec())
 	if len(reports) != 0 {
 		t.Fatalf("fixed-point loop flagged: %v", reports)
 	}
@@ -825,7 +830,7 @@ void h_local_get(void) {
 	NI_SEND(2, F_NODATA, 1, 0, 1, 0);
 	DEC_DB_REF(0);
 }`)
-	reports := NewLanes().Check(p, testSpec())
+	reports, _ := NewLanes().CheckCov(p, testSpec())
 	if len(reports) != 0 {
 		t.Fatalf("recursion fixed point failed: %v", reports)
 	}
@@ -839,7 +844,7 @@ void h_local_get(int n) {
 		n--;
 	}
 }`)
-	reports := NewLanes().Check(p, testSpec())
+	reports, _ := NewLanes().CheckCov(p, testSpec())
 	if len(reports) != 1 {
 		t.Fatalf("loop with sends not flagged: %v", reports)
 	}

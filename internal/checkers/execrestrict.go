@@ -61,8 +61,8 @@ func ExecStats(p *core.Program) (handlers, vars int) {
 // no-stack handlers (they must fit the register file).
 const maxNoStackLocals = 16
 
-func (e *execRestrict) CheckCov(p *core.Program, spec *flash.Spec) ([]engine.Report, []*engine.Coverage) {
-	reports := e.Check(p, spec)
+func (*execRestrict) CheckCov(p *core.Program, spec *flash.Spec) ([]engine.Report, []*engine.Coverage) {
+	reports := execReports(p, spec)
 	cov := engine.ReportCoverage("exec", reports)
 	if cov.Empty() {
 		return reports, nil
@@ -72,7 +72,7 @@ func (e *execRestrict) CheckCov(p *core.Program, spec *flash.Spec) ([]engine.Rep
 
 // checker-core: begin
 
-func (*execRestrict) Check(p *core.Program, spec *flash.Spec) []engine.Report {
+func execReports(p *core.Program, spec *flash.Spec) []engine.Report {
 	var out []engine.Report
 	rep := func(tag string, pos token.Pos, fn, msg string) {
 		out = append(out, engine.Report{SM: "exec", Rule: tag, Fn: fn, Pos: pos, Msg: msg,

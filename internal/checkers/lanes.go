@@ -94,47 +94,44 @@ func Summarize(p *core.Program) []*global.Summary {
 	return out
 }
 
-func (*lanes) Check(p *core.Program, spec *flash.Spec) []engine.Report {
-	reports, _ := (&lanes{}).CheckCov(p, spec)
-	return reports
-}
-
+// CheckCov links the program's summaries, walks each handler of spec
+// with CheckHandler and ends with LinkReports: the assembly the
+// scheduler runs as one task per handler plus the live link.
 func (*lanes) CheckCov(p *core.Program, spec *flash.Spec) ([]engine.Report, []*engine.Coverage) {
 	prog, linkErrs := global.Link(Summarize(p))
-	reports, cov := CheckLanesCov(prog, spec)
-	for _, e := range linkErrs {
+	var reports []engine.Report
+	var covs []*engine.Coverage
+	keep := func(got []engine.Report, cov *engine.Coverage) {
+		reports = append(reports, got...)
+		if !cov.Empty() {
+			covs = append(covs, cov)
+		}
+	}
+	for _, h := range append(append([]string{}, spec.Hardware...), spec.Software...) {
+		keep(CheckHandler(prog, spec, h))
+	}
+	keep(LinkReports(linkErrs))
+	return reports, covs
+}
+
+// CheckHandler runs the global pass for one handler h of spec: a
+// one-handler spec that keeps the protocol's allowance table. It is the
+// unit the scheduler caches by h's call-graph cone, so the lane
+// coverage is one entry per walked handler on every path.
+func CheckHandler(prog *global.Program, spec *flash.Spec, h string) ([]engine.Report, *engine.Coverage) {
+	return CheckLanesCov(prog, &flash.Spec{Hardware: []string{h}, Allowance: spec.Allowance})
+}
+
+// LinkReports turns link errors into the lane checker's "link" reports
+// and their coverage, one "link" firing per error (empty when there
+// are none).
+func LinkReports(errs []error) ([]engine.Report, *engine.Coverage) {
+	var reports []engine.Report
+	for _, e := range errs {
 		reports = append(reports, engine.Report{SM: "lanes", Rule: "link", Msg: e.Error(),
 			Trace: engine.Witness(token.Pos{}, "link", e.Error())})
 	}
-	cov = MergeLaneCoverage(cov, LinkCoverage(len(linkErrs)))
-	if cov.Empty() {
-		return reports, nil
-	}
-	return reports, []*engine.Coverage{cov}
-}
-
-// LinkCoverage synthesizes lane coverage for n link errors, so warm
-// runs that replay cached link diagnostics count them identically.
-func LinkCoverage(n int) *engine.Coverage {
-	cov := &engine.Coverage{SM: "lanes"}
-	if n > 0 {
-		cov.Rules = map[string]uint64{"link": uint64(n)}
-	}
-	return cov
-}
-
-// MergeLaneCoverage sums b into a (both keyed for the lanes checker).
-func MergeLaneCoverage(a, b *engine.Coverage) *engine.Coverage {
-	if b == nil {
-		return a
-	}
-	for k, v := range b.Rules {
-		if a.Rules == nil {
-			a.Rules = map[string]uint64{}
-		}
-		a.Rules[k] += v
-	}
-	return a
+	return reports, engine.ReportCoverage("lanes", reports)
 }
 
 // checker-core: begin
@@ -153,17 +150,11 @@ type laneWalker struct {
 	warned  map[string]bool
 }
 
-// CheckLanes runs the global pass over a linked program.
-func CheckLanes(prog *global.Program, spec *flash.Spec) []engine.Report {
-	reports, _ := CheckLanesCov(prog, spec)
-	return reports
-}
-
-// CheckLanesCov is CheckLanes plus the pass's dynamic coverage:
+// CheckLanesCov runs the global pass over a linked program for every
+// handler of spec, returning its reports and its dynamic coverage:
 // "walk" counts handlers actually traversed (those with a linked
 // summary), "exceed" counts allowance violations. The coverage is a
-// single merged entry — the per-handler decomposition lives in the
-// scheduler, which calls this once per handler.
+// single merged entry; CheckHandler calls this once per handler.
 func CheckLanesCov(prog *global.Program, spec *flash.Spec) ([]engine.Report, *engine.Coverage) {
 	var reports []engine.Report
 	cov := &engine.Coverage{SM: "lanes"}

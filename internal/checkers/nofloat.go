@@ -33,7 +33,7 @@ func (*noFloat) Applied(p *core.Program) int { return -1 }
 
 // checker-core: begin
 
-func (*noFloat) Check(p *core.Program, spec *flash.Spec) []engine.Report {
+func floatReports(p *core.Program) []engine.Report {
 	var out []engine.Report
 	for _, fn := range p.Fns {
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -52,12 +52,13 @@ func (*noFloat) Check(p *core.Program, spec *flash.Spec) []engine.Report {
 
 // checker-core: end
 
-// CheckCov runs Check and attributes coverage: "typecheck" counts
-// every typed expression examined — the checker's real work on a clean
-// protocol (seeded corpora have no float sites, so "float" alone would
-// read as a dead checker) — and "float" counts the violations.
+// CheckCov reports every float subtree and attributes coverage:
+// "typecheck" counts every typed expression examined — the checker's
+// real work on a clean protocol (seeded corpora have no float sites,
+// so "float" alone would read as a dead checker) — and "float" counts
+// the violations.
 func (*noFloat) CheckCov(p *core.Program, spec *flash.Spec) ([]engine.Report, []*engine.Coverage) {
-	out := (&noFloat{}).Check(p, spec)
+	out := floatReports(p)
 	cov := &engine.Coverage{SM: "nofloat"}
 	examined := uint64(0)
 	for _, fn := range p.Fns {

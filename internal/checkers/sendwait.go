@@ -45,10 +45,6 @@ func (*sendWait) Applied(p *core.Program) int {
 	return total
 }
 
-func (*sendWait) Check(p *core.Program, spec *flash.Spec) []engine.Report {
-	return p.RunSM(buildSendWaitSM())
-}
-
 func (*sendWait) CheckCov(p *core.Program, spec *flash.Spec) ([]engine.Report, []*engine.Coverage) {
 	return p.RunSMCov(buildSendWaitSM())
 }

@@ -173,19 +173,13 @@ func (p *Program) FnNames() []string {
 	return names
 }
 
-// RunSM applies a state machine to every function and collects the
-// reports in function order. Functions are independent, so they are
-// checked concurrently; the result order is deterministic.
-func (p *Program) RunSM(sm *engine.SM) []engine.Report {
-	reports, _ := p.RunSMCov(sm)
-	return reports
-}
-
-// RunSMCov is RunSM plus the per-function dynamic coverage, in
+// RunSMCov applies a state machine to every function and collects the
+// reports in function order, plus the per-function dynamic coverage in
 // function order with empty coverages (skipped functions) omitted.
-// Coverage counts are single-run facts, so concurrency does not
-// perturb them; only ordering could, and the function-order collection
-// fixes that.
+// Functions are independent, so they are checked concurrently, at most
+// GOMAXPROCS at a time; the result order is deterministic. Coverage
+// counts are single-run facts, so concurrency does not perturb them;
+// only ordering could, and the function-order collection fixes that.
 func (p *Program) RunSMCov(sm *engine.SM) ([]engine.Report, []*engine.Coverage) {
 	perFn := make([][]engine.Report, len(p.Graphs))
 	covs := make([]*engine.Coverage, len(p.Graphs))

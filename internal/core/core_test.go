@@ -110,7 +110,7 @@ void f2(void) { MARKER(); }
 		{State: "s", Patterns: []engine.Pattern{{Stmt: pat}},
 			Action: func(c *engine.Ctx) { c.Report("marker") }},
 	}}
-	reports := p.RunSM(sm)
+	reports, _ := p.RunSMCov(sm)
 	if len(reports) != 2 {
 		t.Fatalf("reports %d", len(reports))
 	}

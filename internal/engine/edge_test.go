@@ -16,7 +16,7 @@ func TestAtExitUnreachableExit(t *testing.T) {
 		},
 	}
 	g := buildGraph(t, `void h(void) { for (;;) { } }`)
-	if reports := Run(g, sm); len(reports) != 0 {
+	if reports, _ := RunCov(g, sm); len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
 }
@@ -51,7 +51,7 @@ void h(int op) {
 		DEC_DB_REF(0);
 	}
 }`)
-	reports := Run(g, sm)
+	reports, _ := RunCov(g, sm)
 	// case 2 leaks; cases 1 and default are fine.
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "leak") {
 		t.Fatalf("reports: %v", reports)
@@ -79,7 +79,7 @@ void h(int op) {
 		break;
 	}
 }`)
-	reports := Run(g, sm)
+	reports, _ := RunCov(g, sm)
 	if len(reports) != 1 {
 		t.Fatalf("fallthrough path not explored: %v", reports)
 	}
@@ -98,7 +98,7 @@ top:
 		goto top;
 	}
 }`)
-	reports := Run(g, waitForDBSM(t))
+	reports, _ := RunCov(g, waitForDBSM(t))
 	if len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -113,7 +113,7 @@ void h(int n) {
 		MISCBUS_READ_DB(a, b);
 	} while (n > 0);
 }`)
-	if reports := Run(g, waitForDBSM(t)); len(reports) != 1 {
+	if reports, _ := RunCov(g, waitForDBSM(t)); len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}
 }
@@ -130,7 +130,7 @@ void h(void) {
 	// first (rule order), transitioning to stop before the read rule
 	// is consulted — a single event advances the SM at most one step,
 	// matching the paper's one-transition-per-event model.
-	reports := Run(g, waitForDBSM(t))
+	reports, _ := RunCov(g, waitForDBSM(t))
 	if len(reports) != 0 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -151,7 +151,7 @@ func TestFirstRuleWinsWithinEvent(t *testing.T) {
 		},
 	}
 	g := buildGraph(t, `void h(void) { f(1); }`)
-	reports := Run(g, sm)
+	reports, _ := RunCov(g, sm)
 	if len(reports) != 1 || reports[0].Msg != "first" {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -170,7 +170,7 @@ func TestStateSpecificBeatsAll(t *testing.T) {
 		},
 	}
 	g := buildGraph(t, `void h(void) { f(2); }`)
-	reports := Run(g, sm)
+	reports, _ := RunCov(g, sm)
 	if len(reports) != 1 || reports[0].Msg != "specific" {
 		t.Fatalf("state-specific rules must be consulted before 'all': %v", reports)
 	}
@@ -180,7 +180,7 @@ func TestEmptyFunctionNoPanic(t *testing.T) {
 	g := buildGraph(t, `void h(void) { }`)
 	leaked := false
 	sm := &SM{Name: "e", Start: "s", AtExit: func(c *Ctx) { leaked = true }}
-	Run(g, sm)
+	RunCov(g, sm)
 	if !leaked {
 		t.Error("at-exit did not run for an empty function")
 	}

@@ -143,7 +143,7 @@ type SM struct {
 	StartFor func(fn *ast.FuncDecl) string
 	// Starts optionally enumerates every state StartFor can return,
 	// for static analyses that need the start set without a function
-	// in hand (package lint's reachability pass). Run ignores it.
+	// in hand (package lint's reachability pass). RunCov ignores it.
 	Starts []string
 	Rules  []*Rule
 	Cond   []*CondRule
@@ -564,12 +564,6 @@ func (r *runner) report(rule string, pos token.Pos, state, msg string, tr *trace
 	})
 }
 
-// Run executes sm over g and returns its reports.
-func Run(g *cfg.Graph, sm *SM) []Report {
-	reports, _ := RunCov(g, sm)
-	return reports
-}
-
 // newRunner builds a runner with its coverage bookkeeping in place:
 // every runner carries a Coverage (pathmode and Sim discard theirs)
 // and the precomputed rule/cond keys it is tallied under.
@@ -596,9 +590,10 @@ func startState(sm *SM, fn *ast.FuncDecl) string {
 	return sm.Start
 }
 
-// RunCov is Run plus the run's dynamic coverage: which rules, states,
-// pattern alternatives and branch refinements fired. The coverage is
-// never nil (it is Empty when the SM skipped the function).
+// RunCov executes sm over g and returns its reports plus the run's
+// dynamic coverage: which rules, states, pattern alternatives and
+// branch refinements fired. The coverage is never nil (it is Empty
+// when the SM skipped the function).
 func RunCov(g *cfg.Graph, sm *SM) ([]Report, *Coverage) {
 	cov := &Coverage{SM: sm.Name, Fn: g.Fn.Name}
 	if startState(sm, g.Fn) == "" {

@@ -62,7 +62,7 @@ void handler(void) {
 	MISCBUS_READ_DB(a, b);
 	WAIT_FOR_DB_FULL(a);
 }`)
-	reports := Run(g, waitForDBSM(t))
+	reports, _ := RunCov(g, waitForDBSM(t))
 	if len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -79,7 +79,7 @@ void handler(void) {
 	WAIT_FOR_DB_FULL(a);
 	MISCBUS_READ_DB(a, b);
 }`)
-	if reports := Run(g, waitForDBSM(t)); len(reports) != 0 {
+	if reports, _ := RunCov(g, waitForDBSM(t)); len(reports) != 0 {
 		t.Fatalf("unexpected reports: %v", reports)
 	}
 }
@@ -96,7 +96,7 @@ void handler(int c) {
 	}
 	MISCBUS_READ_DB(a, b);
 }`)
-	reports := Run(g, waitForDBSM(t))
+	reports, _ := RunCov(g, waitForDBSM(t))
 	if len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -111,7 +111,7 @@ void handler(int c) {
 		c = 1;
 	}
 }`)
-	reports := Run(g, waitForDBSM(t))
+	reports, _ := RunCov(g, waitForDBSM(t))
 	if len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -125,7 +125,7 @@ void handler(void) {
 	int v;
 	v = MISCBUS_READ_DB(a, b) + 1;
 }`)
-	if reports := Run(g, waitForDBSM(t)); len(reports) != 1 {
+	if reports, _ := RunCov(g, waitForDBSM(t)); len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}
 }
@@ -144,7 +144,7 @@ void handler(int c) {
 		MISCBUS_READ_DB(a, b);
 	}
 }`)
-	reports := Run(g, waitForDBSM(t))
+	reports, _ := RunCov(g, waitForDBSM(t))
 	if len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -185,7 +185,7 @@ void handler(void) {
 	HANDLER_GLOBALS(header.nh.len) = LEN_NODATA;
 	PI_SEND(F_DATA, 1, 0, 1, 1, 0);
 }`)
-	reports := Run(g, msglenSM(t))
+	reports, _ := RunCov(g, msglenSM(t))
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "data send, zero len") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -199,7 +199,7 @@ void handler(void) {
 	HANDLER_GLOBALS(header.nh.len) = LEN_NODATA;
 	PI_SEND(F_NODATA, 1, 0, 1, 1, 0);
 }`)
-	if reports := Run(g, msglenSM(t)); len(reports) != 0 {
+	if reports, _ := RunCov(g, msglenSM(t)); len(reports) != 0 {
 		t.Fatalf("unexpected: %v", reports)
 	}
 }
@@ -211,7 +211,7 @@ func TestMsglenNeutralStartIgnoresSends(t *testing.T) {
 void handler(void) {
 	PI_SEND(F_DATA, 1, 0, 1, 1, 0);
 }`)
-	if reports := Run(g, msglenSM(t)); len(reports) != 0 {
+	if reports, _ := RunCov(g, msglenSM(t)); len(reports) != 0 {
 		t.Fatalf("unexpected: %v", reports)
 	}
 }
@@ -225,7 +225,7 @@ void handler(void) {
 	HANDLER_GLOBALS(header.nh.len) = LEN_WORD;
 	PI_SEND(F_DATA, 1, 0, 1, 1, 0);
 }`)
-	if reports := Run(g, msglenSM(t)); len(reports) != 0 {
+	if reports, _ := RunCov(g, msglenSM(t)); len(reports) != 0 {
 		t.Fatalf("unexpected: %v", reports)
 	}
 }
@@ -250,7 +250,7 @@ void handler(int c) {
 		MISCBUS_DEC_DB(0);
 	}
 }`)
-	reports := Run(g, sm)
+	reports, _ := RunCov(g, sm)
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "leaked") {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -263,7 +263,7 @@ void handler(int c) {
 		MISCBUS_DEC_DB(0);
 	}
 }`)
-	if reports := Run(g2, sm); len(reports) != 0 {
+	if reports, _ := RunCov(g2, sm); len(reports) != 0 {
 		t.Fatalf("unexpected: %v", reports)
 	}
 }
@@ -282,7 +282,7 @@ void helper(void) {
 	int b;
 	MISCBUS_READ_DB(a, b);
 }`)
-	if reports := Run(g, sm); len(reports) != 0 {
+	if reports, _ := RunCov(g, sm); len(reports) != 0 {
 		t.Fatalf("skipped function still reported: %v", reports)
 	}
 }
@@ -315,7 +315,7 @@ void handler(void) {
 		use_buffer(0);
 	}
 }`)
-	reports := Run(g, sm)
+	reports, _ := RunCov(g, sm)
 	if len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -346,7 +346,7 @@ void handler(void) {
 		use_buffer(0);
 	}
 }`)
-	reports := Run(g, sm)
+	reports, _ := RunCov(g, sm)
 	if len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -368,7 +368,7 @@ void handler(int n) {
 		n--;
 	}
 }`)
-	reports := Run(g, waitForDBSM(t))
+	reports, _ := RunCov(g, waitForDBSM(t))
 	// The read is reachable with the wait not yet executed.
 	if len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
@@ -385,7 +385,7 @@ func TestRunMatchesRunPaths(t *testing.T) {
 	}
 	for _, src := range srcs {
 		g := buildGraph(t, src)
-		r1 := Run(g, waitForDBSM(t))
+		r1, _ := RunCov(g, waitForDBSM(t))
 		r2 := RunPaths(g, waitForDBSM(t), 10000)
 		if len(r1) != len(r2) {
 			t.Errorf("%s:\ndataflow %v\npaths %v", src, r1, r2)
@@ -420,7 +420,7 @@ void handler(void) {
 	MISCBUS_READ_DB(a1, b);
 	MISCBUS_READ_DB(a2, b);
 }`)
-	reports := Run(g, waitForDBSM(t))
+	reports, _ := RunCov(g, waitForDBSM(t))
 	if len(reports) != 2 {
 		t.Fatalf("fresh binding broken, reports: %v", reports)
 	}
@@ -452,7 +452,7 @@ void handler(void) {
 	q = create();  /* re-entering start must rebind */
 	use_after(q);  /* now q is the tracked object */
 }`)
-	reports := Run(g, sm)
+	reports, _ := RunCov(g, sm)
 	if len(reports) != 2 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -470,7 +470,7 @@ void handler(int c) {
 	if (c) { c = 1; } else { c = 2; }
 	MISCBUS_READ_DB(a, b);
 }`)
-	reports := Run(g, waitForDBSM(t))
+	reports, _ := RunCov(g, waitForDBSM(t))
 	if len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}

@@ -25,7 +25,7 @@ void fn(void) {
 		Cond: []*CondRule{{State: "s", Pattern: mkExprPattern(t, "f(x)", w), TrueTarget: "t"}},
 	}
 	v0, e0 := mVisits.Value(), mEvals.Value()
-	Run(g, sm)
+	RunCov(g, sm)
 	visits, evals := mVisits.Value()-v0, mEvals.Value()-e0
 	// The worklist reaches the event nodes as follows (join, entry and
 	// exit nodes have no event and count nothing):

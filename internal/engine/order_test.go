@@ -37,14 +37,14 @@ void h(unsigned a) {
 
 	// Specific first: the specific rule fires, the general one is
 	// masked for this event.
-	reports := Run(g, build(specific, general, "specific", "general"))
+	reports, _ := RunCov(g, build(specific, general, "specific", "general"))
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "specific") {
 		t.Fatalf("specific-first: got %v, want exactly the specific rule", reports)
 	}
 
 	// General first: the general rule masks the specific one — rule
 	// order within a state is load-bearing.
-	reports = Run(g, build(general, specific, "general", "specific"))
+	reports, _ = RunCov(g, build(general, specific, "general", "specific"))
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "general") {
 		t.Fatalf("general-first: got %v, want exactly the general rule", reports)
 	}
@@ -68,7 +68,7 @@ func TestAllStateRulesRunAfterStateRules(t *testing.T) {
 void h(void) {
 	DEC_DB_REF(0);
 }`)
-	reports := Run(g, sm)
+	reports, _ := RunCov(g, sm)
 	if len(reports) != 1 || !strings.Contains(reports[0].Msg, "state") {
 		t.Fatalf("got %v, want the state rule to win over the all rule", reports)
 	}

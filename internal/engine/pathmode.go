@@ -10,7 +10,7 @@ import (
 // RunPaths executes sm the way the paper describes xg++ literally
 // doing it: walking every entry-to-exit path (loops taken at most
 // once) and advancing one configuration along each. It exists for
-// differential testing against Run and for the ablation benchmark; on
+// differential testing against RunCov and for the ablation benchmark; on
 // functions with many sequential branches it is exponentially slower.
 // At most limit paths are walked.
 func RunPaths(g *cfg.Graph, sm *SM, limit int) []Report {

@@ -40,7 +40,7 @@ void h(int m) {
 
 func TestDuplicatedConditionWithoutPruning(t *testing.T) {
 	g := buildGraph(t, dupCondSrc)
-	reports := Run(g, pruneSM(t, false))
+	reports, _ := RunCov(g, pruneSM(t, false))
 	// Naive analysis explores the two impossible combinations:
 	// (true,false-arm) double-frees, (false,true-arm) leaks.
 	if len(reports) != 2 {
@@ -50,7 +50,7 @@ func TestDuplicatedConditionWithoutPruning(t *testing.T) {
 
 func TestDuplicatedConditionWithPruning(t *testing.T) {
 	g := buildGraph(t, dupCondSrc)
-	reports := Run(g, pruneSM(t, true))
+	reports, _ := RunCov(g, pruneSM(t, true))
 	if len(reports) != 0 {
 		t.Fatalf("pruner left reports: %v", reports)
 	}
@@ -73,8 +73,8 @@ void h(int m) {
 	}
 }`
 	g := buildGraph(t, src)
-	with := Run(g, pruneSM(t, true))
-	without := Run(g, pruneSM(t, false))
+	with, _ := RunCov(g, pruneSM(t, true))
+	without, _ := RunCov(g, pruneSM(t, false))
 	if len(with) != len(without) {
 		t.Fatalf("pruning changed results across a reassignment: with=%v without=%v", with, without)
 	}
@@ -94,7 +94,7 @@ void h(int m) {
 	}
 }`
 	g := buildGraph(t, src)
-	reports := Run(g, pruneSM(t, true))
+	reports, _ := RunCov(g, pruneSM(t, true))
 	// Feasible paths free exactly once; with pruning there must be no
 	// double free and no leak.
 	if len(reports) != 0 {
@@ -117,8 +117,8 @@ void h(int m) {
 	}
 }`
 	g := buildGraph(t, src)
-	with := Run(g, pruneSM(t, true))
-	without := Run(g, pruneSM(t, false))
+	with, _ := RunCov(g, pruneSM(t, true))
+	without, _ := RunCov(g, pruneSM(t, false))
 	if len(with) != len(without) || len(with) != 2 {
 		t.Fatalf("with=%v without=%v", with, without)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // Sim is a single-configuration stepper exposing the engine's
-// refinement hooks: the same transfer and branch-refinement logic Run
+// refinement hooks: the same transfer and branch-refinement logic RunCov
 // and RunPaths use, driven one node or edge at a time by an external
 // path enumerator. Package lint's report-triage passes use it to
 // replay a state machine along individual sliced paths and decide

@@ -30,7 +30,7 @@ void handler(void) {
 	MISCBUS_READ_DB(a, b);
 	WAIT_FOR_DB_FULL(a);
 }`)
-	reports := Run(g, waitForDBSM(t))
+	reports, _ := RunCov(g, waitForDBSM(t))
 	if len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -80,7 +80,7 @@ void handler(void) {
 	int p;
 	p = alloc();
 }`)
-	reports := Run(g, sm)
+	reports, _ := RunCov(g, sm)
 	if len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -123,7 +123,7 @@ void handler(void) {
 		use(p);
 	}
 }`)
-	reports := Run(g, sm)
+	reports, _ := RunCov(g, sm)
 	if len(reports) != 1 {
 		t.Fatalf("reports: %v", reports)
 	}
@@ -156,10 +156,10 @@ void handler(void) {
 }`
 	g := buildGraph(t, src)
 	sm := waitForDBSM(t)
-	first := Run(g, sm)
+	first, _ := RunCov(g, sm)
 	for i := 0; i < 20; i++ {
 		g2 := buildGraph(t, src)
-		again := Run(g2, waitForDBSM(t))
+		again, _ := RunCov(g2, waitForDBSM(t))
 		if !reflect.DeepEqual(first, again) {
 			t.Fatalf("run %d produced a different witness:\n%+v\nvs\n%+v", i, first, again)
 		}
@@ -174,7 +174,7 @@ void handler(void) {
 	MISCBUS_READ_DB(a, b);
 	WAIT_FOR_DB_FULL(a);
 }`)
-	reports := Run(g, waitForDBSM(t))
+	reports, _ := RunCov(g, waitForDBSM(t))
 	raw, err := json.Marshal(reports)
 	if err != nil {
 		t.Fatal(err)

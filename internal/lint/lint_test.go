@@ -259,7 +259,7 @@ void h(int m) {
 		DEC_DB_REF(0);
 	}
 }`)
-	reports := engine.Run(g, sm)
+	reports, _ := engine.RunCov(g, sm)
 	if len(reports) != 2 {
 		t.Fatalf("fixed point: want double-free + leak, got %v", reports)
 	}
@@ -278,7 +278,7 @@ void h(void) {
 	DEC_DB_REF(0);
 	DEC_DB_REF(0);
 }`)
-	reports = engine.Run(g, sm)
+	reports, _ = engine.RunCov(g, sm)
 	if len(reports) != 1 {
 		t.Fatalf("want the double-free report, got %v", reports)
 	}
@@ -295,7 +295,7 @@ void h(int m) {
 		DEC_DB_REF(0);
 	}
 }`)
-	reports = engine.Run(g, sm)
+	reports, _ = engine.RunCov(g, sm)
 	ranked = TriageSM(g, sm, reports, TriageOptions{})
 	if len(ranked) != 1 || ranked[0].Confidence != Certain {
 		t.Fatalf("feasible leak must stay certain: %+v", ranked)
@@ -318,7 +318,7 @@ void h(int m) {
 		DEC_DB_REF(0);
 	}
 }`)
-	reports := engine.Run(g, sm)
+	reports, _ := engine.RunCov(g, sm)
 	ranked := TriageSM(g, sm, reports, TriageOptions{})
 	for _, rr := range ranked {
 		if rr.Confidence != Certain {

@@ -114,7 +114,8 @@ func TestTriageReasonTable(t *testing.T) {
 			report: func(g *cfg.Graph) engine.Report {
 				// The double free needs m both true and false; replay
 				// the real engine report so positions line up.
-				for _, r := range engine.Run(g, sm) {
+				reports, _ := engine.RunCov(g, sm)
+				for _, r := range reports {
 					if r.Rule == "double-free" {
 						return r
 					}

@@ -92,7 +92,8 @@ func runOn(t *testing.T, prog *Program, csrc string) []engine.Report {
 	}
 	var out []engine.Report
 	for _, fn := range f.Funcs() {
-		out = append(out, engine.Run(cfg.Build(fn), prog.SM)...)
+		reports, _ := engine.RunCov(cfg.Build(fn), prog.SM)
+		out = append(out, reports...)
 	}
 	return out
 }

@@ -38,8 +38,10 @@ func TestPruningRemovesUselessAnnotations(t *testing.T) {
 	totalRemoved := 0
 	for _, p := range stripped.Gen.Protocols {
 		prog := stripped.Programs[p.Name]
-		before := ScoreChecker(p, "buffer_mgmt", naive.Check(prog, p.Spec))
-		after := ScoreChecker(p, "buffer_mgmt", pruned.Check(prog, p.Spec))
+		naiveReports, _ := naive.CheckCov(prog, p.Spec)
+		prunedReports, _ := pruned.CheckCov(prog, p.Spec)
+		before := ScoreChecker(p, "buffer_mgmt", naiveReports)
+		after := ScoreChecker(p, "buffer_mgmt", prunedReports)
 		removed := len(before.Unmatched) - len(after.Unmatched)
 		if removed != dupAnnotations[p.Name] {
 			t.Errorf("%s: pruning removed %d reports, want %d (the duplicated-condition ones)",
@@ -76,8 +78,8 @@ func TestValueSensitivityAblation(t *testing.T) {
 		degraded := *p.Spec
 		degraded.CondFreeFns = map[string]bool{}
 
-		full := checkers.NewBufferMgmt().Check(prog, p.Spec)
-		naive := checkers.NewBufferMgmt().Check(prog, &degraded)
+		full, _ := checkers.NewBufferMgmt().CheckCov(prog, p.Spec)
+		naive, _ := checkers.NewBufferMgmt().CheckCov(prog, &degraded)
 		if len(naive) <= len(full) {
 			t.Errorf("%s: value-sensitivity made no difference (%d vs %d reports) — the h_cond_free shape should cascade",
 				p.Name, len(naive), len(full))

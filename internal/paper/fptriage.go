@@ -110,7 +110,7 @@ func FPTriageMode(mode lint.TriageMode) (FPTriageResult, error) {
 	for _, proto := range c.Gen.Protocols {
 		prog := c.Programs[proto.Name]
 		for _, ch := range suite {
-			reports := ch.Check(prog, proto.Spec)
+			reports, _ := ch.CheckCov(prog, proto.Spec)
 			var ranked []lint.RankedReport
 			if prov, ok := ch.(checkers.SMProvider); ok {
 				sm, _ := prov.BuildSM(proto.Spec)

@@ -34,7 +34,7 @@ func TestDataflowMatchesPathWalkOnCorpus(t *testing.T) {
 			if paths.Analyze(g).Count > maxPaths {
 				continue
 			}
-			a := engine.Run(g, prog.SM)
+			a, _ := engine.RunCov(g, prog.SM)
 			b := engine.RunPaths(g, prog.SM, maxPaths*4)
 			if !sameReports(a, b) {
 				t.Errorf("%s/%s: dataflow %v != pathwalk %v", name, g.Fn.Name, a, b)
@@ -96,8 +96,8 @@ func TestDiskRoundTrip(t *testing.T) {
 
 	mem := c.Programs["sci"]
 	chk := checkers.NewBufferMgmt()
-	a := chk.Check(mem, p.Spec)
-	b := chk.Check(disk, p.Spec)
+	a, _ := chk.CheckCov(mem, p.Spec)
+	b, _ := chk.CheckCov(disk, p.Spec)
 	if !sameReports(a, b) {
 		t.Errorf("disk load diverges: %d vs %d reports", len(a), len(b))
 	}

@@ -13,9 +13,9 @@ package paper
 import (
 	"fmt"
 
+	"flashmc/internal/checkers"
 	"flashmc/internal/core"
 	"flashmc/internal/engine"
-	"flashmc/internal/flash"
 	"flashmc/internal/flashgen"
 )
 
@@ -125,13 +125,12 @@ func AnnotationCount(proto *flashgen.Protocol, checker string, class flashgen.Cl
 	return n
 }
 
-// RunChecker executes one checker over one protocol.
-func (c *Corpus) RunChecker(chk interface {
-	Check(p *core.Program, spec *flash.Spec) []engine.Report
-}, name string) map[string][]engine.Report {
+// RunChecker executes one checker over every protocol, keyed by
+// protocol name.
+func (c *Corpus) RunChecker(chk checkers.Checker) map[string][]engine.Report {
 	out := map[string][]engine.Report{}
 	for _, p := range c.Gen.Protocols {
-		out[p.Name] = chk.Check(c.Programs[p.Name], p.Spec)
+		out[p.Name], _ = chk.CheckCov(c.Programs[p.Name], p.Spec)
 	}
 	return out
 }

@@ -73,7 +73,8 @@ func (c *Corpus) StaticVsDynamic(trials int, seed int64) []SDResult {
 		// Static pass.
 		staticHit := map[key]bool{}
 		for _, chk := range suite {
-			for _, r := range chk.Check(prog, p.Spec) {
+			reports, _ := chk.CheckCov(prog, p.Spec)
+			for _, r := range reports {
 				k := key{r.Pos.File, r.Pos.Line}
 				if _, ok := seeded[k]; ok {
 					staticHit[k] = true

@@ -37,7 +37,7 @@ func (c *Corpus) runScored(chk checkers.Checker) CheckerResult {
 	}
 	for _, p := range c.Gen.Protocols {
 		prog := c.Programs[p.Name]
-		reports := chk.Check(prog, p.Spec)
+		reports, _ := chk.CheckCov(prog, p.Spec)
 		sc := ScoreChecker(p, chk.Name(), reports)
 		res.Scores[p.Name] = sc
 		res.Errors[p.Name] = sc.Errors

@@ -17,7 +17,7 @@ func TestEveryCorpusReportHasWitness(t *testing.T) {
 	c := testCorpus(t)
 	total := 0
 	for _, chk := range checkers.All() {
-		for proto, reports := range c.RunChecker(chk, chk.Name()) {
+		for proto, reports := range c.RunChecker(chk) {
 			for _, r := range reports {
 				total++
 				if len(r.Trace) == 0 {

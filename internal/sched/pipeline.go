@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"flashmc/internal/cc/token"
 	"flashmc/internal/checkers"
 	"flashmc/internal/core"
 	"flashmc/internal/cover"
@@ -381,8 +380,7 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 					key := depot.Key{Kind: reportsKind, Source: reachFingerprint(h, reach, fpByFn),
 						Checker: job.Name, Version: job.Version, Options: job.Options}
 					a.report(rs, t, &slots[si], job.Name, "lanes:"+h, h, key, func() (artifact, []string) {
-						one := &flash.Spec{Hardware: []string{h}, Allowance: specAllowance(req.Spec)}
-						got, cov := checkers.CheckLanesCov(linked, one)
+						got, cov := checkers.CheckHandler(linked, req.Spec, h)
 						return mkArtifact(got, cov), summaryDepKeys(reach, fpByFn, job.Version, job.Options)
 					})
 				}
@@ -424,13 +422,11 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 	}
 
 	for si, name := range linkSlots {
-		for _, e := range linkErrs {
-			slots[si].reports = append(slots[si].reports, engine.Report{SM: name, Rule: "link", Msg: e.Error(),
-				Trace: engine.Witness(token.Pos{}, "link", e.Error())})
-		}
-		// Link runs live on every call (it is never cached), so its coverage is recorded here identically on warm
-		// and cold paths.
-		a.Coverage.Record(name, checkers.LinkCoverage(len(linkErrs)))
+		// Link runs live on every call (it is never cached), so its
+		// coverage is recorded here identically on warm and cold paths.
+		var cov *engine.Coverage
+		slots[si].reports, cov = checkers.LinkReports(linkErrs)
+		a.Coverage.Record(name, cov)
 	}
 
 	res := &Result{}
@@ -473,14 +469,6 @@ func (a *Analyzer) recordCoverage(checker string, covs []*engine.Coverage) {
 	for _, c := range covs {
 		a.Coverage.Record(checker, c)
 	}
-}
-
-// specAllowance returns the spec's allowance table (nil spec → empty).
-func specAllowance(spec *flash.Spec) map[string]flash.LaneVector {
-	if spec == nil || spec.Allowance == nil {
-		return map[string]flash.LaneVector{}
-	}
-	return spec.Allowance
 }
 
 // FlashJobs builds the job list for the built-in FLASH suite under a

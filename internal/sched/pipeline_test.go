@@ -11,6 +11,7 @@ import (
 	"flashmc/internal/cc/cpp"
 	"flashmc/internal/checkers"
 	"flashmc/internal/core"
+	"flashmc/internal/cover"
 	"flashmc/internal/depot"
 	"flashmc/internal/engine"
 	"flashmc/internal/flash"
@@ -115,22 +116,39 @@ func TestWarmColdByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPipelineMatchesDirectExecution pins the pipeline's report
-// stream to what running every checker directly produces.
+// TestPipelineMatchesDirectExecution pins the pipeline to running
+// every checker directly through CheckCov, on every seed-1 protocol:
+// the same report stream and a byte-identical coverage snapshot.
 func TestPipelineMatchesDirectExecution(t *testing.T) {
-	p, prog := loadProto(t, nil)
-	a := &Analyzer{} // private in-memory depot
-	got, err := a.Check(Request{Prog: prog, Spec: p.Spec, Jobs: FlashJobs(p.Spec)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []engine.Report
-	for _, chk := range checkers.All() {
-		want = append(want, chk.Check(prog, p.Spec)...)
-	}
-	if !bytes.Equal(render(got.Reports), render(want)) {
-		t.Fatalf("pipeline reports differ from direct execution:\npipeline %d reports, direct %d",
-			len(got.Reports), len(want))
+	gen := flashgen.Generate(flashgen.Options{Seed: 1})
+	for _, p := range gen.Protocols {
+		t.Run(p.Name, func(t *testing.T) {
+			prog, err := core.Load(p.Name, p.Source(), p.RootFiles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := &Analyzer{Coverage: cover.NewSet()} // private in-memory depot
+			got, err := a.Check(Request{Prog: prog, Spec: p.Spec, Jobs: FlashJobs(p.Spec)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []engine.Report
+			direct := cover.NewSet()
+			for _, chk := range checkers.All() {
+				reports, covs := chk.CheckCov(prog, p.Spec)
+				want = append(want, reports...)
+				for _, c := range covs {
+					direct.Record(chk.Name(), c)
+				}
+			}
+			if !bytes.Equal(render(got.Reports), render(want)) {
+				t.Fatalf("pipeline reports differ from direct execution:\npipeline %d reports, direct %d",
+					len(got.Reports), len(want))
+			}
+			if gotCov, wantCov := renderCoverage(t, a.Coverage), renderCoverage(t, direct); !bytes.Equal(gotCov, wantCov) {
+				t.Fatalf("pipeline coverage differs from direct execution:\npipeline %s\ndirect   %s", gotCov, wantCov)
+			}
+		})
 	}
 }
 
@@ -161,7 +179,7 @@ func TestDuplicateHandlerLinkReport(t *testing.T) {
 			}
 		}
 	}
-	want := checkers.NewLanes().Check(prog, spec)
+	want, _ := checkers.NewLanes().CheckCov(prog, spec)
 	if !reflect.DeepEqual(lanes, want) {
 		t.Fatalf("pipeline lane reports %v, direct %v", lanes, want)
 	}
