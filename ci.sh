@@ -45,17 +45,18 @@ done
 # Two-pass lanes gate: the paper's local/global interface must give the
 # pipeline's lane answer. For each protocol, -emit writes the local
 # pass's per-function flow graphs and -link runs the global lane pass
-# over them; the sorted [lanes] lines must equal those of -flash on the
-# same files, and must not be empty (every generated protocol has lane
-# findings). Both runs name the files by the same relative paths.
+# over them; its [lanes] lines must equal those of -flash on the same
+# files, in the same (position) order, and must not be empty (every
+# generated protocol has lane findings). Both runs name the files by
+# the same relative paths.
 for proto in bitvector dyn_ptr sci coma rac common; do
     (
         cd "$tmp/corpus/$proto"
         "$tmp/mcheck" -emit "$tmp/sums.$proto.json" *.c > /dev/null
         { "$tmp/mcheck" -link "$tmp/sums.$proto.json" || true; } \
-            | grep ' \[lanes\] ' | sort > "$tmp/lanes-link.$proto"
+            | grep ' \[lanes\] ' > "$tmp/lanes-link.$proto"
         { "$tmp/mcheck" -flash *.c || true; } \
-            | grep ' \[lanes\] ' | sort > "$tmp/lanes-flash.$proto"
+            | grep ' \[lanes\] ' > "$tmp/lanes-flash.$proto"
     )
     test -s "$tmp/lanes-link.$proto"
     cmp "$tmp/lanes-link.$proto" "$tmp/lanes-flash.$proto"

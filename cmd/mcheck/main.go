@@ -386,8 +386,9 @@ func linkPass(files []string) int {
 	reports, _ := checkers.CheckLanesCov(prog, spec)
 	linkReports, _ := checkers.LinkReports(errs)
 	reports = append(reports, linkReports...)
-	for _, r := range reports {
-		fmt.Printf("%s: [lanes] %s\n", r.Pos, r.Msg)
+	// Position order, as -flash prints the same [lanes] reports.
+	for _, i := range engine.PosOrder(reports) {
+		fmt.Printf("%s: [lanes] %s\n", reports[i].Pos, reports[i].Msg)
 	}
 	fmt.Printf("linked %d functions, %d handlers, %d report(s)\n",
 		len(prog.Funcs), len(spec.Hardware)+len(spec.Software), len(reports))

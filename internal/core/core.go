@@ -140,7 +140,9 @@ func Load(name string, src cpp.Source, rootFiles []string, includeDirs ...string
 // only header files, which Load never feeds through this path).
 func countLOC(src string) int {
 	n := 0
-	for _, ln := range strings.Split(src, "\n") {
+	for src != "" {
+		var ln string
+		ln, src, _ = strings.Cut(src, "\n")
 		if strings.TrimSpace(ln) != "" {
 			n++
 		}

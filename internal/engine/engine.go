@@ -32,6 +32,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"flashmc/internal/cc/ast"
 	"flashmc/internal/cc/token"
@@ -165,6 +166,10 @@ type SM struct {
 	// configuration and contradictory paths are dropped. It exists for
 	// the ablation quantifying how many useless annotations it removes.
 	CorrelateBranches bool
+
+	// plan caches the runner plan built on the SM's first run; runs
+	// revalidate it against Rules and Cond (see planFor).
+	plan atomic.Pointer[smPlan]
 }
 
 // keepTracked filters a match environment down to the SM's tracked
@@ -488,26 +493,77 @@ func (s *configSet) drop() {
 
 func (s *configSet) configs() []keyedConfig { return s.list }
 
-// smPlan is the compile-time shape of one SM: its rules partitioned by
-// owning state, so transfer need not rescan every rule per event.
+// smPlan is the compile-time shape of one SM: its rules with their
+// coverage keys, partitioned by owning state so transfer need not
+// rescan every rule per event, and its cond keys. It depends only on
+// the SM, so it is built once per SM rather than once per run.
 type smPlan struct {
-	byState  map[string][]*Rule
-	allRules []*Rule
+	// rules is sm.Rules as planned, in order, for fits.
+	rules    []plannedRule
+	byState  map[string][]plannedRule
+	allRules []plannedRule
+	condKeys []string
 }
 
-// buildPlan partitions an SM's rules by owning state. All-state rules
-// go to allRules; transfer fires byState first, then allRules, which
-// keeps the SM's firing order (including the degenerate case of a rule
+// plannedRule is one rule with its coverage key and the State and Tag
+// the key and the partition were computed from.
+type plannedRule struct {
+	rule       *Rule
+	key        string
+	state, tag string
+}
+
+// buildPlan keys and partitions an SM's rules. All-state rules go to
+// allRules; transfer fires byState first, then allRules, which keeps
+// the SM's firing order (including the degenerate case of a rule
 // literally owned by state "all").
 func buildPlan(sm *SM) *smPlan {
-	p := &smPlan{byState: map[string][]*Rule{}}
-	for _, rule := range sm.Rules {
+	p := &smPlan{
+		rules:    make([]plannedRule, len(sm.Rules)),
+		byState:  map[string][]plannedRule{},
+		condKeys: make([]string, len(sm.Cond)),
+	}
+	for i, rule := range sm.Rules {
+		pr := plannedRule{rule: rule, key: RuleKey(sm, i), state: rule.State, tag: rule.Tag}
+		p.rules[i] = pr
 		if rule.State == All {
-			p.allRules = append(p.allRules, rule)
+			p.allRules = append(p.allRules, pr)
 		} else {
-			p.byState[rule.State] = append(p.byState[rule.State], rule)
+			p.byState[rule.State] = append(p.byState[rule.State], pr)
 		}
 	}
+	for i := range sm.Cond {
+		p.condKeys[i] = CondKey(sm, i)
+	}
+	return p
+}
+
+// fits reports whether p still describes sm: the same rule pointers in
+// the same order with the same State and Tag, and as many cond rules.
+// Rule keys and the partition depend on nothing else. It allocates
+// nothing.
+func (p *smPlan) fits(sm *SM) bool {
+	if len(p.rules) != len(sm.Rules) || len(p.condKeys) != len(sm.Cond) {
+		return false
+	}
+	for i, rule := range sm.Rules {
+		if pr := &p.rules[i]; pr.rule != rule || pr.state != rule.State || pr.tag != rule.Tag {
+			return false
+		}
+	}
+	return true
+}
+
+// planFor returns sm's plan, building it on the first run and again
+// whenever the SM's rules were edited since (callers may swap, retag
+// or add rules between runs). Concurrent first runs may each build
+// one; the last to publish wins and every copy is equivalent.
+func (sm *SM) planFor() *smPlan {
+	if p := sm.plan.Load(); p != nil && p.fits(sm) {
+		return p
+	}
+	p := buildPlan(sm)
+	sm.plan.Store(p)
 	return p
 }
 
@@ -518,13 +574,11 @@ type runner struct {
 	reports []Report
 	seen    map[string]bool
 
-	// cov tallies rule/state/pattern/cond firings for this run;
-	// ruleKeys and condKeys are the precomputed coverage keys.
-	cov      *Coverage
-	ruleKeys map[*Rule]string
-	condKeys []string
+	// cov tallies rule/state/pattern/cond firings for this run under
+	// the plan's coverage keys.
+	cov *Coverage
 
-	// plan is the SM's rules partitioned by owning state.
+	// plan is the SM's keyed rules partitioned by owning state.
 	plan *smPlan
 
 	// local metric shadows, flushed once by flushMetrics.
@@ -566,20 +620,10 @@ func (r *runner) report(rule string, pos token.Pos, state, msg string, tr *trace
 
 // newRunner builds a runner with its coverage bookkeeping in place:
 // every runner carries a Coverage (pathmode and Sim discard theirs)
-// and the precomputed rule/cond keys it is tallied under.
+// and the SM's plan, whose keys it is tallied under.
 func newRunner(sm *SM, g *cfg.Graph) *runner {
-	r := &runner{sm: sm, g: g, seen: map[string]bool{},
-		cov: &Coverage{SM: sm.Name, Fn: g.Fn.Name}}
-	r.ruleKeys = make(map[*Rule]string, len(sm.Rules))
-	for i, rule := range sm.Rules {
-		r.ruleKeys[rule] = RuleKey(sm, i)
-	}
-	r.condKeys = make([]string, len(sm.Cond))
-	for i := range sm.Cond {
-		r.condKeys[i] = CondKey(sm, i)
-	}
-	r.plan = buildPlan(sm)
-	return r
+	return &runner{sm: sm, g: g, seen: map[string]bool{},
+		cov: &Coverage{SM: sm.Name, Fn: g.Fn.Name}, plan: sm.planFor()}
 }
 
 // startState resolves the SM's start state for a function ("" skips).
@@ -595,14 +639,12 @@ func startState(sm *SM, fn *ast.FuncDecl) string {
 // branch refinements fired. The coverage is never nil (it is Empty
 // when the SM skipped the function).
 func RunCov(g *cfg.Graph, sm *SM) ([]Report, *Coverage) {
-	cov := &Coverage{SM: sm.Name, Fn: g.Fn.Name}
 	if startState(sm, g.Fn) == "" {
-		return nil, cov
+		return nil, &Coverage{SM: sm.Name, Fn: g.Fn.Name}
 	}
 	r := newRunner(sm, g)
-	r.cov = cov
 	r.runToFixpoint()
-	return r.reports, cov
+	return r.reports, r.cov
 }
 
 // fixScratch is runToFixpoint's working storage: the per-node out
@@ -755,7 +797,7 @@ func (r *runner) refine(c config, e *cfg.Edge) (config, bool) {
 		if !ok {
 			continue
 		}
-		r.cov.hitCond(r.condKeys[ci])
+		r.cov.hitCond(r.plan.condKeys[ci])
 		isTrue := e.Label == cfg.True
 		if negated {
 			isTrue = !isTrue
@@ -845,16 +887,16 @@ func (r *runner) transfer(n *cfg.Node, c config) (config, bool) {
 
 	// State-specific rules first, then all-state rules (paper §5).
 	r.nVisits++
-	fire := func(rules []*Rule) (next config, alive, fired bool) {
-		for _, rule := range rules {
+	fire := func(rules []plannedRule) (next config, alive, fired bool) {
+		for _, pr := range rules {
+			rule := pr.rule
 			env, pos, alt, ok := r.matchRule(rule, event, c.env)
 			if !ok {
 				continue
 			}
 			r.nRules++
-			key := r.ruleKeys[rule]
-			r.cov.hitRule(key)
-			r.cov.hitPattern(key, alt)
+			r.cov.hitRule(pr.key)
+			r.cov.hitPattern(pr.key, alt)
 			to := rule.Target
 			if to == "" {
 				to = c.state

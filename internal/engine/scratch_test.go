@@ -202,9 +202,9 @@ void h(void) {
 	}
 }
 
-// TestRunCovAllocsBounded: once the pool holds a scratch, a run that
-// reports nothing allocates only the runner's own bookkeeping (rule
-// and cond keys, plan, coverage, seen set, seed environment) — the
+// TestRunCovAllocsBounded: once the pool holds a scratch and the SM
+// its plan, a run that reports nothing allocates only the runner's own
+// bookkeeping (runner, coverage, seen set, seed environment) — the
 // same count on a ten-statement and a two-hundred-statement graph.
 func TestRunCovAllocsBounded(t *testing.T) {
 	if raceEnabled {

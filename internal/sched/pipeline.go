@@ -429,7 +429,7 @@ func (a *Analyzer) Check(req Request) (*Result, error) {
 		a.Coverage.Record(name, cov)
 	}
 
-	res := &Result{}
+	res := &Result{Artifacts: make([]ArtifactRef, 0, len(slots))}
 	for _, s := range slots {
 		ri := -1
 		if s.ref.Task != "" {
