@@ -62,6 +62,17 @@ for proto in bitvector dyn_ptr sci coma rac common; do
     cmp "$tmp/lanes-link.$proto" "$tmp/lanes-flash.$proto"
 done
 
+# metalint gate: the checker linter lints and nothing else. The
+# built-in suite must lint clean (exit 0), the broken fixture must fail
+# on its lint errors (exit 1), and -triage must be refused as an
+# unknown flag (exit 2): reports are ranked only by mcheck -triage.
+go build -o "$tmp/metalint" ./cmd/metalint
+"$tmp/metalint" -flash > /dev/null
+rc=0; "$tmp/metalint" internal/lint/testdata/broken.metal > /dev/null || rc=$?
+test "$rc" -eq 1
+rc=0; "$tmp/metalint" -triage > /dev/null 2>&1 || rc=$?
+test "$rc" -eq 2
+
 # Depot-churn gate: fill a tiny depot past its byte budget and
 # let LRU eviction run between a cold and a warm pass of every
 # protocol. Evicted artifacts recompute, surviving ones replay, and

@@ -10,8 +10,9 @@
 //
 // Endpoints:
 //
-//	POST /check    JSON {files, roots?, checkers?, flash?, triage?} in,
-//	               ranked reports + cache/scheduler statistics out.
+//	POST /check    JSON {files, roots?, checkers?, flash?, triage?,
+//	               triage_mode?} in, ranked reports +
+//	               cache/scheduler statistics out.
 //	               Unchanged functions ride the warm-cache path.
 //	GET  /metrics  Prometheus text: request counters and seconds,
 //	               single-flight and program-cache counters, inflight
@@ -29,9 +30,10 @@
 //	GET  /debug/pprof/*  runtime profiles (CPU, heap, goroutines);
 //	               per-rule hotspots are a CPU-profile question.
 //
-// Identical concurrent /check requests (same program fingerprint, job
-// list, and triage mode) are deduplicated: one computes, the rest
-// share its response. Every response carries an X-Request-Id header
+// Identical concurrent /check requests (same files and roots, ad-hoc
+// checkers, flash flag and triage mode) are deduplicated: one loads,
+// checks and ranks, the rest share its response, error statuses
+// included. Every response carries an X-Request-Id header
 // that also tags the server's structured log lines. Each response's
 // stats.decisions counts its cache lookups by reason (hit, new,
 // checker-version-bump, ...); /metrics sums them over the process as

@@ -16,75 +16,90 @@ import (
 
 // TestSingleFlightSharesComputation proves the dedupe path: the leader
 // is held open until three identical requests have joined its flight,
-// so exactly one computation serves all four responses and the shared
-// counter records the three followers.
+// so exactly one computation — frontend included — serves all four
+// responses, and the shared counter records the three followers. A
+// tree that does not parse is one such computation too: all four
+// requests get the leader's 422.
 func TestSingleFlightSharesComputation(t *testing.T) {
-	store, err := depot.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(store, 2)
-	srv.testLeaderHook = func() {
-		// Followers bump the counter at join time, before blocking on
-		// the flight, so this wait is race-free.
-		deadline := time.Now().Add(10 * time.Second)
-		for srv.sfShared.Value() < 3 {
-			if time.Now().After(deadline) {
-				t.Error("followers never joined the flight")
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	body := `{"files": {"proto.c": ` + mustQuote(fixture) + `}}`
-	responses := make([][]byte, 4)
-	var wg sync.WaitGroup
-	for i := range responses {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/check", "application/json", strings.NewReader(body))
+	for _, tc := range []struct {
+		name string
+		src  string
+		code int
+	}{
+		{"reports", fixture, http.StatusOK},
+		{"parse error", "void f( {", http.StatusUnprocessableEntity},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := depot.Open(t.TempDir())
 			if err != nil {
-				t.Errorf("request %d: %v", i, err)
-				return
+				t.Fatal(err)
 			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("request %d: %s", i, resp.Status)
-				return
+			srv := newServer(store, 2)
+			srv.testLeaderHook = func() {
+				// Followers bump the counter at join time, before
+				// blocking on the flight, so this wait is race-free.
+				deadline := time.Now().Add(10 * time.Second)
+				for srv.sfShared.Value() < 3 {
+					if time.Now().After(deadline) {
+						t.Error("followers never joined the flight")
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
 			}
-			if resp.Header.Get("X-Request-Id") == "" {
-				t.Errorf("request %d: no X-Request-Id header", i)
-			}
-			responses[i], _ = io.ReadAll(resp.Body)
-		}(i)
-	}
-	wg.Wait()
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
 
-	for i := 1; i < len(responses); i++ {
-		if !bytes.Equal(responses[0], responses[i]) {
-			t.Fatalf("response %d differs from response 0:\n%s\nvs\n%s", i, responses[i], responses[0])
-		}
-	}
-	if got := srv.sfShared.Value(); got != 3 {
-		t.Fatalf("mcheckd_singleflight_shared_total = %g, want 3", got)
-	}
-	// One leader computed; the underlying work was counted once.
-	if got := srv.requests.Value(); got != 4 {
-		t.Fatalf("mcheckd_requests_total = %g, want 4", got)
-	}
+			body := `{"files": {"proto.c": ` + mustQuote(tc.src) + `}}`
+			responses := make([][]byte, 4)
+			var wg sync.WaitGroup
+			for i := range responses {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					resp, err := http.Post(ts.URL+"/check", "application/json", strings.NewReader(body))
+					if err != nil {
+						t.Errorf("request %d: %v", i, err)
+						return
+					}
+					defer resp.Body.Close()
+					if resp.StatusCode != tc.code {
+						t.Errorf("request %d: %s, want %d", i, resp.Status, tc.code)
+						return
+					}
+					if resp.Header.Get("X-Request-Id") == "" {
+						t.Errorf("request %d: no X-Request-Id header", i)
+					}
+					responses[i], _ = io.ReadAll(resp.Body)
+				}(i)
+			}
+			wg.Wait()
 
-	mr, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mraw, _ := io.ReadAll(mr.Body)
-	mr.Body.Close()
-	if !strings.Contains(string(mraw), "mcheckd_singleflight_shared_total 3") {
-		t.Fatalf("metrics missing shared counter:\n%s", mraw)
+			for i := 1; i < len(responses); i++ {
+				if !bytes.Equal(responses[0], responses[i]) {
+					t.Fatalf("response %d differs from response 0:\n%s\nvs\n%s", i, responses[i], responses[0])
+				}
+			}
+			if tc.code == http.StatusUnprocessableEntity && !bytes.Contains(responses[0], []byte(`"parse_errors"`)) {
+				t.Fatalf("422 body has no parse_errors:\n%s", responses[0])
+			}
+			if got := srv.requests.Value(); got != 4 {
+				t.Fatalf("mcheckd_requests_total = %g, want 4", got)
+			}
+
+			// One leader computed: the frontend ran once and the three
+			// followers never reached the program cache.
+			metrics := scrapeMetrics(t, ts)
+			for _, want := range []string{
+				"mcheckd_singleflight_shared_total 3\n",
+				"mcheckd_program_cache_misses_total 1\n",
+				"mcheckd_program_cache_hits_total 0\n",
+			} {
+				if !strings.Contains(metrics, want) {
+					t.Errorf("metrics missing %q:\n%s", want, grepMetrics(metrics, "mcheckd_"))
+				}
+			}
+		})
 	}
 }
 

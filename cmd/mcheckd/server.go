@@ -99,14 +99,20 @@ type checkResponse struct {
 	Stats       statsJSON    `json:"stats"`
 }
 
-// flight is one in-progress /check computation shared by identical
-// concurrent requests; followers wait on done and reuse the outcome.
-type flight struct {
-	done    chan struct{}
+// answer is one /check outcome: an error status with its message, or
+// a JSON body (200, or 422 for a tree that does not parse).
+type answer struct {
 	code    int
+	err     string // non-empty: answered with http.Error
 	resp    checkResponse
-	err     string // non-empty: the leader failed with this message
-	traceID string // the leader's request id; followers echo it in X-Trace-Id
+	traceID string // the computing request's id, echoed in X-Trace-Id
+}
+
+// flight is one in-progress /check computation shared by identical
+// concurrent requests; followers wait on done and reuse its answer.
+type flight struct {
+	done chan struct{}
+	ans  answer
 }
 
 // maxCheckBodyBytes caps a POST /check body. The whole generated
@@ -267,19 +273,59 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Ad-hoc checkers run before the built-in suite, as in cmd/mcheck,
+	// sorted by label: the request carries them in a map.
+	adhoc := make([]sched.AdHocChecker, 0, len(req.Checkers))
+	for name, src := range req.Checkers {
+		adhoc = append(adhoc, sched.AdHocChecker{Label: name, Src: src})
+	}
+	sort.Slice(adhoc, func(i, j int) bool { return adhoc[i].Label < adhoc[j].Label })
+	flashSuite := req.Flash == nil || *req.Flash
+
+	// Single-flight: concurrent identical requests share one
+	// computation — frontend, job assembly, check and triage — and its
+	// answer, errors included. The key is built from the request's
+	// inputs alone, so a follower runs nothing.
+	srcHash := sched.SourceHash(req.Files, roots)
+	fl, leader := s.joinFlight(flightKey(srcHash, adhoc, flashSuite, triageMode))
+	if leader {
+		if s.testLeaderHook != nil {
+			s.testLeaderHook()
+		}
+		fl.ans = s.compute(req.Files, roots, srcHash, adhoc, flashSuite, triageMode, reqID)
+		s.finishFlight(fl)
+	} else {
+		// Counted at join time: this request will reuse the leader's
+		// work whether or not it has finished yet.
+		s.sfShared.Inc()
+		<-fl.done
+		log.Printf("mcheckd: id=%s singleflight=shared", reqID)
+	}
+	status = fl.ans.code
+	if fl.ans.err != "" {
+		s.fail(w, status, "%s", fl.ans.err)
+		return
+	}
+	// A follower did no work of its own; its trace is the leader's,
+	// addressed by the leader's request id.
+	if fl.ans.traceID != "" {
+		w.Header().Set("X-Trace-Id", fl.ans.traceID)
+	}
+	writeJSON(w, status, fl.ans.resp)
+}
+
+// compute answers one /check: load the tree (through the program
+// cache), assemble its jobs exactly like cmd/mcheck, check, and rank.
+func (s *server) compute(files map[string]string, roots []string, srcHash string, adhoc []sched.AdHocChecker, flashSuite bool, triageMode lint.TriageMode, reqID string) answer {
 	// The program cache serves identical source trees without running
 	// the frontend: a hit returns the already-parsed (immutable)
 	// program, whose fingerprints are memoized on it, so the warm path
-	// goes straight to the scheduler. Concurrent misses for one tree
-	// parse once.
-	srcHash := sched.SourceHash(req.Files, roots)
+	// goes straight to the scheduler.
 	prog, warmProg, err := s.progCache.Load(srcHash, func() (*core.Program, error) {
-		return core.Load("mcheckd", cpp.Layered(cpp.MapSource(req.Files), flash.HeaderSource()), roots)
+		return core.Load("mcheckd", cpp.Layered(cpp.MapSource(files), flash.HeaderSource()), roots)
 	})
 	if err != nil {
-		status = http.StatusBadRequest
-		s.fail(w, status, "load: %v", err)
-		return
+		return answer{code: http.StatusBadRequest, err: fmt.Sprintf("load: %v", err)}
 	}
 	if warmProg {
 		s.pcHits.Inc()
@@ -291,75 +337,26 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		resp.ParseErrors = append(resp.ParseErrors, e.Error())
 	}
 	if len(resp.ParseErrors) > 0 {
-		status = http.StatusUnprocessableEntity
-		writeJSON(w, status, resp)
-		return
+		return answer{code: http.StatusUnprocessableEntity, resp: resp}
 	}
 
-	// Assemble jobs exactly like cmd/mcheck: ad-hoc checkers first
-	// (sorted by name — the request carries them in a map), then the
-	// built-in suite.
 	spec := flash.ConventionSpec(prog.FnNames())
-	adhoc := make([]sched.AdHocChecker, 0, len(req.Checkers))
-	for name, src := range req.Checkers {
-		adhoc = append(adhoc, sched.AdHocChecker{Label: name, Src: src})
-	}
-	sort.Slice(adhoc, func(i, j int) bool { return adhoc[i].Label < adhoc[j].Label })
-	set, err := sched.BuildJobs(prog, spec, adhoc, req.Flash == nil || *req.Flash)
+	set, err := sched.BuildJobs(prog, spec, adhoc, flashSuite)
 	if err != nil {
-		status = http.StatusBadRequest
-		s.fail(w, status, "checker %v", err)
-		return
+		return answer{code: http.StatusBadRequest, err: fmt.Sprintf("checker %v", err)}
 	}
-	jobs := set.Jobs
-	if len(jobs) == 0 {
-		status = http.StatusBadRequest
-		s.fail(w, status, "nothing to run: flash disabled and no ad-hoc checkers")
-		return
-	}
-
-	// Single-flight: concurrent requests for the same program, job
-	// list, and triage mode share one computation. The key is the
-	// program fingerprint plus everything that shapes the response.
-	fl, leader := s.joinFlight(flightKey(sched.ProgramFingerprintOf(prog), jobs, triageMode))
-	if !leader {
-		// Counted at join time: this request will reuse the leader's
-		// work whether or not it has finished yet.
-		s.sfShared.Inc()
-		<-fl.done
-		log.Printf("mcheckd: id=%s singleflight=shared", reqID)
-		if fl.err != "" {
-			status = fl.code
-			s.errored.Inc()
-			http.Error(w, fl.err, fl.code)
-			return
-		}
-		// The follower did no work of its own; its trace is the
-		// leader's, addressed by the leader's request id.
-		if fl.traceID != "" {
-			w.Header().Set("X-Trace-Id", fl.traceID)
-		}
-		status = fl.code
-		writeJSON(w, fl.code, fl.resp)
-		return
-	}
-
-	if s.testLeaderHook != nil {
-		s.testLeaderHook()
+	if len(set.Jobs) == 0 {
+		return answer{code: http.StatusBadRequest, err: "nothing to run: flash disabled and no ad-hoc checkers"}
 	}
 
 	// Every leader request runs under its own tracer, so concurrent
 	// requests' spans never interleave in one trace.
 	tracer := obs.NewTracer()
 	tracer.SetProcess(1, "mcheckd")
-	res, err := s.analyzer.Check(sched.Request{Prog: prog, Spec: spec, Jobs: jobs,
+	res, err := s.analyzer.Check(sched.Request{Prog: prog, Spec: spec, Jobs: set.Jobs,
 		Tracer: tracer, TraceID: reqID})
 	if err != nil {
-		status = http.StatusInternalServerError
-		fl.code, fl.err = status, fmt.Sprintf("check: %v", err)
-		s.finishFlight(fl)
-		s.fail(w, status, "check: %v", err)
-		return
+		return answer{code: http.StatusInternalServerError, err: fmt.Sprintf("check: %v", err)}
 	}
 	// Task and cache-decision counts are exported once, by the
 	// scheduler itself (sched_tasks_total, sched_task_seconds,
@@ -378,10 +375,7 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		Decisions:    res.Stats.Decisions,
 	}
 	s.storeTrace(reqID, tracer.Events())
-	w.Header().Set("X-Trace-Id", reqID)
-	fl.code, fl.resp, fl.traceID = http.StatusOK, resp, reqID
-	s.finishFlight(fl)
-	writeJSON(w, http.StatusOK, resp)
+	return answer{code: http.StatusOK, resp: resp, traceID: reqID}
 }
 
 // storeTrace retains the trace of one completed request for
@@ -417,16 +411,21 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// flightKey content-addresses one /check computation. The program
-// fingerprint comes from the program cache, so joining a flight never
-// re-walks the AST.
-func flightKey(progFP string, jobs []sched.Job, mode lint.TriageMode) string {
+// flightKey content-addresses one /check computation from the
+// request's inputs: the source tree and root order (SourceHash), the
+// ad-hoc checkers in label order, whether the built-in suite runs, and
+// the triage mode. Parts are length-prefixed, so no two input sets
+// share a key.
+func flightKey(srcHash string, adhoc []sched.AdHocChecker, flashSuite bool, mode lint.TriageMode) string {
 	h := sha256.New()
-	h.Write([]byte(progFP))
-	for _, j := range jobs {
-		fmt.Fprintf(h, "|%s|%s|%s", j.Name, j.Version, j.Options)
+	put := func(part string) { fmt.Fprintf(h, "%d:%s", len(part), part) }
+	put(srcHash)
+	for _, c := range adhoc {
+		put(c.Label)
+		put(c.Src)
 	}
-	fmt.Fprintf(h, "|triage=%s", mode)
+	put(fmt.Sprintf("flash=%v", flashSuite))
+	put(fmt.Sprintf("triage=%s", mode))
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	metalint [-I dir]... [-c file.c]... [-flash] [-triage[=slice|sym]] [-v] checker.metal...
+//	metalint [-I dir]... [-c file.c]... [-flash] [-v] checker.metal...
 //
 // Each checker.metal argument is compiled and run through the SM lint
 // passes: unreachable states, shadowed/overlapping rules, unused
@@ -15,18 +15,14 @@
 // suite the same way.
 //
 // With -c, protocol-C sources are loaded: their function names extend
-// the pattern vocabulary, each function's CFG is scanned for repeated
-// non-identifier branch conditions the engine's correlated-branch
-// pruner cannot see (its key-space bound), and -triage additionally
-// runs every linted checker over the program and prints each report
-// with a confidence from the feasibility replay: 'slice' ranks
-// certain / likely-fp from path slicing alone, 'sym' adds the bounded
-// symbolic evaluator, which can prove firing paths unsatisfiable and
-// demote their reports to infeasible. Bare -triage keeps its
-// pre-sym meaning: slice mode.
+// the pattern vocabulary, and each function's CFG is scanned for
+// repeated non-identifier branch conditions the engine's
+// correlated-branch pruner cannot see (its key-space bound). Ranking
+// the reports themselves by path feasibility is mcheck's job:
+// mcheck [-checker f.metal] [-flash] -triage slice|sym.
 //
-// Exit status: 2 on usage errors, 1 if any Error-severity finding (or
-// any certain report under -triage) was produced, 0 otherwise.
+// Exit status: 2 on usage errors, 1 if any Error-severity finding was
+// produced, 0 otherwise.
 package main
 
 import (
@@ -38,7 +34,6 @@ import (
 	"flashmc/internal/cc/cpp"
 	"flashmc/internal/checkers"
 	"flashmc/internal/core"
-	"flashmc/internal/engine"
 	"flashmc/internal/flash"
 	"flashmc/internal/lint"
 	"flashmc/internal/metal"
@@ -49,42 +44,11 @@ type stringList []string
 func (s *stringList) String() string     { return strings.Join(*s, ",") }
 func (s *stringList) Set(v string) error { *s = append(*s, v); return nil }
 
-// triageValue keeps -triage working both ways: it started life as a
-// bool flag (bare -triage ran the slicing replay), so it must parse
-// with no value, while -triage=sym selects the symbolic rung. The
-// bool-flag form means the value cannot be space-separated: it is
-// -triage=sym, not -triage sym.
-type triageValue struct {
-	mode lint.TriageMode
-	on   bool
-}
-
-func (t *triageValue) String() string   { return string(t.mode) }
-func (t *triageValue) IsBoolFlag() bool { return true }
-
-func (t *triageValue) Set(v string) error {
-	switch v {
-	case "true", "": // bare -triage: the original slice-mode replay
-		t.mode, t.on = lint.ModeSlice, true
-	case "false":
-		t.mode, t.on = "", false
-	case "slice":
-		t.mode, t.on = lint.ModeSlice, true
-	case "sym":
-		t.mode, t.on = lint.ModeSym, true
-	default:
-		return fmt.Errorf("want 'slice' or 'sym'")
-	}
-	return nil
-}
-
 func main() {
 	var includes, cFiles stringList
 	flag.Var(&includes, "I", "include search directory (repeatable)")
 	flag.Var(&cFiles, "c", "protocol-C source to load (repeatable)")
 	flashSuite := flag.Bool("flash", false, "lint the built-in FLASH checker suite")
-	var triage triageValue
-	flag.Var(&triage, "triage", "run linted checkers over -c sources and rank each report: bare or =slice for slicing, =sym adds the symbolic evaluator")
 	verbose := flag.Bool("v", false, "print Info-level findings too")
 	flag.Parse()
 
@@ -125,13 +89,6 @@ func main() {
 		errors += len(lint.Errors(diags))
 	}
 
-	// One linted SM per source, kept for -triage.
-	type target struct {
-		name string
-		sm   *engine.SM
-	}
-	var targets []target
-
 	for _, mf := range metalFiles {
 		src, err := os.ReadFile(mf)
 		if err != nil {
@@ -144,10 +101,8 @@ func main() {
 			fail("%s: %v", mf, err)
 		}
 		emit(mf, lint.CheckMetal(mp, vocab))
-		targets = append(targets, target{name: mp.Name, sm: mp.SM})
 	}
 
-	var spec *flash.Spec
 	if *flashSuite {
 		// With no loaded program the spec is empty, which still lints
 		// the suite's built-in rule sets.
@@ -155,7 +110,7 @@ func main() {
 		if prog != nil {
 			names = prog.FnNames()
 		}
-		spec = flash.ConventionSpec(names)
+		spec := flash.ConventionSpec(names)
 		for _, chk := range checkers.All() {
 			prov, ok := chk.(checkers.SMProvider)
 			if !ok {
@@ -163,7 +118,6 @@ func main() {
 			}
 			sm, decls := prov.BuildSM(spec)
 			emit(chk.Name(), lint.CheckSM(lint.Target{SM: sm, Decls: decls, Vocab: vocab}))
-			targets = append(targets, target{name: chk.Name(), sm: sm})
 		}
 	}
 
@@ -173,25 +127,7 @@ func main() {
 		}
 	}
 
-	certain := 0
-	if triage.on {
-		if prog == nil {
-			fail("-triage needs -c sources to run the checkers over")
-		}
-		for _, t := range targets {
-			reports, _ := prog.RunSMCov(t.sm)
-			ranked := lint.TriageProgram(prog, t.sm, reports, lint.TriageOptions{Mode: triage.mode})
-			lint.SortRanked(ranked)
-			for _, rr := range ranked {
-				fmt.Printf("%s: [%s] %s (%s: %s)\n", rr.Pos, t.name, rr.Msg, rr.Confidence, rr.Reason)
-				if rr.Confidence == lint.Certain {
-					certain++
-				}
-			}
-		}
-	}
-
-	if errors > 0 || certain > 0 {
+	if errors > 0 {
 		os.Exit(1)
 	}
 }

@@ -140,12 +140,6 @@ func New(src Source, includeDirs ...string) *Preprocessor {
 	}
 }
 
-// Define installs an object-like macro, e.g. Define("SIMULATION", "1").
-// An empty body defines the name with no tokens (as in -DNAME).
-func (p *Preprocessor) Define(name, body string) {
-	p.macros[name] = &Macro{Name: name, Body: scanAll(body)}
-}
-
 // Errors returns all errors accumulated so far.
 func (p *Preprocessor) Errors() []error { return p.errs }
 
@@ -250,24 +244,31 @@ type logicalLine struct {
 
 // splitLogicalLines splits text into lines, joining backslash
 // continuations and stripping comments that could hide directives.
+// It walks the text with strings.Cut rather than splitting it, so the
+// only allocations are the result and the joined continuations.
 func splitLogicalLines(text string) []logicalLine {
 	text = stripBlockComments(text)
-	raw := strings.Split(text, "\n")
-	out := make([]logicalLine, 0, len(raw))
-	for i := 0; i < len(raw); i++ {
-		start := i + 1
-		line := raw[i]
-		for i+1 < len(raw) {
+	out := make([]logicalLine, 0, strings.Count(text, "\n")+1)
+	for n := 1; ; {
+		start := n
+		line, rest, more := strings.Cut(text, "\n")
+		n++
+		for more {
 			head, ok := continued(line)
 			if !ok {
 				break
 			}
-			line = head + raw[i+1]
-			i++
+			var next string
+			next, rest, more = strings.Cut(rest, "\n")
+			line = head + next
+			n++
 		}
 		out = append(out, logicalLine{line: start, text: line})
+		if !more {
+			return out
+		}
+		text = rest
 	}
-	return out
 }
 
 // continued reports whether line ends in a backslash continuation,

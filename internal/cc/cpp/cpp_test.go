@@ -276,15 +276,6 @@ func TestKeepMacros(t *testing.T) {
 	}
 }
 
-func TestPredefine(t *testing.T) {
-	p := New(MapSource{"main.c": "#ifdef SIM\nint s;\n#endif\n"})
-	p.Define("SIM", "1")
-	out := p.Process("main.c")
-	if !strings.Contains(out, "int s;") {
-		t.Errorf("got %q", out)
-	}
-}
-
 func TestCommentsStrippedBeforeDirectives(t *testing.T) {
 	out, errs := pp(t, map[string]string{
 		"main.c": "/* comment \n#define HIDDEN 1\n*/\nint x;\n",

@@ -228,9 +228,6 @@ func Lookup(ident string) Kind {
 	return Ident
 }
 
-// IsKeyword reports whether k is a C keyword.
-func (k Kind) IsKeyword() bool { return k >= KwAuto && k <= KwWhile }
-
 // IsAssign reports whether k is an assignment operator (= and the
 // compound assignments).
 func (k Kind) IsAssign() bool { return k >= Assign && k <= ShrAssign }

@@ -16,15 +16,14 @@ func TestLookup(t *testing.T) {
 
 func TestKeywordRange(t *testing.T) {
 	for k := KwAuto; k <= KwWhile; k++ {
-		if !k.IsKeyword() {
-			t.Errorf("%v not keyword", k)
-		}
 		if Lookup(k.String()) != k {
 			t.Errorf("Lookup(%q) != %v", k.String(), k)
 		}
 	}
-	if Ident.IsKeyword() || Add.IsKeyword() {
-		t.Error("non-keywords report as keywords")
+	for spelling, k := range keywords {
+		if k < KwAuto || k > KwWhile {
+			t.Errorf("keyword %q maps to %v, outside KwAuto..KwWhile", spelling, k)
+		}
 	}
 }
 

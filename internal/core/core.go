@@ -55,9 +55,9 @@ type Program struct {
 // fingerprintMemo holds a program's content fingerprints once they are
 // computed. The hash itself lives in package sched (the depot's
 // addressing scheme); core only stores the result, so every consumer
-// of one loaded program — Check, triage, mcheckd's single-flight key
-// — shares a single AST walk. Its zero value is ready to use, so programs built
-// as struct literals memoize too.
+// of one loaded program — Check and triage — shares a single AST walk.
+// Its zero value is ready to use, so programs built as struct literals
+// memoize too.
 type fingerprintMemo struct {
 	once sync.Once
 	fns  []string

@@ -89,17 +89,6 @@ func (v LaneVector) Max(o LaneVector) LaneVector {
 	return v
 }
 
-// Exceeds reports the first lane on which v exceeds the allowance, or
-// -1 if none does.
-func (v LaneVector) Exceeds(allow LaneVector) int {
-	for i := range v {
-		if v[i] > allow[i] {
-			return i
-		}
-	}
-	return -1
-}
-
 // LaneOfSend maps a send macro name to the lane it transmits on, or -1
 // for non-send names. The mapping is the protocol convention used by
 // the synthetic corpus: processor-interface sends use lane 0, I/O
@@ -228,9 +217,4 @@ func (s *Spec) Classify(fn string) HandlerKind {
 		}
 	}
 	return ClassifyName(fn)
-}
-
-// IsHandler reports whether fn is any kind of handler under the spec.
-func (s *Spec) IsHandler(fn string) bool {
-	return s.Classify(fn) != Subroutine
 }

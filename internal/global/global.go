@@ -9,8 +9,6 @@
 package global
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -130,18 +128,6 @@ func Write(w io.Writer, summaries []*Summary) error {
 // randomized ordering) that would silently invalidate every cache.
 func Marshal(summaries []*Summary) ([]byte, error) {
 	return json.Marshal(summaries)
-}
-
-// Fingerprint is the content hash of the summary's canonical form.
-func (s *Summary) Fingerprint() string {
-	b, err := Marshal([]*Summary{s})
-	if err != nil {
-		// Summary contains only marshalable fields; reaching here
-		// means the type grew an unmarshalable one.
-		panic(fmt.Sprintf("global: marshal summary: %v", err))
-	}
-	h := sha256.Sum256(b)
-	return hex.EncodeToString(h[:])
 }
 
 // Marshal returns the canonical serialization of the linked program.

@@ -85,21 +85,6 @@ func Errors(diags []Diag) []Diag {
 	return out
 }
 
-// MaxSeverity returns the highest severity present, and false when
-// diags is empty.
-func MaxSeverity(diags []Diag) (Severity, bool) {
-	if len(diags) == 0 {
-		return 0, false
-	}
-	max := diags[0].Severity
-	for _, d := range diags[1:] {
-		if d.Severity > max {
-			max = d.Severity
-		}
-	}
-	return max, true
-}
-
 // sortDiags orders diagnostics most severe first, then by text, so
 // output is stable across runs.
 func sortDiags(diags []Diag) {

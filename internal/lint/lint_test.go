@@ -69,8 +69,10 @@ func TestShippedMetalSourcesClean(t *testing.T) {
 	} {
 		prog := compileMetalFile(t, path)
 		diags := CheckMetal(prog, vocab)
-		if sev, any := MaxSeverity(diags); any && sev >= Warn {
-			t.Errorf("%s: unexpected findings:\n%v", path, diags)
+		for _, d := range diags {
+			if d.Severity >= Warn {
+				t.Errorf("%s: unexpected finding: %s", path, d)
+			}
 		}
 	}
 }
@@ -146,8 +148,13 @@ func TestSpecificBeforeGeneralIsInfo(t *testing.T) {
 		{State: "s", Patterns: []engine.Pattern{general}, Tag: "general"},
 	}}
 	diags := CheckSM(Target{SM: sm})
-	if sev, any := MaxSeverity(diags); !any || sev != Info {
-		t.Fatalf("specific-first: want only Info, got:\n%v", diags)
+	if len(diags) == 0 {
+		t.Fatal("specific-first: want an Info note, got none")
+	}
+	for _, d := range diags {
+		if d.Severity != Info {
+			t.Fatalf("specific-first: want only Info, got:\n%v", diags)
+		}
 	}
 
 	sm.Rules[0], sm.Rules[1] = sm.Rules[1], sm.Rules[0]

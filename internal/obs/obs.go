@@ -292,9 +292,6 @@ func NewCounterVec(name, help, label string) *CounterVec {
 	return Default.CounterVec(name, help, label)
 }
 
-// NewGauge registers a gauge in the Default registry.
-func NewGauge(name, help string) *Gauge { return Default.Gauge(name, help) }
-
 // NewHistogram registers a histogram in the Default registry.
 func NewHistogram(name, help string, buckets []float64) *Histogram {
 	return Default.Histogram(name, help, buckets)

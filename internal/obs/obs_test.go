@@ -41,7 +41,6 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	g.Add(1)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	tr.Instant("x", 0)
 	sp := tr.StartSpan("x", 0)
 	sp.Arg("k", "v")
 	sp.End()
@@ -216,7 +215,6 @@ func TestTracerRoundTrip(t *testing.T) {
 	inner := tr.StartSpan("sm-run", 1)
 	inner.End()
 	sp.End()
-	tr.Instant("gc", 0)
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -231,8 +229,8 @@ func TestTracerRoundTrip(t *testing.T) {
 	}
 
 	events := tr.Events()
-	if len(events) != 3 {
-		t.Fatalf("events = %d, want 3", len(events))
+	if len(events) != 2 {
+		t.Fatalf("events = %d, want 2", len(events))
 	}
 	// End-ordering: inner span completed first.
 	if events[0].Name != "sm-run" || events[1].Name != "parse" {
@@ -260,6 +258,14 @@ func TestValidateTraceRejects(t *testing.T) {
 		`[{"name":"x","ph":"X","ts":0,"dur":5,"pid":1,"tid":0}]`))
 	if err != nil || n != 1 {
 		t.Fatalf("bare array: n=%d err=%v", n, err)
+	}
+	// Instant events (phase "i") from other tools are accepted, and
+	// only complete spans count.
+	n, err = ValidateTrace(strings.NewReader(`{"traceEvents":[` +
+		`{"name":"x","ph":"X","ts":0,"dur":5,"pid":1,"tid":0},` +
+		`{"name":"gc","ph":"i","ts":6,"pid":1,"tid":0}]}`))
+	if err != nil || n != 1 {
+		t.Fatalf("instant event: n=%d err=%v", n, err)
 	}
 }
 

@@ -120,18 +120,6 @@ func (s *Span) End() {
 	})
 }
 
-// Instant records a zero-duration instant event (phase "i").
-func (t *Tracer) Instant(name string, tid int) {
-	if t == nil {
-		return
-	}
-	t.record(Event{
-		Name: name, Ph: "i",
-		TS:  float64(time.Since(t.t0)) / float64(time.Microsecond),
-		TID: tid,
-	})
-}
-
 func (t *Tracer) record(e Event) {
 	t.mu.Lock()
 	if e.PID == 0 {

@@ -477,6 +477,13 @@ func (a *Analyzer) recordCoverage(checker string, covs []*engine.Coverage) {
 // job, and the rest run as whole-program passes; every job's Options
 // binds the spec and the engine options its SM runs with.
 func FlashJobs(spec *flash.Spec) []Job {
+	return flashJobs(spec, nil)
+}
+
+// flashJobs is FlashJobs; onSM, when non-nil, also receives each SM
+// job's machine with its metal declaration table and version, in job
+// order, so BuildJobs reuses the one machine the job runs.
+func flashJobs(spec *flash.Spec, onSM func(sm *engine.SM, decls map[string]string, version string)) []Job {
 	specOpt := SpecHash(spec)
 	var jobs []Job
 	for _, chk := range checkers.All() {
@@ -484,9 +491,12 @@ func FlashJobs(spec *flash.Spec) []Job {
 		if chk.Name() == "lanes" {
 			job.Lanes = true
 		} else if prov, ok := chk.(checkers.SMProvider); ok {
-			sm, _ := prov.BuildSM(spec)
+			sm, decls := prov.BuildSM(spec)
 			job.SM = sm
 			job.Options = hashStrings(specOpt, fmt.Sprintf("correlate=%v", sm.CorrelateBranches))
+			if onSM != nil {
+				onSM(sm, decls, job.Version)
+			}
 		} else {
 			job.RunCov = func(p *core.Program) ([]engine.Report, []*engine.Coverage) {
 				return chk.CheckCov(p, spec)
@@ -508,7 +518,8 @@ type AdHocChecker struct {
 // machine and cache version keyed by the name its reports carry
 // (sm.Name, which can differ from the registry name: buffer_race runs
 // the wait_for_db machine), as TriageRequest wants them. Lint lists
-// every SM with its metal declaration table, in job order.
+// every SM with its metal declaration table, in job order. Every SM
+// here is the very machine its job runs: each is built once.
 type JobSet struct {
 	Jobs     []Job
 	SMs      map[string]*engine.SM
@@ -516,12 +527,12 @@ type JobSet struct {
 	Lint     []lint.Target
 }
 
-// BuildJobs assembles the jobs cmd/mcheck and cmd/mcheckd run: the
-// ad-hoc checkers first, in the order given, then the built-in suite
-// when flashSuite is set. Job order fixes report assembly. An ad-hoc
-// checker has no declared version; "adhoc-" plus its source hash takes
-// that role in the depot key, so editing the source invalidates its
-// cached results.
+// BuildJobs assembles the check cmd/mcheck and cmd/mcheckd run — job
+// list, triage tables and lint targets together: the ad-hoc checkers
+// first, in the order given, then the built-in suite when flashSuite
+// is set. Job order fixes report assembly. An ad-hoc checker has no
+// declared version; "adhoc-" plus its source hash takes that role in
+// the depot key, so editing the source invalidates its cached results.
 func BuildJobs(prog *core.Program, spec *flash.Spec, adhoc []AdHocChecker, flashSuite bool) (*JobSet, error) {
 	set := &JobSet{SMs: map[string]*engine.SM{}, Versions: map[string]string{}}
 	add := func(sm *engine.SM, decls map[string]string, version string) {
@@ -541,13 +552,7 @@ func BuildJobs(prog *core.Program, spec *flash.Spec, adhoc []AdHocChecker, flash
 		add(mp.SM, mp.Decls, version)
 	}
 	if flashSuite {
-		set.Jobs = append(set.Jobs, FlashJobs(spec)...)
-		for _, chk := range checkers.All() {
-			if prov, ok := chk.(checkers.SMProvider); ok {
-				sm, decls := prov.BuildSM(spec)
-				add(sm, decls, chk.Version())
-			}
-		}
+		set.Jobs = append(set.Jobs, flashJobs(spec, add)...)
 	}
 	return set, nil
 }

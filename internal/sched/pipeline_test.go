@@ -220,6 +220,63 @@ func TestRunOnlyJob(t *testing.T) {
 	}
 }
 
+// locksChecker is an ad-hoc metal checker with a name of its own.
+const locksChecker = `
+sm locks {
+	decl { scalar } l;
+	track l;
+	unlocked:
+	{ lock(l); } ==> locked
+	;
+	locked:
+	{ lock(l); } ==> { err("double acquire"); }
+	| { unlock(l); } ==> unlocked
+	;
+}`
+
+// TestBuildJobsOneMachinePerChecker: BuildJobs builds each checker's
+// machine once. The job runs it, and the triage table (SMs) and the
+// lint targets hold that same *engine.SM, so triage replays and lint
+// inspects exactly what ran. The job list is FlashJobs's.
+func TestBuildJobsOneMachinePerChecker(t *testing.T) {
+	proto, prog := loadProto(t, nil)
+	set, err := BuildJobs(prog, proto.Spec, []AdHocChecker{{Label: "locks.metal", Src: locksChecker}}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var smJobs []Job
+	for _, job := range set.Jobs {
+		if job.SM == nil {
+			continue
+		}
+		smJobs = append(smJobs, job)
+		if got := set.SMs[job.SM.Name]; got != job.SM {
+			t.Errorf("job %s: SMs[%q] is not the machine the job runs", job.Name, job.SM.Name)
+		}
+	}
+	if len(smJobs) != 7 || len(set.Lint) != len(smJobs) {
+		t.Fatalf("%d SM jobs and %d lint targets, want 7 of each", len(smJobs), len(set.Lint))
+	}
+	for i, lt := range set.Lint {
+		if lt.SM != smJobs[i].SM {
+			t.Errorf("lint target %d (%s) is not job %s's machine", i, lt.SM.Name, smJobs[i].Name)
+		}
+	}
+
+	flashJobs := FlashJobs(proto.Spec)
+	if len(set.Jobs) != 1+len(flashJobs) {
+		t.Fatalf("%d jobs, want the ad-hoc checker plus %d", len(set.Jobs), len(flashJobs))
+	}
+	for i, want := range flashJobs {
+		got := set.Jobs[1+i]
+		if got.Name != want.Name || got.Version != want.Version || got.Options != want.Options ||
+			(got.SM == nil) != (want.SM == nil) || got.Lanes != want.Lanes {
+			t.Errorf("job %d: BuildJobs %s/%s/%s, FlashJobs %s/%s/%s",
+				i, got.Name, got.Version, got.Options, want.Name, want.Version, want.Options)
+		}
+	}
+}
+
 // mutateOneHandler appends an empty statement to a statement line
 // inside one handler's body, preserving the file's line count so no
 // other function's positions move. It returns the handler's name.

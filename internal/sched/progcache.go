@@ -44,41 +44,27 @@ func SourceHash(files map[string]string, roots []string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// programCacheCap bounds how many parsed programs a ProgramCache keeps
+// resident; beyond it the least recently used one is evicted.
+const programCacheCap = 8
+
 // ProgramCache shares parsed programs across requests, keyed by
 // SourceHash. A hit serves the live *core.Program — loaded programs
 // are immutable after Load, so concurrent checks can share one — and
-// skips the frontend (cpp, lex, parse, typecheck, CFG) entirely.
-// Concurrent misses for the same hash are single-flighted: one parse,
-// every waiter shares it. A resident program also carries its
-// memoized fingerprints (see Fingerprints), so a hit skips the
-// fingerprint walk too.
+// skips the frontend (cpp, lex, parse, typecheck, CFG) entirely. A
+// resident program also carries its memoized fingerprints (see
+// Fingerprints), so a hit skips the fingerprint walk too. The cache
+// does not deduplicate concurrent misses: cmd/mcheckd single-flights
+// whole requests before they reach it.
 type ProgramCache struct {
-	// Cap bounds how many parsed programs stay resident (LRU evicted
-	// beyond it); <= 0 means 8.
-	Cap int
-
 	mu      sync.Mutex
 	seq     uint64
 	entries map[string]*pcEntry
-	flights map[string]*pcFlight
 }
 
 type pcEntry struct {
 	prog *core.Program
 	seq  uint64
-}
-
-type pcFlight struct {
-	done chan struct{}
-	prog *core.Program
-	err  error
-}
-
-func (c *ProgramCache) cap() int {
-	if c.Cap <= 0 {
-		return 8
-	}
-	return c.Cap
 }
 
 // Len returns the number of resident programs.
@@ -89,51 +75,38 @@ func (c *ProgramCache) Len() int {
 }
 
 // Load returns the program for srcHash, parsing with parse() only on
-// a miss. hit reports whether the frontend was skipped — true both
-// for resident programs and for followers that shared a leader's
-// in-flight parse. Parse failures are returned, never cached.
+// a miss; hit reports whether the frontend was skipped. Parse failures
+// are returned, never cached.
 func (c *ProgramCache) Load(srcHash string, parse func() (*core.Program, error)) (prog *core.Program, hit bool, err error) {
 	c.mu.Lock()
-	if c.entries == nil {
-		c.entries = map[string]*pcEntry{}
-		c.flights = map[string]*pcFlight{}
-	}
 	if e, ok := c.entries[srcHash]; ok {
 		c.seq++
 		e.seq = c.seq
 		c.mu.Unlock()
 		return e.prog, true, nil
 	}
-	if fl, ok := c.flights[srcHash]; ok {
-		c.mu.Unlock()
-		<-fl.done
-		return fl.prog, fl.err == nil, fl.err
-	}
-	fl := &pcFlight{done: make(chan struct{})}
-	c.flights[srcHash] = fl
 	c.mu.Unlock()
 
-	fl.prog, fl.err = parse()
-	if fl.err != nil {
-		fl.prog = nil
+	prog, err = parse()
+	if err != nil {
+		return nil, false, err
 	}
 
 	c.mu.Lock()
-	delete(c.flights, srcHash)
-	if fl.err == nil {
-		c.seq++
-		c.entries[srcHash] = &pcEntry{prog: fl.prog, seq: c.seq}
-		for len(c.entries) > c.cap() {
-			lruHash, lruSeq := "", uint64(0)
-			for h, e := range c.entries {
-				if lruHash == "" || e.seq < lruSeq {
-					lruHash, lruSeq = h, e.seq
-				}
-			}
-			delete(c.entries, lruHash)
-		}
+	defer c.mu.Unlock()
+	if c.entries == nil {
+		c.entries = map[string]*pcEntry{}
 	}
-	c.mu.Unlock()
-	close(fl.done)
-	return fl.prog, false, fl.err
+	c.seq++
+	c.entries[srcHash] = &pcEntry{prog: prog, seq: c.seq}
+	for len(c.entries) > programCacheCap {
+		lruHash, lruSeq := "", uint64(0)
+		for h, e := range c.entries {
+			if lruHash == "" || e.seq < lruSeq {
+				lruHash, lruSeq = h, e.seq
+			}
+		}
+		delete(c.entries, lruHash)
+	}
+	return prog, false, nil
 }

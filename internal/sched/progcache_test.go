@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -78,47 +76,6 @@ func TestProgramCacheHitSkipsParse(t *testing.T) {
 	}
 }
 
-// TestProgramCacheSingleFlight: concurrent misses on one hash share a
-// single parse.
-func TestProgramCacheSingleFlight(t *testing.T) {
-	_, prog := loadProto(t, nil)
-	var parses atomic.Int32
-	gate := make(chan struct{})
-	parse := func() (*core.Program, error) {
-		parses.Add(1)
-		<-gate
-		return prog, nil
-	}
-	c := &ProgramCache{}
-	var wg sync.WaitGroup
-	cps := make([]*core.Program, 8)
-	for i := range cps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cp, _, err := c.Load("h", parse)
-			if err != nil {
-				t.Errorf("load %d: %v", i, err)
-			}
-			cps[i] = cp
-		}(i)
-	}
-	// Let followers queue behind the leader, then release the parse.
-	for parses.Load() == 0 {
-		runtime.Gosched()
-	}
-	close(gate)
-	wg.Wait()
-	if parses.Load() != 1 {
-		t.Fatalf("frontend ran %d times under concurrent misses, want 1", parses.Load())
-	}
-	for i, cp := range cps {
-		if cp == nil || cp != cps[0] {
-			t.Fatalf("waiter %d got a different program", i)
-		}
-	}
-}
-
 // TestProgramCacheErrorNotCached: parse failures propagate and the
 // next Load retries.
 func TestProgramCacheErrorNotCached(t *testing.T) {
@@ -143,8 +100,8 @@ func TestProgramCacheErrorNotCached(t *testing.T) {
 	}
 }
 
-// TestProgramCacheLRUCap: beyond Cap resident programs, the least
-// recently used one is evicted and must re-parse.
+// TestProgramCacheLRUCap: beyond programCacheCap resident programs,
+// the least recently used one is evicted and must re-parse.
 func TestProgramCacheLRUCap(t *testing.T) {
 	_, prog := loadProto(t, nil)
 	parses := map[string]int{}
@@ -158,24 +115,25 @@ func TestProgramCacheLRUCap(t *testing.T) {
 		}
 		return hit
 	}
-	c := &ProgramCache{Cap: 2}
-	load(c, "a")
-	load(c, "b")
-	if !load(c, "a") { // a is now most recently used
-		t.Fatal("a evicted below cap")
+	c := &ProgramCache{}
+	for i := 0; i < programCacheCap; i++ {
+		load(c, fmt.Sprint(i))
 	}
-	load(c, "c") // evicts b
-	if c.Len() != 2 {
-		t.Fatalf("resident %d programs, cap 2", c.Len())
+	if !load(c, "0") { // 0 is now most recently used, 1 the least
+		t.Fatal("0 evicted below cap")
 	}
-	if !load(c, "a") {
-		t.Fatal("recently used a was evicted")
+	load(c, "new") // evicts 1
+	if c.Len() != programCacheCap {
+		t.Fatalf("resident %d programs, cap %d", c.Len(), programCacheCap)
 	}
-	if load(c, "b") {
-		t.Fatal("b survived past the cap")
+	if !load(c, "0") {
+		t.Fatal("recently used 0 was evicted")
 	}
-	if parses["b"] != 2 {
-		t.Fatalf("b parsed %d times, want 2 (evicted then reloaded)", parses["b"])
+	if load(c, "1") {
+		t.Fatal("1 survived past the cap")
+	}
+	if parses["1"] != 2 {
+		t.Fatalf("1 parsed %d times, want 2 (evicted then reloaded)", parses["1"])
 	}
 }
 
