@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"flashmc/internal/depot"
@@ -80,6 +81,53 @@ func TestServerProgramCacheWarmPath(t *testing.T) {
 	mr2.Body.Close()
 	if !strings.Contains(string(mraw2), "mcheckd_program_cache_misses_total 2") {
 		t.Errorf("distinct tree did not miss the program cache:\n%s", grepMetrics(string(mraw2), "program_cache"))
+	}
+}
+
+// TestServerProgramCacheSingleFlight: concurrent identical /check
+// requests on a cold server run the frontend once. The program cache
+// does not deduplicate misses itself; the server's single-flight does,
+// and the program is resident before the flight ends, so whatever the
+// timing, every other request either shares the flight or hits the
+// cache.
+func TestServerProgramCacheSingleFlight(t *testing.T) {
+	store, err := depot.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(store, 2)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	const n = 8
+	body := `{"files": {"proto.c": ` + mustQuote(fixture) + `}}`
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/check", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			io.Copy(io.Discard, resp.Body)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: %s", i, resp.Status)
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	if got := srv.pcMisses.Value(); got != 1 {
+		t.Fatalf("frontend ran %g times for %d identical requests, want 1", got, n)
+	}
+	if hits, shared := srv.pcHits.Value(), srv.sfShared.Value(); hits+shared != n-1 {
+		t.Fatalf("program cache hits %g + shared flights %g = %g, want %d", hits, shared, hits+shared, n-1)
+	}
+	if srv.progCache.Len() != 1 {
+		t.Fatalf("program cache holds %d programs, want 1", srv.progCache.Len())
 	}
 }
 
