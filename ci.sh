@@ -201,6 +201,15 @@ test -z "$(grep '^sched_cache_decisions_total{' "$tmp/prov-warm.prom" \
     > /dev/null 2> "$tmp/prov-explain.txt" || true
 grep -q "producer=pid:" "$tmp/prov-explain.txt"
 grep -q "decision=hit" "$tmp/prov-explain.txt"
+# Under -triage, -explain must still answer per report: a warm sci run
+# (the triage depot above) prints exactly one explain line per report
+# line, and every explain line names its cache decision.
+"$tmp/mcheck" -flash -triage sym -explain -cache "$tmp/tri-depot" "$tmp/corpus/sci"/*.c \
+    > "$tmp/tri-explain.out" 2> "$tmp/tri-explain.txt" || true
+reports=$(wc -l < "$tmp/tri-explain.out")
+test "$reports" -gt 0
+test "$(grep -c '^explain: ' "$tmp/tri-explain.txt")" -eq "$reports"
+test "$(grep -c ' decision=' "$tmp/tri-explain.txt")" -eq "$reports"
 # The bench trajectory must be appendable: one more entry than
 # committed.
 base_entries=$(grep -c '"unix"' BENCH_PR10.json)

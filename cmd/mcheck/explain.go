@@ -1,6 +1,6 @@
 package main
 
-// -explain: per-report provenance after a run, printed to stderr.
+// -explain: per-report provenance, printed to stderr after each report.
 
 import (
 	"fmt"
@@ -11,9 +11,10 @@ import (
 )
 
 // explainReport prints one report's lineage: the artifact it came
-// from, this run's cache decision for that artifact, and — when the
-// provenance sidecar exists — who produced it, at which checker
-// version, from which inputs, and at what cost.
+// from (its key names the checker, version and source fingerprint),
+// this run's cache decision for that artifact, and — when the
+// provenance sidecar exists — who produced it, from how many inputs,
+// and at what cost.
 func explainReport(store *depot.Depot, res *sched.Result, ri int) {
 	r := res.Reports[ri]
 	if ri >= len(res.RefIdx) || res.RefIdx[ri] < 0 {
@@ -35,18 +36,4 @@ func explainReport(store *depot.Depot, res *sched.Result, ri int) {
 		line += " producer=unknown (no provenance sidecar)"
 	}
 	fmt.Fprintln(os.Stderr, line)
-}
-
-// explainArtifacts prints artifact-level lineage for every artifact
-// the run touched (used when per-report order is reshuffled by
-// triage).
-func explainArtifacts(store *depot.Depot, res *sched.Result) {
-	for _, ref := range res.Artifacts {
-		line := fmt.Sprintf("explain: task=%s decision=%s artifact=%.12s checker=%s version=%s source=%.12s",
-			ref.Task, ref.Decision, ref.Key.ID(), ref.Key.Checker, ref.Key.Version, ref.Key.Source)
-		if p, ok := store.GetProv(ref.Key); ok {
-			line += fmt.Sprintf(" producer=%s wall=%.1fms", p.Producer, float64(p.WallUS)/1000)
-		}
-		fmt.Fprintln(os.Stderr, line)
-	}
 }

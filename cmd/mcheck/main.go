@@ -26,21 +26,23 @@
 // rule firings and branch refinements along the failing path), -trace
 // writes a Chrome trace_event JSON file of the run (load it in
 // chrome://tracing or ui.perfetto.dev), and -metrics writes process
-// metrics in Prometheus text format. -coverage prints each checker's
-// dynamic rule/state coverage; -coverage-out writes the coverage/v1
-// JSON artifact (validated by obscheck -coverage). Where the time went
-// is -explain's per-artifact wall cost and the -trace task spans.
+// metrics in Prometheus text format. -coverage-out writes each
+// checker's dynamic rule/state coverage as the coverage/v1 JSON
+// artifact (validated by obscheck -coverage; mcheckd serves the same
+// artifact at /debug/coverage). Where the time went is -explain's
+// per-artifact wall cost and the -trace task spans.
 //
 // A depot write that fails (an unwritable -cache directory, say) does
 // not fail the check: the reports print as usual and one warning line
 // on stderr counts the failed writes, which -metrics exports as
 // depot_put_errors_total.
 //
-// Provenance: -explain prints, for every report, the artifact it was
-// assembled from, this run's cache decision for that artifact, the
-// producer (the computing process's pid), checker version, and wall
-// cost. -v adds the run's cache decisions by reason to its analysis
-// line, and -metrics exports them as sched_cache_decisions_total.
+// Provenance: -explain prints one stderr line per printed report, with
+// or without -triage: the artifact it was assembled from, this run's
+// cache decision for that artifact, the producer (the computing
+// process's pid), checker version, and wall cost. -v adds the run's
+// cache decisions by reason to its analysis line, and -metrics exports
+// them as sched_cache_decisions_total.
 // To compare two runs, save each one's -why stream and diff them.
 //
 // With -triage every SM report is ranked by path feasibility before
@@ -109,10 +111,9 @@ func main() {
 	why := flag.Bool("why", false, "print each report's witness trace (the path steps that led to it)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file of the run to this path")
 	metricsOut := flag.String("metrics", "", "write Prometheus text exposition of process metrics to this path")
-	coverage := flag.Bool("coverage", false, "collect per-checker rule/state coverage; print a table to stderr")
-	coverageOut := flag.String("coverage-out", "", "write the coverage/v1 JSON artifact to this path (implies -coverage)")
+	coverageOut := flag.String("coverage-out", "", "collect per-checker rule/state coverage and write the coverage/v1 JSON artifact to this path")
 	triageFlag := flag.String("triage", "", "rank reports by path feasibility: 'slice' (correlated-branch slicing) or 'sym' (slicing plus bounded symbolic evaluation); verdicts cache in -cache")
-	explain := flag.Bool("explain", false, "after the run, print each report's provenance (artifact, cache decision, producer, checker version, cost) to stderr")
+	explain := flag.Bool("explain", false, "after each report, print its provenance (artifact, cache decision, producer, checker version, cost) to stderr")
 	flag.Parse()
 
 	triageMode, ok := lint.ParseTriageMode(*triageFlag)
@@ -229,7 +230,7 @@ func main() {
 		fail("%v", err)
 	}
 	var covSet *cover.Set
-	if *coverage || *coverageOut != "" {
+	if *coverageOut != "" {
 		covSet = cover.NewSet()
 	}
 	analyzer := &sched.Analyzer{Depot: store, Workers: *workers, Tracer: tracer, Coverage: covSet}
@@ -253,45 +254,39 @@ func main() {
 			st.DecisionLine(), len(st.Reanalyzed), st.Elapsed.Round(1000000))
 	}
 
+	// Both modes print through one permutation of res.Reports, so each
+	// report keeps its Result.RefIdx provenance link for -explain;
+	// triage verdicts are index-aligned with the reports they rank.
+	order := engine.PosOrder(reports)
+	var ranked []lint.RankedReport
 	if triageMode != "" {
 		// Second triage rung: rank every report by path feasibility,
 		// serving verdicts from the depot when the program, checker,
 		// and triage options are unchanged.
-		ranked, tst := analyzer.TriageReports(sched.TriageRequest{Prog: prog,
+		var tst sched.TriageStats
+		ranked, tst = analyzer.TriageReports(sched.TriageRequest{Prog: prog,
 			SMs: set.SMs, Versions: set.Versions, Reports: reports,
 			Options: lint.TriageOptions{Mode: triageMode}})
 		if *verbose {
 			fmt.Printf("triage: %d verdict groups from cache, %d recomputed\n",
 				tst.CacheHits, tst.CacheMisses)
 		}
-		lint.SortRanked(ranked)
-		for _, r := range ranked {
-			fmt.Printf("%s: [%s] %s (%s: %s)\n", r.Pos, r.SM, r.Msg, r.Confidence, r.Reason)
-			if *why {
-				for i, s := range r.Trace {
-					fmt.Printf("    #%d %s\n", i+1, s)
-				}
-			}
-		}
-		// Triage re-ranks reports, severing the per-report provenance
-		// index; explain at artifact granularity instead.
-		if *explain {
-			explainArtifacts(store, res)
-		}
-	} else {
-		// Print through a permutation, so each report keeps its
-		// Result.RefIdx provenance link for -explain.
-		for _, ri := range engine.PosOrder(reports) {
-			r := reports[ri]
+		order = lint.RankedOrder(ranked)
+	}
+	for _, ri := range order {
+		r := reports[ri]
+		if ranked != nil {
+			fmt.Printf("%s: [%s] %s (%s: %s)\n", r.Pos, r.SM, r.Msg, ranked[ri].Confidence, ranked[ri].Reason)
+		} else {
 			fmt.Printf("%s: [%s] %s\n", r.Pos, r.SM, r.Msg)
-			if *why {
-				for i, s := range r.Trace {
-					fmt.Printf("    #%d %s\n", i+1, s)
-				}
+		}
+		if *why {
+			for i, s := range r.Trace {
+				fmt.Printf("    #%d %s\n", i+1, s)
 			}
-			if *explain {
-				explainReport(store, res, ri)
-			}
+		}
+		if *explain {
+			explainReport(store, res, ri)
 		}
 	}
 
@@ -319,21 +314,16 @@ func main() {
 		}
 	}
 	if covSet != nil {
-		snap := covSet.Snapshot()
-		fmt.Fprintln(os.Stderr, "coverage:")
-		snap.WriteTable(os.Stderr)
-		if *coverageOut != "" {
-			out, err := os.Create(*coverageOut)
-			if err != nil {
-				fail("%v", err)
-			}
-			if err := snap.WriteJSON(out); err != nil {
-				out.Close()
-				fail("coverage: %v", err)
-			}
-			if err := out.Close(); err != nil {
-				fail("coverage: %v", err)
-			}
+		out, err := os.Create(*coverageOut)
+		if err != nil {
+			fail("%v", err)
+		}
+		if err := covSet.Snapshot().WriteJSON(out); err != nil {
+			out.Close()
+			fail("coverage: %v", err)
+		}
+		if err := out.Close(); err != nil {
+			fail("coverage: %v", err)
 		}
 	}
 	if *metricsOut != "" {

@@ -92,6 +92,7 @@ func TestExitCodes(t *testing.T) {
 		{"reports", []string{"-flash", "race.c"}, 1},
 		{"-j 0", []string{"-flash", "-j", "0", "clean.c"}, 2},
 		{"-triage bogus", []string{"-flash", "-triage", "bogus", "clean.c"}, 2},
+		{"-coverage (removed)", []string{"-flash", "-coverage", "clean.c"}, 2},
 		{"no inputs", []string{"-flash"}, 2},
 	} {
 		stdout, stderr, code := mcheck(t, dir, tc.args...)
@@ -121,6 +122,51 @@ func TestWarmCacheMatchesCold(t *testing.T) {
 	for _, want := range []string{"producer=pid:", "decision=hit"} {
 		if !strings.Contains(explain, want) {
 			t.Errorf("warm -explain lacks %q:\n%s", want, explain)
+		}
+	}
+}
+
+// TestTriageExplainOnePerReport: under -triage sym, -explain prints
+// exactly one explain line per printed report, cold and warm, each
+// naming that report's position and checker and a cache decision. The
+// demoted fixture (its wait_for_db read fires only on a contradictory
+// path) ranks last though it sorts first by position, so the lines
+// must follow the ranked order, not the position order.
+func TestTriageExplainOnePerReport(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "race.c", raceSrc)
+	write(t, dir, "demoted.c", `#include "flash-includes.h"
+void h_fp(int c) {
+    unsigned a;
+    unsigned b;
+    HANDLER_DEFS();
+    SUBROUTINE_PROLOGUE();
+    if (c)
+        WAIT_FOR_DB_FULL(a);
+    if (c)
+        MISCBUS_READ_DB(a, b);
+}
+`)
+	args := []string{"-flash", "-triage", "sym", "-explain", "-cache", "depot", "demoted.c", "race.c"}
+	for _, run := range []string{"cold", "warm"} {
+		stdout, stderr, code := mcheck(t, dir, args...)
+		reports := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
+		explains := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")
+		if code != 1 || len(reports) != len(explains) {
+			t.Fatalf("%s: exit %d, %d report lines, %d explain lines; want exit 1 and one per report\nstdout:\n%s\nstderr:\n%s",
+				run, code, len(reports), len(explains), stdout, stderr)
+		}
+		if last := reports[len(reports)-1]; !strings.HasPrefix(last, "demoted.c:10:1: [wait_for_db] ") ||
+			!strings.Contains(last, "(infeasible: ") {
+			t.Errorf("%s: last report is not the demoted one: %s", run, last)
+		}
+		for i, rep := range reports {
+			pos, rest, _ := strings.Cut(rep, ": ")
+			sm, _, _ := strings.Cut(rest, " ")
+			if want := "explain: " + pos + " " + sm + " "; !strings.HasPrefix(explains[i], want) ||
+				!strings.Contains(explains[i], " decision=") {
+				t.Errorf("%s: explain line %d = %q, want prefix %q and a decision", run, i, explains[i], want)
+			}
 		}
 	}
 }

@@ -10,9 +10,10 @@
 //
 // Endpoints:
 //
-//	POST /check    JSON {files, roots?, checkers?, flash?, triage?,
+//	POST /check    JSON {files, roots?, checkers?, flash?,
 //	               triage_mode?} in, ranked reports +
-//	               cache/scheduler statistics out.
+//	               cache/scheduler statistics out; any other field
+//	               is a 400. Reports come in mcheck's print order.
 //	               Unchanged functions ride the warm-cache path.
 //	GET  /metrics  Prometheus text: request counters and seconds,
 //	               single-flight and program-cache counters, inflight

@@ -30,29 +30,19 @@ import (
 // contents; flash-includes.h is provided by the server. Roots are the
 // translation units to parse (default: every *.c file, sorted).
 // Checkers maps names to ad-hoc metal checker sources. Flash selects
-// the built-in suite (default true). Triage replays each SM report
-// over feasible paths and ranks it certain / likely-fp; TriageMode
-// picks the ladder ("slice", or "sym" to add the bounded symbolic
-// evaluator, whose refutations rank infeasible) and implies Triage.
-// Verdicts are cached in the server depot, so a warm re-triage of an
-// unchanged tree skips path replay.
+// the built-in suite (default true). TriageMode turns triage on:
+// "slice" replays each SM report over feasible paths and ranks it
+// certain / likely-fp, and "sym" adds the bounded symbolic evaluator,
+// whose refutations rank infeasible. Verdicts are cached in the server
+// depot, so a warm re-triage of an unchanged tree skips path replay.
+// Unknown fields are rejected, so a misspelt option is a 400 rather
+// than silently ignored.
 type checkRequest struct {
 	Files      map[string]string `json:"files"`
 	Roots      []string          `json:"roots,omitempty"`
 	Checkers   map[string]string `json:"checkers,omitempty"`
 	Flash      *bool             `json:"flash,omitempty"`
-	Triage     bool              `json:"triage,omitempty"`
 	TriageMode string            `json:"triage_mode,omitempty"`
-}
-
-// triageMode resolves the request's effective triage ladder: the
-// empty mode means triage is off, unless the legacy Triage flag asks
-// for slicing.
-func (r checkRequest) triageMode() (lint.TriageMode, bool) {
-	if r.TriageMode == "" && r.Triage {
-		return lint.ModeSlice, true
-	}
-	return lint.ParseTriageMode(r.TriageMode)
 }
 
 type traceStepJSON struct {
@@ -236,7 +226,9 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 
 	var req checkRequest
 	r.Body = http.MaxBytesReader(w, r.Body, maxCheckBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
@@ -252,7 +244,7 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, status, "no files")
 		return
 	}
-	triageMode, ok := req.triageMode()
+	triageMode, ok := lint.ParseTriageMode(req.TriageMode)
 	if !ok {
 		status = http.StatusBadRequest
 		s.fail(w, status, "triage_mode %q: want \"slice\" or \"sym\"", req.TriageMode)
@@ -457,38 +449,37 @@ func (s *server) finishFlight(fl *flight) {
 	close(fl.done)
 }
 
-// rankReports orders the combined report stream for the response:
-// with triage, each SM report is replayed over feasible paths (the
-// verdicts served from the depot when warm) and certain reports rank
-// above demoted ones (likely-fp, then infeasible); within a rank,
-// position order. Without triage every report keeps the CLI's
-// position order and carries no confidence.
+// rankReports orders the combined report stream for the response, in
+// the order mcheck prints it: with triage, each SM report is replayed
+// over feasible paths (the verdicts served from the depot when warm)
+// and certain reports rank above demoted ones (likely-fp, then
+// infeasible); within a rank, position order. Without triage every
+// report keeps position order and carries no confidence.
 func (s *server) rankReports(prog *core.Program, reports []engine.Report, set *sched.JobSet, mode lint.TriageMode) []reportJSON {
+	order := engine.PosOrder(reports)
 	var ranked []lint.RankedReport
 	if mode != "" {
 		ranked, _ = s.analyzer.TriageReports(sched.TriageRequest{Prog: prog,
 			SMs: set.SMs, Versions: set.Versions,
 			Reports: reports, Options: lint.TriageOptions{Mode: mode}})
-		lint.SortRanked(ranked)
-	} else {
-		ranked = make([]lint.RankedReport, 0, len(reports))
-		for _, ri := range engine.PosOrder(reports) {
-			ranked = append(ranked, lint.RankedReport{Report: reports[ri]})
-		}
+		order = lint.RankedOrder(ranked)
 	}
 
-	out := make([]reportJSON, 0, len(ranked))
-	for _, r := range ranked {
+	out := make([]reportJSON, 0, len(order))
+	for _, ri := range order {
+		r := reports[ri]
 		rj := reportJSON{
-			Checker:    r.SM,
-			Rule:       r.Rule,
-			Fn:         r.Fn,
-			File:       r.Pos.File,
-			Line:       r.Pos.Line,
-			Col:        r.Pos.Col,
-			Msg:        r.Msg,
-			Confidence: string(r.Confidence),
-			Reason:     r.Reason,
+			Checker: r.SM,
+			Rule:    r.Rule,
+			Fn:      r.Fn,
+			File:    r.Pos.File,
+			Line:    r.Pos.Line,
+			Col:     r.Pos.Col,
+			Msg:     r.Msg,
+		}
+		if ranked != nil {
+			rj.Confidence = string(ranked[ri].Confidence)
+			rj.Reason = ranked[ri].Reason
 		}
 		for _, st := range r.Trace {
 			rj.Trace = append(rj.Trace, traceStepJSON{

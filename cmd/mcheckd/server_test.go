@@ -93,7 +93,7 @@ func TestServerEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(newServer(store, 2))
 	defer ts.Close()
 
-	body := `{"files": {"proto.c": ` + mustQuote(fixture) + `}, "triage": true}`
+	body := `{"files": {"proto.c": ` + mustQuote(fixture) + `}, "triage_mode": "slice"}`
 
 	// Cold: the report is found and everything misses the cache.
 	cold, coldRaw := postCheck(t, ts, body)
@@ -286,6 +286,10 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		"bad json": `{`,
 		"no files": `{"files": {}}`,
 		"no roots": `{"files": {"notes.h": "int x;"}}`,
+		// The removed legacy flag, and any other unknown field, is
+		// refused rather than silently dropped.
+		"legacy triage": `{"files": {"a.c": "int x;"}, "triage": true}`,
+		"unknown field": `{"files": {"a.c": "int x;"}, "triage_mod": "sym"}`,
 	} {
 		resp, err := http.Post(ts.URL+"/check", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -1,11 +1,11 @@
 // protostat prints Table 1-style protocol size statistics (LOC, path
-// counts, average/max path length) either for C files given on the
-// command line or, with -corpus, for the generated FLASH corpus.
+// counts, average/max path length) for the C files given on the
+// command line. Table 1 for the generated FLASH corpus, beside the
+// paper's figures, is paperbench's.
 //
 // Usage:
 //
 //	protostat [-I dir]... file.c...
-//	protostat -corpus [-seed N]
 package main
 
 import (
@@ -17,8 +17,7 @@ import (
 	"flashmc/internal/cc/cpp"
 	"flashmc/internal/core"
 	"flashmc/internal/flash"
-	"flashmc/internal/flashgen"
-	"flashmc/internal/paths"
+	"flashmc/internal/paper"
 )
 
 type stringList []string
@@ -29,57 +28,21 @@ func (s *stringList) Set(v string) error { *s = append(*s, v); return nil }
 func main() {
 	var includes stringList
 	flag.Var(&includes, "I", "include search directory (repeatable)")
-	corpus := flag.Bool("corpus", false, "measure the generated FLASH corpus")
-	seed := flag.Int64("seed", 1, "corpus generation seed")
 	flag.Parse()
 
 	fmt.Printf("%-12s %8s %8s %10s %10s\n", "unit", "LOC", "paths", "avg-path", "max-path")
-	if *corpus {
-		gen := flashgen.Generate(flashgen.Options{Seed: *seed})
-		for _, p := range gen.Protocols {
-			prog, err := core.Load(p.Name, p.Source(), p.RootFiles)
-			if err != nil {
-				fail("%s: %v", p.Name, err)
-			}
-			printStats(p.Name, prog)
-			ref := flash.Table1[p.Name]
-			fmt.Printf("%-12s %8d %8d %10d %10d   (paper)\n", "", ref.LOC, ref.Paths, ref.AvgLen, ref.MaxLen)
-		}
-		return
-	}
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "protostat: no input files (or use -corpus)")
+		fmt.Fprintln(os.Stderr, "protostat: no input files")
 		os.Exit(2)
 	}
 	prog, err := core.Load("cli", cpp.Layered(cpp.OSSource{}, flash.HeaderSource()), flag.Args(), includes...)
 	if err != nil {
-		fail("%v", err)
+		fmt.Fprintf(os.Stderr, "protostat: %v\n", err)
+		os.Exit(1)
 	}
 	for _, e := range prog.ParseErrors {
 		fmt.Fprintf(os.Stderr, "protostat: %v\n", e)
 	}
-	printStats("input", prog)
-}
-
-func printStats(name string, prog *core.Program) {
-	var total, max int64
-	var sumLen float64
-	for _, g := range prog.Graphs {
-		st := paths.Analyze(g)
-		total += st.Count
-		sumLen += st.AvgLen * float64(st.Count)
-		if st.MaxLen > max {
-			max = st.MaxLen
-		}
-	}
-	avg := 0
-	if total > 0 {
-		avg = int(sumLen / float64(total))
-	}
-	fmt.Printf("%-12s %8d %8d %10d %10d\n", name, prog.SourceLOC, total, avg, max)
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "protostat: "+format+"\n", args...)
-	os.Exit(1)
+	st := paper.ProgramStats(prog)
+	fmt.Printf("%-12s %8d %8d %10d %10d\n", "input", st.LOC, st.Paths, st.AvgLen, st.MaxLen)
 }

@@ -233,7 +233,6 @@ func (p *Parser) topDecl() []ast.Decl {
 				Variadic: variadic, Storage: storage, Inline: inline}
 			fd.P = dpos
 			if p.at(token.LBrace) {
-				p.pushParamTypedefs()
 				fd.Body = p.block()
 				fd.EndPos = p.prevPos()
 				out = append(out, fd)
@@ -248,11 +247,6 @@ func (p *Parser) topDecl() []ast.Decl {
 			}
 			out = append(out, vd)
 		}
-		if len(out) > 0 {
-			if last, ok := out[len(out)-1].(*ast.TypeDecl); ok && last.Pos().Line == 0 {
-				// give typedefs a position too
-			}
-		}
 		if !p.accept(token.Comma) {
 			break
 		}
@@ -260,8 +254,6 @@ func (p *Parser) topDecl() []ast.Decl {
 	p.expect(token.Semi)
 	return out
 }
-
-func (p *Parser) pushParamTypedefs() {} // placeholder: params aren't typedefs
 
 func (p *Parser) prevPos() token.Pos {
 	if p.pos > 0 {

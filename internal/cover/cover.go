@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"flashmc/internal/engine"
@@ -160,44 +159,6 @@ func (a *Artifact) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(a)
-}
-
-// WriteTable renders the artifact as a human-readable coverage table:
-// one line per checker, rules with fire counts sorted by key.
-func (a *Artifact) WriteTable(w io.Writer) {
-	names := make([]string, 0, len(a.Checkers))
-	for n := range a.Checkers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "%-16s %-14s %6s  %s\n", "CHECKER", "SM", "RUNS", "RULES FIRED")
-	for _, n := range names {
-		c := a.Checkers[n]
-		rules := make([]string, 0, len(c.Rules))
-		for r := range c.Rules {
-			rules = append(rules, r)
-		}
-		sort.Strings(rules)
-		parts := make([]string, len(rules))
-		for i, r := range rules {
-			parts[i] = fmt.Sprintf("%s=%d", r, c.Rules[r])
-		}
-		fired := "-"
-		if len(parts) > 0 {
-			fired = ""
-			for i, p := range parts {
-				if i > 0 {
-					fired += " "
-				}
-				fired += p
-			}
-		}
-		sm := c.SM
-		if sm == "" {
-			sm = "-"
-		}
-		fmt.Fprintf(w, "%-16s %-14s %6d  %s\n", n, sm, c.Runs, fired)
-	}
 }
 
 // Validate parses and checks a coverage artifact: the kind must be

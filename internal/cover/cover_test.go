@@ -170,19 +170,6 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-func TestWriteTable(t *testing.T) {
-	s := NewSet()
-	s.Record("buffer_race", sampleCov("h1"))
-	var buf bytes.Buffer
-	s.Snapshot().WriteTable(&buf)
-	out := buf.String()
-	for _, want := range []string{"CHECKER", "buffer_race", "wait_for_db", "race=2"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestNilSetIsNoOp(t *testing.T) {
 	var s *Set
 	s.Record("c", sampleCov("h"))

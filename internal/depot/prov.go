@@ -4,9 +4,7 @@ package depot
 // sidecar record — stored as a normal depot artifact under a derived
 // prov/v1 key — answering "who produced this, from what, and at what
 // cost". Warm reads then explain themselves: mcheck -explain resolves
-// a report back to the process, checker version, input fingerprints
-// and wall cost that produced it, which is the lineage substrate the
-// ROADMAP's cross-version cache-aliasing item needs.
+// a report back to the process, inputs and wall cost that produced it.
 //
 // The sidecar is deliberately a separate artifact rather than a field
 // inside the payload: artifact bytes stay byte-identical between cold
@@ -19,17 +17,10 @@ package depot
 const ProvKind = "prov/v1"
 
 // Provenance explains one artifact: the inputs it was derived from,
-// the checker that produced it, who ran it, and what it cost.
+// who ran it, and what it cost. What the artifact is (its kind,
+// checker, version and source fingerprint) is the key it is stored
+// under, which the reader already holds.
 type Provenance struct {
-	// Key is the explained artifact's content address (Key.ID()).
-	Key string `json:"key"`
-	// Kind/Source/Checker/Version/Options mirror the artifact key's
-	// fields so the record is self-describing offline.
-	Kind    string `json:"kind"`
-	Source  string `json:"source"`
-	Checker string `json:"checker,omitempty"`
-	Version string `json:"version,omitempty"`
-	Options string `json:"options,omitempty"`
 	// Deps are the key ids of artifacts consumed while producing this
 	// one (a lanes task's function summaries, for example).
 	Deps []string `json:"deps,omitempty"`
@@ -50,15 +41,11 @@ func ProvKey(key Key) Key {
 	return Key{Kind: ProvKind, Source: key.ID()}
 }
 
-// PutProv stores the provenance sidecar for key, filling the record's
-// key-mirror fields from the artifact key.
+// PutProv stores the provenance sidecar for key.
 func (d *Depot) PutProv(key Key, p *Provenance) error {
 	if p == nil {
 		return nil
 	}
-	p.Key = key.ID()
-	p.Kind, p.Source = key.Kind, key.Source
-	p.Checker, p.Version, p.Options = key.Checker, key.Version, key.Options
 	return d.PutJSON(ProvKey(key), p)
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"flashmc/internal/cc/ast"
 	"flashmc/internal/cfg"
 	"flashmc/internal/match"
 	"flashmc/internal/paths"
@@ -64,21 +63,4 @@ func RunPaths(g *cfg.Graph, sm *SM, limit int) []Report {
 	}
 	r.flushMetrics()
 	return r.reports
-}
-
-// MustPattern compiles rule pattern text or panics; a convenience for
-// checkers whose pattern text is a compile-time constant.
-func MustPattern(stmt ast.Stmt, err error) Pattern {
-	if err != nil {
-		panic(err)
-	}
-	return Pattern{Stmt: stmt}
-}
-
-// MustExpr compiles an expression pattern or panics.
-func MustExpr(e ast.Expr, err error) Pattern {
-	if err != nil {
-		panic(err)
-	}
-	return Pattern{Expr: e}
 }

@@ -63,15 +63,30 @@ func (c Confidence) Rank() int {
 	return 0
 }
 
-// SortRanked orders a ranked stream for presentation: confidence
-// rank first (certain above demoted), then position, then checker,
-// rule, and message as tiebreakers. The comparison is a total order
-// over every field that prints, so equal report sets render
-// byte-identically regardless of input order, worker count, or cache
-// temperature.
+// SortRanked orders a ranked stream for presentation, in RankedOrder.
 func SortRanked(rs []RankedReport) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		a, b := rs[i], rs[j]
+	sorted := make([]RankedReport, 0, len(rs))
+	for _, i := range RankedOrder(rs) {
+		sorted = append(sorted, rs[i])
+	}
+	copy(rs, sorted)
+}
+
+// RankedOrder returns the permutation that orders a ranked stream for
+// presentation: confidence rank first (certain above demoted), then
+// position, then checker, rule, and message as tiebreakers. The
+// comparison is a total order over every field that prints, so equal
+// report sets render byte-identically regardless of input order, worker
+// count, or cache temperature. Indexing through the permutation keeps
+// each report's position in rs, so a stream index-aligned with
+// sched.Result.Reports keeps its Result.RefIdx provenance link.
+func RankedOrder(rs []RankedReport) []int {
+	order := make([]int, len(rs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := &rs[order[i]], &rs[order[j]]
 		if ar, br := a.Confidence.Rank(), b.Confidence.Rank(); ar != br {
 			return ar < br
 		}
@@ -92,6 +107,7 @@ func SortRanked(rs []RankedReport) {
 		}
 		return a.Msg < b.Msg
 	})
+	return order
 }
 
 // TriageMode selects the triage ladder height.

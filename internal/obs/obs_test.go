@@ -220,12 +220,12 @@ func TestTracerRoundTrip(t *testing.T) {
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	n, err := ValidateTrace(bytes.NewReader(buf.Bytes()))
+	st, err := ValidateTraceStats(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("own trace does not validate: %v\n%s", err, buf.String())
 	}
-	if n != 2 {
-		t.Fatalf("complete spans = %d, want 2", n)
+	if st.Spans != 2 {
+		t.Fatalf("complete spans = %d, want 2", st.Spans)
 	}
 
 	events := tr.Events()
@@ -249,23 +249,23 @@ func TestValidateTraceRejects(t *testing.T) {
 		"missing phase": `[{"name":"x","ts":0,"pid":1,"tid":0}]`,
 	}
 	for name, input := range cases {
-		if _, err := ValidateTrace(strings.NewReader(input)); err == nil {
-			t.Errorf("%s: ValidateTrace accepted %q", name, input)
+		if _, err := ValidateTraceStats(strings.NewReader(input)); err == nil {
+			t.Errorf("%s: ValidateTraceStats accepted %q", name, input)
 		}
 	}
 	// Bare-array form with one complete span is valid.
-	n, err := ValidateTrace(strings.NewReader(
+	st, err := ValidateTraceStats(strings.NewReader(
 		`[{"name":"x","ph":"X","ts":0,"dur":5,"pid":1,"tid":0}]`))
-	if err != nil || n != 1 {
-		t.Fatalf("bare array: n=%d err=%v", n, err)
+	if err != nil || st.Spans != 1 {
+		t.Fatalf("bare array: stats=%+v err=%v", st, err)
 	}
 	// Instant events (phase "i") from other tools are accepted, and
 	// only complete spans count.
-	n, err = ValidateTrace(strings.NewReader(`{"traceEvents":[` +
+	st, err = ValidateTraceStats(strings.NewReader(`{"traceEvents":[` +
 		`{"name":"x","ph":"X","ts":0,"dur":5,"pid":1,"tid":0},` +
 		`{"name":"gc","ph":"i","ts":6,"pid":1,"tid":0}]}`))
-	if err != nil || n != 1 {
-		t.Fatalf("instant event: n=%d err=%v", n, err)
+	if err != nil || st.Spans != 1 {
+		t.Fatalf("instant event: stats=%+v err=%v", st, err)
 	}
 }
 

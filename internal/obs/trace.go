@@ -33,7 +33,7 @@ type Tracer struct {
 	mu     sync.Mutex
 	t0     time.Time
 	pid    int
-	procs  map[int]bool // pids a process_name metadata event was emitted for
+	named  bool // a process_name metadata event names pid's lane
 	events []Event
 }
 
@@ -43,32 +43,18 @@ func NewTracer() *Tracer { return &Tracer{t0: time.Now(), pid: 1} }
 
 // SetProcess names this tracer's own process: subsequent events carry
 // pid, and a process_name metadata ("M") event is recorded so trace
-// viewers label the lane. Call it before recording spans.
+// viewers label the lane (once; naming the same pid again records
+// nothing). Call it before recording spans.
 func (t *Tracer) SetProcess(pid int, name string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.pid = pid
-	t.mu.Unlock()
-	t.ProcessMeta(pid, name)
-}
-
-// ProcessMeta records a process_name metadata event for a pid lane
-// (deduplicated per tracer).
-func (t *Tracer) ProcessMeta(pid int, name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.procs == nil {
-		t.procs = map[int]bool{}
-	}
-	if t.procs[pid] {
+	if t.named && t.pid == pid {
 		return
 	}
-	t.procs[pid] = true
+	t.pid, t.named = pid, true
 	t.events = append(t.events, Event{
 		Name: "process_name", Ph: "M", PID: pid,
 		Args: map[string]any{"name": name},
@@ -145,7 +131,7 @@ type traceFile struct {
 	DisplayTimeUnit string  `json:"displayTimeUnit"`
 }
 
-// sortEvents orders events the way ValidateTrace checks them: by
+// sortEvents orders events the way ValidateTraceStats checks them: by
 // (pid, tid), then timestamp; metadata first and longer spans before
 // the spans they enclose at equal timestamps.
 func sortEvents(events []Event) {
@@ -169,8 +155,8 @@ func sortEvents(events []Event) {
 
 // WriteTraceJSON writes events in Chrome trace_event JSON object
 // format, loadable by chrome://tracing and ui.perfetto.dev. Events are
-// sorted per (pid, tid) lane, which is the order ValidateTrace asserts
-// timestamps are monotone in.
+// sorted per (pid, tid) lane, which is the order ValidateTraceStats
+// asserts timestamps are monotone in.
 func WriteTraceJSON(w io.Writer, events []Event) error {
 	sorted := append([]Event(nil), events...)
 	sortEvents(sorted)
@@ -201,24 +187,14 @@ type TraceStats struct {
 	Processes []ProcessStats
 }
 
-// ValidateTrace checks that r holds Chrome trace_event JSON (object
-// form or bare array) containing at least one complete ("X") span,
-// returning the complete-span count. cmd/obscheck uses it as the CI
-// gate on -trace output.
-func ValidateTrace(r io.Reader) (int, error) {
-	st, err := ValidateTraceStats(r)
-	if st == nil {
-		return 0, err
-	}
-	return st.Spans, err
-}
-
-// ValidateTraceStats validates a trace like ValidateTrace and returns
-// the per-process breakdown. Beyond well-formedness it asserts the
-// timestamp discipline trace viewers rely on: every timestamp
-// non-negative, every complete span's duration non-negative, and
-// timestamps monotone per (pid, tid) lane in file order (the order
-// WriteTraceJSON emits).
+// ValidateTraceStats checks that r holds Chrome trace_event JSON
+// (object form or bare array) containing at least one complete ("X")
+// span, and returns the complete-span count with the per-process
+// breakdown; cmd/obscheck uses it as the CI gate on -trace output.
+// Beyond well-formedness it asserts the timestamp discipline trace
+// viewers rely on: every timestamp non-negative, every complete span's
+// duration non-negative, and timestamps monotone per (pid, tid) lane
+// in file order (the order WriteTraceJSON emits).
 func ValidateTraceStats(r io.Reader) (*TraceStats, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {

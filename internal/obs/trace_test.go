@@ -42,17 +42,6 @@ func TestSetProcessNamesLane(t *testing.T) {
 	}
 }
 
-// TestProcessMetaForeignLane: ProcessMeta names a lane the tracer's
-// own events never use.
-func TestProcessMetaForeignLane(t *testing.T) {
-	tr := NewTracer()
-	tr.ProcessMeta(4, "other")
-	events := tr.Events()
-	if len(events) != 1 || events[0].Ph != "M" || events[0].PID != 4 {
-		t.Fatalf("events = %+v", events)
-	}
-}
-
 // TestWriteTraceJSONSortsLanes: spans are recorded when they end, so
 // a parent lands after the children it encloses and lanes interleave
 // in completion order. The raw recording order fails validation;

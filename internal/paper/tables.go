@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"flashmc/internal/checkers"
+	"flashmc/internal/core"
 	"flashmc/internal/flash"
 	"flashmc/internal/flashgen"
 	"flashmc/internal/paths"
@@ -82,25 +83,35 @@ type Table1Result struct {
 func (c *Corpus) Table1() Table1Result {
 	res := Table1Result{LOC: Row{}, Paths: Row{}, AvgLen: Row{}, MaxLen: Row{}}
 	for _, p := range c.Gen.Protocols {
-		prog := c.Programs[p.Name]
-		res.LOC[p.Name] = prog.SourceLOC
-		var total, max int64
-		var sumLen float64
-		for _, g := range prog.Graphs {
-			st := paths.Analyze(g)
-			total += st.Count
-			sumLen += st.AvgLen * float64(st.Count)
-			if st.MaxLen > max {
-				max = st.MaxLen
-			}
-		}
-		res.Paths[p.Name] = int(total)
-		if total > 0 {
-			res.AvgLen[p.Name] = int(sumLen / float64(total))
-		}
-		res.MaxLen[p.Name] = int(max)
+		st := ProgramStats(c.Programs[p.Name])
+		res.LOC[p.Name] = st.LOC
+		res.Paths[p.Name] = st.Paths
+		res.AvgLen[p.Name] = st.AvgLen
+		res.MaxLen[p.Name] = st.MaxLen
 	}
 	return res
+}
+
+// ProgramStats is one program's Table 1 row: its source LOC, the
+// entry-to-exit paths summed over its functions, their count-weighted
+// mean length (truncated), and the longest path. Table1 and protostat
+// both measure through it.
+func ProgramStats(prog *core.Program) flash.Table1Row {
+	var total, max int64
+	var sumLen float64
+	for _, g := range prog.Graphs {
+		st := paths.Analyze(g)
+		total += st.Count
+		sumLen += st.AvgLen * float64(st.Count)
+		if st.MaxLen > max {
+			max = st.MaxLen
+		}
+	}
+	row := flash.Table1Row{LOC: prog.SourceLOC, Paths: int(total), MaxLen: int(max)}
+	if total > 0 {
+		row.AvgLen = int(sumLen / float64(total))
+	}
+	return row
 }
 
 // Table2 reproduces the buffer race checker results.

@@ -92,7 +92,7 @@ func TestCheckRecordsTaskSpans(t *testing.T) {
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := obs.ValidateTrace(&buf); err != nil {
+	if _, err := obs.ValidateTraceStats(&buf); err != nil {
 		t.Fatalf("trace does not validate: %v", err)
 	}
 	if res.Stats.QueueWait < 0 {

@@ -65,9 +65,9 @@ type TriageStats struct {
 // TriageReports ranks a report stream with lint's path-feasibility
 // triage, caching verdicts in the depot keyed by program fingerprint
 // × checker × triage version × options fingerprint. A warm call skips
-// path enumeration and symbolic replay entirely. Reports keep
-// first-appearance checker order and, within a checker, input order,
-// so warm and cold runs assemble identical streams.
+// path enumeration and symbolic replay entirely. The result is
+// index-aligned with req.Reports: out[i] ranks req.Reports[i], so it
+// shares sched.Result.RefIdx[i] when req.Reports is a Result's stream.
 func (a *Analyzer) TriageReports(req TriageRequest) ([]lint.RankedReport, TriageStats) {
 	return a.triageReports(req, lint.TriageVersion)
 }
@@ -83,52 +83,60 @@ func (a *Analyzer) triageReports(req TriageRequest, version string) ([]lint.Rank
 
 	// Group by checker in first-appearance order: TriageProgram sees
 	// each machine's reports together, and the order is a pure
-	// function of the input stream (no map iteration).
+	// function of the input stream (no map iteration). Each group
+	// remembers its reports' input indices for the scatter back.
 	var order []string
-	byChecker := map[string][]engine.Report{}
-	for _, r := range req.Reports {
+	byChecker := map[string][]int{}
+	for i, r := range req.Reports {
 		if _, ok := byChecker[r.SM]; !ok {
 			order = append(order, r.SM)
 		}
-		byChecker[r.SM] = append(byChecker[r.SM], r)
+		byChecker[r.SM] = append(byChecker[r.SM], i)
 	}
 
-	out := make([]lint.RankedReport, 0, len(req.Reports))
+	out := make([]lint.RankedReport, len(req.Reports))
 	var st TriageStats
 	for _, name := range order {
-		group := byChecker[name]
-		sm := req.SMs[name]
-		if sm == nil {
-			out = append(out, lint.PassThrough(group, lint.ReasonGlobalPass)...)
-			continue
+		idx := byChecker[name]
+		group := make([]engine.Report, len(idx))
+		for k, i := range idx {
+			group[k] = req.Reports[i]
 		}
+		sm := req.SMs[name]
 		key := depot.Key{Kind: triageKind, Source: progFP, Checker: name,
 			Version: hashStrings(req.Versions[name], version),
 			Options: req.Options.Fingerprint()}
 		var art triageArtifact
-		if d.GetJSON(key, &art) && verdictsMatch(art.Verdicts, group) {
+		var ranked []lint.RankedReport
+		switch {
+		case sm == nil:
+			ranked = lint.PassThrough(group, lint.ReasonGlobalPass)
+		case d.GetJSON(key, &art) && verdictsMatch(art.Verdicts, group):
 			st.CacheHits++
 			mTriageHits.Inc()
+			ranked = make([]lint.RankedReport, len(group))
 			for i, r := range group {
-				out = append(out, lint.RankedReport{Report: r,
+				ranked[i] = lint.RankedReport{Report: r,
 					Confidence: art.Verdicts[i].Confidence,
-					Reason:     art.Verdicts[i].Reason})
+					Reason:     art.Verdicts[i].Reason}
 			}
-			continue
+		default:
+			st.CacheMisses++
+			mTriageMisses.Inc()
+			ranked = lint.TriageProgram(req.Prog, sm, group, req.Options)
+			art.Verdicts = art.Verdicts[:0]
+			for _, rr := range ranked {
+				art.Verdicts = append(art.Verdicts, triageVerdict{Rule: rr.Rule,
+					Fn: rr.Fn, Pos: rr.Pos, Msg: rr.Msg,
+					Confidence: rr.Confidence, Reason: rr.Reason})
+			}
+			// A failed cache write costs the next run a recompute,
+			// nothing more; the verdicts themselves are already in hand.
+			_ = d.PutJSON(key, art)
 		}
-		st.CacheMisses++
-		mTriageMisses.Inc()
-		ranked := lint.TriageProgram(req.Prog, sm, group, req.Options)
-		art.Verdicts = art.Verdicts[:0]
-		for _, rr := range ranked {
-			art.Verdicts = append(art.Verdicts, triageVerdict{Rule: rr.Rule,
-				Fn: rr.Fn, Pos: rr.Pos, Msg: rr.Msg,
-				Confidence: rr.Confidence, Reason: rr.Reason})
+		for k, i := range idx {
+			out[i] = ranked[k]
 		}
-		// A failed cache write costs the next run a recompute, nothing
-		// more; the verdicts themselves are already in hand.
-		_ = d.PutJSON(key, art)
-		out = append(out, ranked...)
 	}
 	return out, st
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"flashmc/internal/cc/token"
@@ -133,6 +134,57 @@ func TestTriageWarmServesFromDepot(t *testing.T) {
 
 	if !bytes.Equal(renderRanked(cold), renderRanked(warm)) {
 		t.Error("warm triage renders differently from cold")
+	}
+}
+
+// TestTriageReportsIndexAligned: the ranked stream is index-aligned
+// with the request's reports on a cache miss and on a hit, so out[i]
+// ranks Reports[i] (and shares Result.RefIdx[i]). The input takes the
+// even-indexed reports, then the odd ones, so checkers interleave and
+// grouping by checker without scattering back would misalign it.
+func TestTriageReportsIndexAligned(t *testing.T) {
+	d, err := depot.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &Analyzer{Depot: d}
+	p, prog := loadProto(t, nil)
+	res, err := a.Check(Request{Prog: prog, Spec: p.Spec, Jobs: FlashJobs(p.Spec)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports []engine.Report
+	for start := 0; start < 2; start++ {
+		for i := start; i < len(res.Reports); i += 2 {
+			reports = append(reports, res.Reports[i])
+		}
+	}
+	seen := map[string]bool{}
+	interleaved := false
+	for i, r := range reports {
+		interleaved = interleaved || (seen[r.SM] && reports[i-1].SM != r.SM)
+		seen[r.SM] = true
+	}
+	if !interleaved {
+		t.Fatal("input does not interleave checkers; the test would be vacuous")
+	}
+	sms, versions := triageSMs(p.Spec)
+	req := TriageRequest{Prog: prog, SMs: sms, Versions: versions,
+		Reports: reports, Options: lint.TriageOptions{Mode: lint.ModeSym}}
+	for _, run := range []string{"miss", "hit"} {
+		ranked, st := a.TriageReports(req)
+		if (run == "miss") != (st.CacheHits == 0) {
+			t.Fatalf("%s: stats %+v", run, st)
+		}
+		if len(ranked) != len(reports) {
+			t.Fatalf("%s: %d ranked, want %d", run, len(ranked), len(reports))
+		}
+		for i := range reports {
+			if !reflect.DeepEqual(ranked[i].Report, reports[i]) {
+				t.Fatalf("%s: ranked[%d] is %s [%s], want %s [%s]", run, i,
+					ranked[i].Pos, ranked[i].SM, reports[i].Pos, reports[i].SM)
+			}
+		}
 	}
 }
 
