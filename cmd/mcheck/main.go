@@ -9,6 +9,10 @@
 //	mcheck -emit summaries.json file.c...     (local pass, paper §3.2)
 //	mcheck -link summaries.json...            (global lane pass, §7)
 //
+// -emit and -link run no check, so they refuse the flags that shape a
+// check run's output (-coverage-out, -metrics, -trace, -cache,
+// -cache-max-bytes, -triage, -why, -explain) with exit status 2.
+//
 // Checkers execute through the internal/sched parallel scheduler: -j
 // sizes the worker pool (default GOMAXPROCS) and -cache names a
 // content-addressed artifact depot reused across runs, so a re-check
@@ -123,13 +127,27 @@ func main() {
 	}
 
 	// -j must be a positive worker count; an unset (or zero) flag means
-	// "use every CPU" rather than silently misbehaving.
+	// "use every CPU" rather than silently misbehaving. -emit and -link
+	// run no check, so a flag that shapes a check's output would be
+	// ignored there: refuse it instead.
 	jSet := false
+	var runOnly []string
 	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "j" {
+		switch f.Name {
+		case "j":
 			jSet = true
+		case "coverage-out", "metrics", "trace", "cache", "cache-max-bytes", "triage", "why", "explain":
+			runOnly = append(runOnly, "-"+f.Name)
 		}
 	})
+	if len(runOnly) > 0 && (*link || *emit != "") {
+		mode := "-emit"
+		if *link {
+			mode = "-link"
+		}
+		fmt.Fprintf(os.Stderr, "mcheck: %s runs no check, so it does not take %s\n", mode, strings.Join(runOnly, ", "))
+		os.Exit(2)
+	}
 	if jSet && *workers < 1 {
 		fmt.Fprintf(os.Stderr, "mcheck: -j %d: worker count must be >= 1\n", *workers)
 		os.Exit(2)

@@ -78,7 +78,9 @@ func mcheck(t *testing.T, dir string, args ...string) (string, string, int) {
 	return stdout.String(), stderr.String(), code
 }
 
-// TestExitCodes: 0 with no reports, 1 with reports, 2 on usage errors.
+// TestExitCodes: 0 with no reports, 1 with reports, 2 on usage errors,
+// among them every flag that shapes a check run combined with -emit or
+// -link, which run no check and would ignore it.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	write(t, dir, "clean.c", cleanSrc)
@@ -94,6 +96,22 @@ func TestExitCodes(t *testing.T) {
 		{"-triage bogus", []string{"-flash", "-triage", "bogus", "clean.c"}, 2},
 		{"-coverage (removed)", []string{"-flash", "-coverage", "clean.c"}, 2},
 		{"no inputs", []string{"-flash"}, 2},
+		{"-emit", []string{"-emit", "s.json", "race.c"}, 0},
+		{"-emit -coverage-out", []string{"-emit", "s.json", "-coverage-out", "c.json", "race.c"}, 2},
+		{"-emit -metrics", []string{"-emit", "s.json", "-metrics", "m.txt", "race.c"}, 2},
+		{"-emit -trace", []string{"-emit", "s.json", "-trace", "t.json", "race.c"}, 2},
+		{"-emit -cache", []string{"-emit", "s.json", "-cache", "depot", "race.c"}, 2},
+		{"-emit -triage", []string{"-emit", "s.json", "-triage", "sym", "race.c"}, 2},
+		{"-emit -why", []string{"-emit", "s.json", "-why", "race.c"}, 2},
+		{"-emit -explain", []string{"-emit", "s.json", "-explain", "race.c"}, 2},
+		{"-link -coverage-out", []string{"-link", "-coverage-out", "c.json", "s.json"}, 2},
+		{"-link -metrics", []string{"-link", "-metrics", "m.txt", "s.json"}, 2},
+		{"-link -trace", []string{"-link", "-trace", "t.json", "s.json"}, 2},
+		{"-link -cache", []string{"-link", "-cache", "depot", "s.json"}, 2},
+		{"-link -triage", []string{"-link", "-triage", "sym", "s.json"}, 2},
+		{"-link -why", []string{"-link", "-why", "s.json"}, 2},
+		{"-link -explain", []string{"-link", "-explain", "s.json"}, 2},
+		{"-link", []string{"-link", "s.json"}, 0},
 	} {
 		stdout, stderr, code := mcheck(t, dir, tc.args...)
 		if code != tc.want {

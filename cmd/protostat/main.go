@@ -30,7 +30,7 @@ func main() {
 	flag.Var(&includes, "I", "include search directory (repeatable)")
 	flag.Parse()
 
-	fmt.Printf("%-12s %8s %8s %10s %10s\n", "unit", "LOC", "paths", "avg-path", "max-path")
+	// Usage and load errors print no table, not even its header.
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "protostat: no input files")
 		os.Exit(2)
@@ -44,5 +44,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "protostat: %v\n", e)
 	}
 	st := paper.ProgramStats(prog)
+	fmt.Printf("%-12s %8s %8s %10s %10s\n", "unit", "LOC", "paths", "avg-path", "max-path")
 	fmt.Printf("%-12s %8d %8d %10d %10d\n", "input", st.LOC, st.Paths, st.AvgLen, st.MaxLen)
 }

@@ -23,9 +23,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestExitCodes: file mode measures and exits 0; no inputs and the
-// removed corpus mode (paperbench prints corpus Table 1) are usage
-// errors, exit 2.
+// TestExitCodes: file mode measures and exits 0, printing the header
+// and one row; no inputs and the removed corpus mode (paperbench prints
+// corpus Table 1) are usage errors, exit 2, with nothing on stdout.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	src := "int f(int a) {\n    if (a)\n        return 1;\n    return 0;\n}\n"
@@ -33,18 +33,21 @@ func TestExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		args []string
-		want int
+		name  string
+		args  []string
+		want  int
+		lines int // stdout lines
 	}{
-		{"file", []string{"f.c"}, 0},
-		{"no inputs", nil, 2},
-		{"-corpus (removed)", []string{"-corpus"}, 2},
+		{"file", []string{"f.c"}, 0, 2},
+		{"no inputs", nil, 2, 0},
+		{"-corpus (removed)", []string{"-corpus"}, 2, 0},
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^$")
 		cmd.Dir = dir
 		cmd.Env = append(os.Environ(), "PROTOSTAT_RUN_MAIN=1", "PROTOSTAT_ARGS="+strings.Join(tc.args, "\n"))
-		out, err := cmd.CombinedOutput()
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
 		code := 0
 		var exit *exec.ExitError
 		if errors.As(err, &exit) {
@@ -53,7 +56,10 @@ func TestExitCodes(t *testing.T) {
 			t.Fatal(err)
 		}
 		if code != tc.want {
-			t.Errorf("%s: exit %d, want %d\n%s", tc.name, code, tc.want, out)
+			t.Errorf("%s: exit %d, want %d\n%s%s", tc.name, code, tc.want, stdout.String(), stderr.String())
+		}
+		if got := strings.Count(stdout.String(), "\n"); got != tc.lines {
+			t.Errorf("%s: %d stdout lines, want %d:\n%s", tc.name, got, tc.lines, stdout.String())
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"flashmc/internal/cc/ast"
 	"flashmc/internal/cc/token"
+	"flashmc/internal/match"
 )
 
 // NodeKind classifies CFG nodes.
@@ -96,6 +97,11 @@ type Graph struct {
 	Entry *Node
 	Exit  *Node
 	Nodes []*Node
+	// Sigs holds each node's event signature, indexed by node ID:
+	// match.Sig of the statement of a KindStmt node or the condition
+	// of a KindBranch node, 0 for structural nodes. Build fills it once,
+	// so the SMs that check one graph concurrently read it unlocked.
+	Sigs []uint64
 }
 
 // Build constructs the CFG for fn (which must have a body).
@@ -115,6 +121,15 @@ func Build(fn *ast.FuncDecl) *Graph {
 			target = b.g.Exit
 		}
 		b.connect(g.node, target, Always, nil)
+	}
+	b.g.Sigs = make([]uint64, len(b.g.Nodes))
+	for i, n := range b.g.Nodes {
+		switch n.Kind {
+		case KindStmt:
+			b.g.Sigs[i] = match.Sig(n.Stmt)
+		case KindBranch:
+			b.g.Sigs[i] = match.Sig(n.Cond)
+		}
 	}
 	return b.g
 }

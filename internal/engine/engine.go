@@ -29,6 +29,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -51,7 +52,7 @@ var (
 	mReports = obs.NewCounter("engine_reports_total", "diagnostics emitted by runs")
 	mPaths   = obs.NewCounter("engine_paths_walked_total", "paths enumerated by the every-path executor")
 	mVisits  = obs.NewCounter("engine_node_visits_total", "event-node transfers: one per configuration each time the worklist reaches a statement or branch node")
-	mEvals   = obs.NewCounter("engine_pattern_evals_total", "pattern evaluations: one per rule alternative tried against a node event and one per branch-cond pattern tried against a branch condition")
+	mEvals   = obs.NewCounter("engine_pattern_evals_total", "pattern evaluations: one per rule alternative considered against a node event and one per branch-cond pattern considered against a branch condition, including those the identifier signature rejects before matching")
 )
 
 // Stop is the reserved target state that kills a configuration (stops
@@ -495,22 +496,35 @@ func (s *configSet) configs() []keyedConfig { return s.list }
 
 // smPlan is the compile-time shape of one SM: its rules with their
 // coverage keys, partitioned by owning state so transfer need not
-// rescan every rule per event, and its cond keys. It depends only on
-// the SM, so it is built once per SM rather than once per run.
+// rescan every rule per event, its cond keys, and the identifier
+// signature (match.Sig) of every rule alternative and cond pattern. It
+// depends only on the SM, so it is built once per SM rather than once
+// per run.
 type smPlan struct {
 	// rules is sm.Rules as planned, in order, for fits.
 	rules    []plannedRule
 	byState  map[string][]plannedRule
 	allRules []plannedRule
-	condKeys []string
+	conds    []plannedCond
 }
 
-// plannedRule is one rule with its coverage key and the State and Tag
-// the key and the partition were computed from.
+// plannedRule is one rule with its coverage key, the State and Tag
+// the key and the partition were computed from, and the alternatives
+// the signatures were computed from with their signatures.
 type plannedRule struct {
 	rule       *Rule
 	key        string
 	state, tag string
+	pats       []Pattern
+	sigs       []uint64
+}
+
+// plannedCond is one cond rule's coverage key and the pattern its
+// signature was computed from.
+type plannedCond struct {
+	key string
+	pat ast.Expr
+	sig uint64
 }
 
 // buildPlan keys and partitions an SM's rules. All-state rules go to
@@ -519,12 +533,16 @@ type plannedRule struct {
 // literally owned by state "all").
 func buildPlan(sm *SM) *smPlan {
 	p := &smPlan{
-		rules:    make([]plannedRule, len(sm.Rules)),
-		byState:  map[string][]plannedRule{},
-		condKeys: make([]string, len(sm.Cond)),
+		rules:   make([]plannedRule, len(sm.Rules)),
+		byState: map[string][]plannedRule{},
+		conds:   make([]plannedCond, len(sm.Cond)),
 	}
 	for i, rule := range sm.Rules {
-		pr := plannedRule{rule: rule, key: RuleKey(sm, i), state: rule.State, tag: rule.Tag}
+		pr := plannedRule{rule: rule, key: RuleKey(sm, i), state: rule.State, tag: rule.Tag,
+			pats: slices.Clone(rule.Patterns), sigs: make([]uint64, len(rule.Patterns))}
+		for j, alt := range rule.Patterns {
+			pr.sigs[j] = alt.sig()
+		}
 		p.rules[i] = pr
 		if rule.State == All {
 			p.allRules = append(p.allRules, pr)
@@ -532,22 +550,46 @@ func buildPlan(sm *SM) *smPlan {
 			p.byState[rule.State] = append(p.byState[rule.State], pr)
 		}
 	}
-	for i := range sm.Cond {
-		p.condKeys[i] = CondKey(sm, i)
+	for i, cr := range sm.Cond {
+		p.conds[i] = plannedCond{key: CondKey(sm, i), pat: cr.Pattern, sig: match.Sig(cr.Pattern)}
 	}
 	return p
 }
 
+// sig is the identifier signature of the alternative evalPattern
+// matches: the statement pattern when set, else the expression.
+func (p Pattern) sig() uint64 {
+	if p.Stmt != nil {
+		return match.Sig(p.Stmt)
+	}
+	if p.Expr != nil {
+		return match.Sig(p.Expr)
+	}
+	return 0
+}
+
 // fits reports whether p still describes sm: the same rule pointers in
-// the same order with the same State and Tag, and as many cond rules.
-// Rule keys and the partition depend on nothing else. It allocates
+// the same order with the same State, Tag and pattern alternatives,
+// and as many cond rules with the same patterns. Rule keys, the
+// partition and the signatures depend on nothing else. It allocates
 // nothing.
 func (p *smPlan) fits(sm *SM) bool {
-	if len(p.rules) != len(sm.Rules) || len(p.condKeys) != len(sm.Cond) {
+	if len(p.rules) != len(sm.Rules) || len(p.conds) != len(sm.Cond) {
 		return false
 	}
 	for i, rule := range sm.Rules {
-		if pr := &p.rules[i]; pr.rule != rule || pr.state != rule.State || pr.tag != rule.Tag {
+		pr := &p.rules[i]
+		if pr.rule != rule || pr.state != rule.State || pr.tag != rule.Tag || len(pr.pats) != len(rule.Patterns) {
+			return false
+		}
+		for j, alt := range rule.Patterns {
+			if pr.pats[j] != alt {
+				return false
+			}
+		}
+	}
+	for i, cr := range sm.Cond {
+		if p.conds[i].pat != cr.Pattern {
 			return false
 		}
 	}
@@ -572,7 +614,9 @@ type runner struct {
 	sm      *SM
 	g       *cfg.Graph
 	reports []Report
-	seen    map[string]bool
+	// seen holds the keys of the reports made so far; it is made on the
+	// first report, since most runs make none.
+	seen map[string]bool
 
 	// cov tallies rule/state/pattern/cond firings for this run under
 	// the plan's coverage keys.
@@ -606,6 +650,9 @@ func (r *runner) report(rule string, pos token.Pos, state, msg string, tr *trace
 	if r.seen[key] {
 		return
 	}
+	if r.seen == nil {
+		r.seen = map[string]bool{}
+	}
 	r.seen[key] = true
 	// The synthesized final step pins the witness to the report: its
 	// position is the report position by construction.
@@ -622,7 +669,7 @@ func (r *runner) report(rule string, pos token.Pos, state, msg string, tr *trace
 // every runner carries a Coverage (pathmode and Sim discard theirs)
 // and the SM's plan, whose keys it is tallied under.
 func newRunner(sm *SM, g *cfg.Graph) *runner {
-	return &runner{sm: sm, g: g, seen: map[string]bool{},
+	return &runner{sm: sm, g: g,
 		cov: &Coverage{SM: sm.Name, Fn: g.Fn.Name}, plan: sm.planFor()}
 }
 
@@ -788,16 +835,21 @@ func (r *runner) refine(c config, e *cfg.Edge) (config, bool) {
 			}
 		}
 	}
+	sig := r.g.Sigs[e.From.ID]
 	for ci, cr := range r.sm.Cond {
 		if cr.State != c.state && cr.State != All {
 			continue
 		}
 		r.nEvals++
+		pc := &r.plan.conds[ci]
+		if !match.MayMatch(sig, pc.sig) {
+			continue
+		}
 		_, matched, ok := match.First(cr.Pattern, cond, c.env)
 		if !ok {
 			continue
 		}
-		r.cov.hitCond(r.plan.condKeys[ci])
+		r.cov.hitCond(pc.key)
 		isTrue := e.Label == cfg.True
 		if negated {
 			isTrue = !isTrue
@@ -887,10 +939,12 @@ func (r *runner) transfer(n *cfg.Node, c config) (config, bool) {
 
 	// State-specific rules first, then all-state rules (paper §5).
 	r.nVisits++
+	sig := r.g.Sigs[n.ID]
 	fire := func(rules []plannedRule) (next config, alive, fired bool) {
-		for _, pr := range rules {
+		for i := range rules {
+			pr := &rules[i]
 			rule := pr.rule
-			env, pos, alt, ok := r.matchRule(rule, event, c.env)
+			env, pos, alt, ok := r.matchRule(pr, event, sig, c.env)
 			if !ok {
 				continue
 			}
@@ -931,12 +985,16 @@ func (r *runner) transfer(n *cfg.Node, c config) (config, bool) {
 	return c, true
 }
 
-// matchRule tries each alternative of a rule against the event. The
-// int result is the index of the alternative that matched, for
-// per-alternative coverage.
-func (r *runner) matchRule(rule *Rule, event ast.Node, env match.Env) (match.Env, token.Pos, int, bool) {
-	for i, p := range rule.Patterns {
+// matchRule tries each alternative of a planned rule against the
+// event, whose signature is sig, skipping the alternatives the
+// signature rules out. The int result is the index of the alternative
+// that matched, for per-alternative coverage.
+func (r *runner) matchRule(pr *plannedRule, event ast.Node, sig uint64, env match.Env) (match.Env, token.Pos, int, bool) {
+	for i, p := range pr.pats {
 		r.nEvals++
+		if !match.MayMatch(sig, pr.sigs[i]) {
+			continue
+		}
 		if env2, pos, ok := evalPattern(p, event, env); ok {
 			return env2, pos, i, true
 		}

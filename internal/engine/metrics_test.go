@@ -5,8 +5,9 @@ import "testing"
 // TestVisitAndEvalCounts pins the two work counters to their
 // definitions on a hand-traced run: engine_node_visits_total counts one
 // visit per transfer on a statement or branch node per configuration;
-// engine_pattern_evals_total counts one eval per rule alternative tried
-// (evalPattern) and one per branch-cond pattern tried (match.Find).
+// engine_pattern_evals_total counts one eval per rule alternative
+// considered and one per branch-cond pattern considered, whether the
+// node signature lets it reach match.First or rejects it first.
 func TestVisitAndEvalCounts(t *testing.T) {
 	g := buildGraph(t, `
 void fn(void) {

@@ -50,11 +50,14 @@ func planSM(t *testing.T, extra int) *SM {
 // TestRunnerPlanFollowsRuleEdits: the plan an SM keeps from its first
 // run follows in-place edits to its rules: a rule replaced by one of
 // the same state and tag, two rules swapped, a rule retagged or moved
-// to another state, a cond rule appended. After each edit, a run of
-// the edited SM reports and covers exactly what a freshly built SM with
-// the same edits does; runs of one SM from several goroutines at once
-// agree (go test -race checks the plan's hand-off); and a repeat run's
-// allocations do not grow with the number of rules.
+// to another state, a cond rule appended, a rule alternative and a
+// cond pattern replaced in place (the plan keeps their identifier
+// signatures, so a stale one would reject a real match). After each
+// edit, a run of the edited SM reports and covers exactly what a
+// freshly built SM with the same edits does; runs of one SM from
+// several goroutines at once agree (go test -race checks the plan's
+// hand-off); and a repeat run's allocations do not grow with the
+// number of rules.
 func TestRunnerPlanFollowsRuleEdits(t *testing.T) {
 	g := buildGraph(t, planSource)
 	w := map[string]string{"addr": "scalar", "buf": "scalar"}
@@ -72,6 +75,8 @@ func TestRunnerPlanFollowsRuleEdits(t *testing.T) {
 		{"append cond", func(sm *SM) {
 			sm.Cond = append(sm.Cond, &CondRule{State: All, Pattern: mkExprPattern(t, "busy(addr)", w), FalseTarget: "idle"})
 		}},
+		{"repattern", func(sm *SM) { sm.Rules[0].Patterns[0] = mkPattern(t, "read_db(addr, buf);", w) }},
+		{"repattern cond", func(sm *SM) { sm.Cond[0].Pattern = mkExprPattern(t, "busy(addr)", w) }},
 	}
 
 	t.Run("edits", func(t *testing.T) {

@@ -182,10 +182,12 @@ func refFind(pat ast.Expr, root ast.Node, env match.Env) []match.Result {
 
 // fuzzCorpus is what FuzzMatchFirst draws from: expression patterns
 // and the CFG events (statements and branch conditions) of the seed-1
-// flashgen protocols, the subjects the engine matches them against.
+// flashgen protocols, the subjects the engine matches them against,
+// with each event's node signature as cfg.Build recorded it.
 type fuzzCorpus struct {
 	pats   []ast.Expr
 	events []ast.Node
+	sigs   []uint64
 }
 
 var (
@@ -235,7 +237,10 @@ func loadCorpus(tb testing.TB) fuzzCorpus {
 						corpus.events = append(corpus.events, n.Stmt)
 					case cfg.KindBranch:
 						corpus.events = append(corpus.events, n.Cond)
+					default:
+						continue
 					}
+					corpus.sigs = append(corpus.sigs, g.Sigs[n.ID])
 				}
 			}
 			for _, c := range checkers.All() {
@@ -351,8 +356,9 @@ func identicalEnv(a, b match.Env) bool {
 // the window picked by pick, and bit 7 adds an unrelated binding. For
 // each event, First must return Find's first hit with a structurally
 // equal Env and miss exactly when refFind finds nothing, Find must
-// equal refFind element by element, and no call may change the base
-// Env.
+// equal refFind element by element, no call may change the base Env,
+// and a hit implies the event node's signature holds every bit of the
+// pattern's (the filter the engine applies before calling First).
 func FuzzMatchFirst(f *testing.F) {
 	f.Add(uint16(0), uint32(0), uint8(7), uint8(0), uint16(0))
 	f.Add(uint16(3), uint32(1000), uint8(3), uint8(1), uint16(5))
@@ -379,13 +385,18 @@ func FuzzMatchFirst(f *testing.F) {
 			base["unrelated"] = pool[int(pick)%len(pool)]
 		}
 		before := refClone(base)
+		patSig := match.Sig(pat)
 
-		for _, ev := range events {
+		for k, ev := range events {
 			want := refFind(pat, ev, base)
 			hit, got, ok := match.First(pat, ev, base)
 			if ok != (len(want) > 0) {
 				t.Fatalf("First(%s, %s) ok=%v, refFind found %d",
 					ast.ExprString(pat), eventString(ev), ok, len(want))
+			}
+			if nodeSig := c.sigs[first+k]; ok && !match.MayMatch(nodeSig, patSig) {
+				t.Fatalf("First(%s, %s) hit %s, but the node signature %#x lacks bits of the pattern's %#x",
+					ast.ExprString(pat), eventString(ev), ast.ExprString(hit), nodeSig, patSig)
 			}
 			if ok && (hit != want[0].Expr || !sameEnv(got, want[0].Env)) {
 				t.Fatalf("First(%s, %s) = %s %v, refFind[0] = %s %v",

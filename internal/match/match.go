@@ -17,6 +17,11 @@
 // makes is a miss, so a miss allocates nothing. First returns the
 // first hit of a sub-expression search — all the engine needs — and
 // stops there; Find returns every hit.
+//
+// Sig summarizes an AST as a 64-bit set of identifier-name bits. A
+// pattern can hit under a root only when the root's signature holds
+// all of the pattern's, so the engine skips the other pairs without
+// walking them.
 package match
 
 import (
@@ -413,4 +418,41 @@ func First(pat ast.Expr, root ast.Node, env Env) (hit ast.Expr, got Env, ok bool
 		return nil, nil, false
 	}
 	return hit, b.env(), true
+}
+
+// Sig returns n's identifier signature: the union, over every
+// *ast.Ident that ast.Inspect reaches from n, of one bit chosen by a
+// hash of the identifier's name. Wildcards add no bits.
+//
+// A pattern Ident matches only an Ident of the same name inside the
+// candidate, and every candidate First or Find tries lies under root,
+// so a pattern can hit under root only when Sig(root) holds every bit
+// of Sig(pattern) (see MayMatch). Computing both once lets a caller
+// that tries many patterns against many roots skip most pairs with
+// one AND.
+func Sig(n ast.Node) uint64 {
+	var sig uint64
+	ast.Inspect(n, func(x ast.Node) bool {
+		if id, ok := x.(*ast.Ident); ok {
+			sig |= nameBit(id.Name)
+		}
+		return true
+	})
+	return sig
+}
+
+// MayMatch reports whether a root with signature root can contain a
+// match of a pattern with signature pat. A false answer is exact: no
+// environment makes First hit.
+func MayMatch(root, pat uint64) bool { return pat&^root == 0 }
+
+// nameBit is the signature bit of an identifier: the top six bits of
+// the name's 64-bit FNV-1a hash, which mix every byte of the name.
+func nameBit(name string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211
+	}
+	return 1 << (h >> 58)
 }
