@@ -137,6 +137,14 @@ go test -run FuzzSymEval -fuzz FuzzSymEval -fuzztime 15s -fuzzminimizetime 1x ./
 # lexer's directive-error path without a panic. Same short budget.
 go test -run FuzzLineMarker -fuzz FuzzLineMarker -fuzztime 15s -fuzzminimizetime 1x ./internal/cc/lexer/
 
+# Preprocessor fuzz: a fuzzed root file and two fuzzed headers it may
+# include (nested #if/#elif, defined, char and hex literals, recursive
+# macros, include cycles, doubling chains, malformed directives) must
+# preprocess without a panic or a hang, report only *cpp.Error values
+# naming a file, and keep each output line within the expansion
+# budget. Same short budget.
+go test -run FuzzPreprocess -fuzz FuzzPreprocess -fuzztime 15s -fuzzminimizetime 1x ./internal/cc/cpp/
+
 # Token-buffer fuzz: core.Load lexes every unit into one reused token
 # buffer; for 2-5 units cut from seed-1 protocol sources, with fuzzed
 # byte edits and order, it must load the same diagnostics and the same

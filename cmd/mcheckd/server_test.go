@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"flashmc/internal/depot"
 	"flashmc/internal/obs"
@@ -318,6 +320,60 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 	if len(cr.ParseErrors) == 0 {
 		t.Fatalf("no parse_errors in %s", raw)
+	}
+}
+
+// TestServerHostilePreprocessorInput: a /check whose files hold an
+// include cycle that fans out, or a chain of doubling macros, is
+// answered promptly with 422 and the one preprocessor error, instead
+// of pinning a worker.
+func TestServerHostilePreprocessorInput(t *testing.T) {
+	store, _ := depot.Open("")
+	ts := httptest.NewServer(newServer(store, 1))
+	defer ts.Close()
+
+	chain := "#define M0 x\n"
+	for i := 1; i <= 40; i++ {
+		chain += fmt.Sprintf("#define M%d M%d M%d\n", i, i-1, i-1)
+	}
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		want  string
+	}{
+		{"include fan-out cycle", map[string]string{
+			"h_x.c": "#include \"a.h\"\nvoid h_x(void) {}\n",
+			"a.h":   "#include \"b.h\"\n#include \"b.h\"\n",
+			"b.h":   "#include \"a.h\"\n#include \"a.h\"\n",
+		}, "include depth exceeds"},
+		{"doubling macros", map[string]string{
+			"h_x.c": chain + "int v = M40;\nvoid h_x(void) {}\n",
+		}, "h_x.c:42: macro expansion exceeds"},
+	} {
+		body, err := json.Marshal(map[string]any{"files": tc.files})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		resp, err := http.Post(ts.URL+"/check", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: answered after %v", tc.name, d)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: got %s, want 422\n%s", tc.name, resp.Status, raw)
+		}
+		var cr checkResponse
+		if err := json.Unmarshal(raw, &cr); err != nil {
+			t.Fatal(err)
+		}
+		if len(cr.ParseErrors) != 1 || !strings.Contains(cr.ParseErrors[0], tc.want) {
+			t.Errorf("%s: parse_errors %q, want one containing %q", tc.name, cr.ParseErrors, tc.want)
+		}
 	}
 }
 

@@ -2,8 +2,14 @@
 // protocol code: #include with search paths, object- and function-like
 // #define (including # stringize and ## paste), #undef, the full
 // conditional family (#if/#ifdef/#ifndef/#elif/#else/#endif) with
-// constant-expression evaluation and defined(), #error, and #pragma
-// (ignored).
+// defined(), #error, and #pragma (ignored). #if expressions parse with
+// package parser's C expression grammar and fold with its constant
+// folder, so cpp has no expression grammar of its own.
+//
+// Hostile input ends with an error, not a hang: includes nest at most
+// maxIncludeDepth deep, after which the rest of the Process includes
+// nothing, and macro replacement makes at most maxExpansion tokens for
+// one logical line.
 //
 // Output is a single preprocessed text buffer, one line per emitted
 // logical source line, in which positions are recorded as line markers
@@ -26,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -122,6 +129,14 @@ type Preprocessor struct {
 	scanBuf []ppTok
 	expBuf  []ppTok
 
+	// spent counts the tokens macro replacement has produced for the
+	// current logical line (see maxExpansion).
+	spent int
+	// includeOff is set once an #include goes too deep; the rest of
+	// the Process includes nothing, so a cycle that includes several
+	// files twice over ends after one path instead of all of them.
+	includeOff bool
+
 	// KeepMacros lists function-like macro names that must NOT be
 	// expanded even if defined; the FLASH checkers pattern-match their
 	// invocations (the paper's xg++ workaround, §11).
@@ -169,6 +184,7 @@ func (p *Preprocessor) Process(name string) string {
 func (p *Preprocessor) ProcessText(name, text string) string {
 	p.out.Reset()
 	p.out.Grow(len(text) + len(text)/4)
+	p.includeOff = false
 	p.processText(name, text)
 	return p.out.String()
 }
@@ -185,10 +201,6 @@ type condState struct {
 }
 
 func (p *Preprocessor) processText(file, text string) {
-	if p.depth >= maxIncludeDepth {
-		p.errorf(file, 0, "include depth exceeds %d (cycle?)", maxIncludeDepth)
-		return
-	}
 	p.depth++
 	defer func() { p.depth-- }()
 
@@ -347,15 +359,14 @@ func (p *Preprocessor) directive(file string, ln logicalLine, trim string, conds
 	case "if", "ifdef", "ifndef":
 		wasLive := live()
 		active := false
-		if wasLive {
-			switch name {
-			case "ifdef":
-				active = p.macros[rest] != nil
-			case "ifndef":
-				active = p.macros[rest] == nil
-			default:
-				active = p.evalCond(file, ln.line, rest)
-			}
+		switch {
+		case !wasLive:
+		case name == "if":
+			active = p.evalCond(file, ln.line, rest)
+		case !isMacroName(rest):
+			p.errorf(file, ln.line, "#%s expects one macro name, got %q", name, rest)
+		default:
+			active = (p.macros[rest] != nil) == (name == "ifdef")
 		}
 		*conds = append(*conds, condState{taken: active, active: active, wasLive: wasLive, openLine: ln.line})
 	case "elif":
@@ -420,6 +431,14 @@ func (p *Preprocessor) directive(file string, ln logicalLine, trim string, conds
 }
 
 func (p *Preprocessor) include(file string, line int, arg string) {
+	if p.includeOff {
+		return
+	}
+	if p.depth >= maxIncludeDepth {
+		p.errorf(file, line, "include depth exceeds %d (cycle?)", maxIncludeDepth)
+		p.includeOff = true
+		return
+	}
 	arg = strings.TrimSpace(arg)
 	var name string
 	var quoted bool
@@ -462,6 +481,12 @@ func (p *Preprocessor) include(file string, line int, arg string) {
 	p.errorf(file, line, "include file %q not found", name)
 }
 
+// isMacroName reports whether s is exactly one identifier.
+func isMacroName(s string) bool {
+	toks := scanAll(s)
+	return len(toks) == 1 && toks[0].kind == tkIdent
+}
+
 func (p *Preprocessor) define(file string, line int, rest string) {
 	toks := scanAll(rest)
 	if len(toks) == 0 || toks[0].kind != tkIdent {
@@ -476,9 +501,13 @@ func (p *Preprocessor) define(file string, line int, rest string) {
 		m.FuncLike = true
 		i++
 		for i < len(toks) && toks[i].text != ")" {
-			if toks[i].kind == tkIdent {
-				m.Params = append(m.Params, toks[i].text)
-			} else if toks[i].text != "," {
+			switch t := toks[i]; {
+			case t.kind == tkIdent && slices.Contains(m.Params, t.text):
+				p.errorf(file, line, "duplicate macro parameter %s", t.text)
+				return
+			case t.kind == tkIdent:
+				m.Params = append(m.Params, t.text)
+			case t.text != ",":
 				p.errorf(file, line, "malformed macro parameter list")
 				return
 			}

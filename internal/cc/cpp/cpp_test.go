@@ -1,9 +1,11 @@
 package cpp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // pp preprocesses the files map starting at "main.c" and returns output
@@ -187,6 +189,61 @@ func TestCondExpressionOperators(t *testing.T) {
 	}
 }
 
+// #if reads as C says: escapes in char literals, lazy && || and ?:.
+func TestCondLikeC(t *testing.T) {
+	cases := map[string]bool{
+		`'\x41' == 65`:             true,
+		`'\101' == 65`:             true,
+		`'\n' == 10`:               true,
+		"0 && 1/0":                 false,
+		"1 || 1/0":                 true,
+		"1 ? 2 : 1/0":              true,
+		"0 ? 1/0 : 0":              false,
+		"0xFFFFFFFFFFFFFFFF == -1": true,
+		"10u == 10":                true,
+	}
+	for expr, want := range cases {
+		src := "#if " + expr + "\nint yes;\n#else\nint no;\n#endif\n"
+		out, errs := pp(t, map[string]string{"main.c": src})
+		if len(errs) != 0 {
+			t.Errorf("%q: errors %v", expr, errs)
+			continue
+		}
+		if got := out == "int yes;"; got != want {
+			t.Errorf("%q: got %v want %v", expr, got, want)
+		}
+	}
+}
+
+// Whatever is not an integer constant expression is one error at the
+// directive's own line, with no position inside the expression text.
+func TestBadCondExpression(t *testing.T) {
+	for _, expr := range []string{
+		"1 2", "1,2", "f(1)", "x = 1", "sizeof(int)", "", "1/0", "1%0",
+		"0x", "08", "(1", "1 ? 2", "1.5", `"s"`, "defined(", "M", "+",
+	} {
+		src := "#define M 1 +\n#if 0\n#elif " + expr + "\nint x;\n#endif\n#if " + expr + "\nint x;\n#endif\n"
+		out, errs := pp(t, map[string]string{"main.c": src})
+		if out != "" {
+			t.Errorf("%q: bad #if taken: %q", expr, out)
+		}
+		if len(errs) != 2 {
+			t.Errorf("%q: want one error per directive, got %v", expr, errs)
+			continue
+		}
+		for i, line := range []string{"main.c:3: ", "main.c:6: "} {
+			msg := errs[i].Error()
+			if !strings.HasPrefix(msg, line+"bad #if expression: ") &&
+				!(expr == "defined(" && msg == line+"malformed defined()") {
+				t.Errorf("%q: got %q", expr, msg)
+			}
+			if strings.Contains(msg, "<pattern>") || strings.Contains(msg, ":1:") {
+				t.Errorf("%q: position leaked: %q", expr, msg)
+			}
+		}
+	}
+}
+
 func TestInclude(t *testing.T) {
 	files := map[string]string{
 		"main.c": "#include \"defs.h\"\nint x = VAL;\n",
@@ -212,6 +269,89 @@ func TestIncludeGuard(t *testing.T) {
 	}
 	if out != "int decl;\nint x = 5;" {
 		t.Errorf("got %q", out)
+	}
+}
+
+func TestMutualIncludeGuards(t *testing.T) {
+	out, errs := pp(t, map[string]string{
+		"main.c": "#include \"a.h\"\n#include \"b.h\"\nint x = A + B;\n",
+		"a.h":    "#ifndef A_H\n#define A_H\n#include \"b.h\"\n#define A 1\n#endif\n",
+		"b.h":    "#ifndef B_H\n#define B_H\n#include \"a.h\"\n#define B 2\n#endif\n",
+	})
+	if len(errs) != 0 {
+		t.Fatal(errs)
+	}
+	if out != "int x = 1 + 2;" {
+		t.Errorf("got %q", out)
+	}
+}
+
+// within fails t unless f returns within d.
+func within(t *testing.T, d time.Duration, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("still running after %v", d)
+	}
+}
+
+// fanOutCycle is an unguarded include cycle in which each file
+// includes the other twice: every path hits the depth limit, and
+// there are 2^64 of them.
+var fanOutCycle = map[string]string{
+	"main.c": "#include \"a.h\"\nint x;\n",
+	"a.h":    "#include \"b.h\"\n#include \"b.h\"\n",
+	"b.h":    "#include \"a.h\"\n#include \"a.h\"\n",
+}
+
+func TestIncludeCycleFanOut(t *testing.T) {
+	within(t, time.Second, func() {
+		out, errs := pp(t, fanOutCycle)
+		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "include depth exceeds") {
+			t.Errorf("want one depth error, got %v", errs)
+		}
+		if out != "int x;" {
+			t.Errorf("got %q", out)
+		}
+	})
+}
+
+// doublingChain defines M0..M20, each Mi expanding to two M(i-1): M20
+// names 2^20 tokens.
+func doublingChain() string {
+	var b strings.Builder
+	b.WriteString("#define M0 x\n")
+	for i := 1; i <= 20; i++ {
+		fmt.Fprintf(&b, "#define M%d M%d M%d\n", i, i-1, i-1)
+	}
+	return b.String()
+}
+
+func TestExpansionBudget(t *testing.T) {
+	for _, tail := range []string{"int a = M20;\nint b;\n", "#if M20\n#endif\nint b;\n"} {
+		within(t, time.Second, func() {
+			src := doublingChain() + tail
+			out, errs := pp(t, map[string]string{"main.c": src})
+			if len(errs) != 1 || !strings.Contains(errs[0].Error(), fmt.Sprintf("main.c:22: macro expansion exceeds %d tokens", maxExpansion)) {
+				t.Errorf("%q: want one budget error, got %v", tail, errs)
+			}
+			if out != "int b;" {
+				t.Errorf("%q: got %q", tail, out)
+			}
+		})
+	}
+	// Under the budget, the same chain expands in full. The budget
+	// counts intermediate tokens too: M14 makes 2^15 - 2 of them on the
+	// way to its 2^14 x's.
+	out, errs := pp(t, map[string]string{"main.c": doublingChain() + "int a = M14;\n"})
+	if len(errs) != 0 || strings.Count(out, "x") != 1<<14 {
+		t.Errorf("M14: %d x's, errors %v", strings.Count(out, "x"), errs)
 	}
 }
 
@@ -301,6 +441,25 @@ func TestUnterminatedIf(t *testing.T) {
 	_, errs := pp(t, map[string]string{"main.c": "#if 1\nint x;\n"})
 	if len(errs) == 0 {
 		t.Fatal("expected unterminated #if error")
+	}
+}
+
+func TestMalformedDirectives(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"#ifdef\nint x;\n#endif\n", "main.c:1: #ifdef expects one macro name"},
+		{"#ifndef\nint x;\n#endif\n", "main.c:1: #ifndef expects one macro name"},
+		{"#ifdef 1\nint x;\n#endif\n", "main.c:1: #ifdef expects one macro name"},
+		{"#ifndef A B\nint x;\n#endif\n", "main.c:1: #ifndef expects one macro name"},
+		{"#define F(x, x) x\nint F(1);\n", "main.c:1: duplicate macro parameter x"},
+		{"#define F(x, 1) x\n", "main.c:1: malformed macro parameter list"},
+	} {
+		out, errs := pp(t, map[string]string{"main.c": tc.src})
+		if len(errs) != 1 || !strings.HasPrefix(errs[0].Error(), tc.want) {
+			t.Errorf("%q: errors %v, want one %q", tc.src, errs, tc.want)
+		}
+		if strings.Contains(out, "int x;") {
+			t.Errorf("%q: malformed conditional taken", tc.src)
+		}
 	}
 }
 

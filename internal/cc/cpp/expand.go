@@ -1,9 +1,12 @@
 package cpp
 
 import (
-	"fmt"
+	"errors"
 	"strconv"
 	"strings"
+
+	"flashmc/internal/cc/lexer"
+	"flashmc/internal/cc/parser"
 )
 
 // ppTok is a minimal preprocessing token: enough structure for macro
@@ -141,11 +144,33 @@ var glueHazard = map[string]bool{
 	"/*": true, "*/": true, "##": true, "..": true,
 }
 
+// maxExpansion caps the tokens macro replacement may produce for one
+// logical line (or one #if expression). The widest line of the
+// generated protocols needs a few dozen; a chain of doubling macros
+// reaches the cap in 16 steps and stops there with one error instead
+// of growing without bound.
+const maxExpansion = 1 << 16
+
+// overBudget reports whether the current line's macro replacement
+// went past maxExpansion, and if so reports it.
+func (p *Preprocessor) overBudget(file string, line int) bool {
+	if p.spent <= maxExpansion {
+		return false
+	}
+	p.errorf(file, line, "macro expansion exceeds %d tokens", maxExpansion)
+	return true
+}
+
 // expandLine macro-expands one logical source line and writes it to
-// the output as one line.
+// the output as one line; a line over the expansion budget is written
+// empty.
 func (p *Preprocessor) expandLine(file string, line int, text string) {
 	p.scanBuf = scan(p.scanBuf[:0], text)
+	p.spent = 0
 	p.expBuf = p.expand(p.expBuf[:0], file, line, p.scanBuf)
+	if p.overBudget(file, line) {
+		p.expBuf = p.expBuf[:0]
+	}
 	render(&p.out, p.expBuf)
 	p.out.WriteByte('\n')
 	p.outLine++
@@ -159,10 +184,11 @@ func (p *Preprocessor) expandLine(file string, line int, text string) {
 // expand appends to out the result of macro replacement over toks,
 // repeated until no replaceable macro invocation remains. Recursion is
 // prevented with per-token hide sets (a simplification of Prosser's
-// algorithm sufficient in practice).
+// algorithm sufficient in practice). It stops once the line is over
+// its expansion budget.
 func (p *Preprocessor) expand(out []ppTok, file string, line int, toks []ppTok) []ppTok {
 	i := 0
-	for i < len(toks) {
+	for i < len(toks) && p.spent <= maxExpansion {
 		t := toks[i]
 		if t.kind != tkIdent {
 			out = append(out, t)
@@ -273,7 +299,9 @@ func collectArgs(toks []ppTok, open int) (args [][]ppTok, next int, ok bool) {
 }
 
 // substitute replaces parameters in the macro body with (pre-expanded)
-// arguments, handling # stringize and ## paste.
+// arguments, handling # stringize and ## paste. Its result, and each
+// stringized argument, is charged to the line's expansion budget, and
+// it stops early once the budget is spent.
 func (p *Preprocessor) substitute(file string, line int, m *Macro, args [][]ppTok) []ppTok {
 	paramIdx := func(name string) int {
 		for i, p := range m.Params {
@@ -292,13 +320,14 @@ func (p *Preprocessor) substitute(file string, line int, m *Macro, args [][]ppTo
 
 	var out []ppTok
 	body := m.Body
-	for i := 0; i < len(body); i++ {
+	for i := 0; i < len(body) && p.spent+len(out) <= maxExpansion; i++ {
 		t := body[i]
 		// # param -> string literal
 		if t.text == "#" && m.FuncLike && i+1 < len(body) && body[i+1].kind == tkIdent {
 			if pi := paramIdx(body[i+1].text); pi >= 0 {
 				var b strings.Builder
 				render(&b, argFor(pi))
+				p.spent += len(argFor(pi))
 				out = append(out, ppTok{kind: tkString,
 					text:        strconv.Quote(b.String()),
 					spaceBefore: t.spaceBefore})
@@ -336,6 +365,7 @@ func (p *Preprocessor) substitute(file string, line int, m *Macro, args [][]ppTo
 		}
 		out = append(out, t)
 	}
+	p.spent += len(out)
 	return out
 }
 
@@ -369,11 +399,13 @@ func paste(left, right []ppTok) []ppTok {
 	return out
 }
 
-// evalCond evaluates a #if/#elif expression after macro expansion and
-// defined() substitution. Undefined identifiers evaluate to 0, per C.
+// evalCond evaluates a #if/#elif expression as C does: defined X and
+// defined(X) become 1 or 0, macros expand, and every identifier still
+// left becomes 0 (keywords too: preprocessing tokens have none). The
+// result parses with the C expression grammar and folds with the
+// parser's constant folder, in int64 arithmetic.
 func (p *Preprocessor) evalCond(file string, line int, expr string) bool {
 	toks := scanAll(expr)
-	// Replace defined X / defined(X) before macro expansion.
 	var pre []ppTok
 	for i := 0; i < len(toks); i++ {
 		t := toks[i]
@@ -387,6 +419,7 @@ func (p *Preprocessor) evalCond(file string, line int, expr string) bool {
 				i += 3
 			} else {
 				p.errorf(file, line, "malformed defined()")
+				return false
 			}
 			val := "0"
 			if p.macros[name] != nil {
@@ -397,287 +430,41 @@ func (p *Preprocessor) evalCond(file string, line int, expr string) bool {
 		}
 		pre = append(pre, t)
 	}
+	p.spent = 0
 	expanded := p.expand(nil, file, line, pre)
-	ev := condEval{toks: expanded}
-	v := ev.ternary()
-	if ev.err != "" {
-		p.errorf(file, line, "bad #if expression: %s", ev.err)
+	if p.overBudget(file, line) {
+		return false
+	}
+	for i, t := range expanded {
+		if t.kind == tkIdent {
+			expanded[i] = ppTok{kind: tkNumber, text: "0", spaceBefore: t.spaceBefore}
+		}
+	}
+	var b strings.Builder
+	render(&b, expanded)
+	e, err := parser.ParseExprPattern(b.String(), parser.PatternContext{})
+	if err != nil {
+		p.errorf(file, line, "bad #if expression: %s", withoutPos(err))
+		return false
+	}
+	v, ok := parser.ConstValue(e, nil)
+	if !ok {
+		p.errorf(file, line, "bad #if expression: not an integer constant")
 		return false
 	}
 	return v != 0
 }
 
-// condEval is a tiny recursive-descent evaluator over preprocessing
-// tokens producing int64 values.
-type condEval struct {
-	toks []ppTok
-	pos  int
-	err  string
-}
-
-func (e *condEval) peek() string {
-	if e.pos < len(e.toks) {
-		return e.toks[e.pos].text
+// withoutPos returns a lexer or parser error's message without its
+// position, which is in the rendered #if text, not the source file.
+func withoutPos(err error) string {
+	var pe *parser.Error
+	var le *lexer.Error
+	switch {
+	case errors.As(err, &pe):
+		return pe.Msg
+	case errors.As(err, &le):
+		return le.Msg
 	}
-	return ""
-}
-
-func (e *condEval) next() ppTok {
-	if e.pos < len(e.toks) {
-		t := e.toks[e.pos]
-		e.pos++
-		return t
-	}
-	return ppTok{}
-}
-
-func (e *condEval) fail(msg string) int64 {
-	if e.err == "" {
-		e.err = msg
-	}
-	return 0
-}
-
-func (e *condEval) ternary() int64 {
-	c := e.lor()
-	if e.peek() == "?" {
-		e.next()
-		a := e.ternary()
-		if e.peek() != ":" {
-			return e.fail("expected :")
-		}
-		e.next()
-		b := e.ternary()
-		if c != 0 {
-			return a
-		}
-		return b
-	}
-	return c
-}
-
-func (e *condEval) lor() int64 {
-	v := e.land()
-	for e.peek() == "||" {
-		e.next()
-		r := e.land()
-		if v != 0 || r != 0 {
-			v = 1
-		} else {
-			v = 0
-		}
-	}
-	return v
-}
-
-func (e *condEval) land() int64 {
-	v := e.bitor()
-	for e.peek() == "&&" {
-		e.next()
-		r := e.bitor()
-		if v != 0 && r != 0 {
-			v = 1
-		} else {
-			v = 0
-		}
-	}
-	return v
-}
-
-func (e *condEval) bitor() int64 {
-	v := e.bitxor()
-	for e.peek() == "|" {
-		e.next()
-		v |= e.bitxor()
-	}
-	return v
-}
-
-func (e *condEval) bitxor() int64 {
-	v := e.bitand()
-	for e.peek() == "^" {
-		e.next()
-		v ^= e.bitand()
-	}
-	return v
-}
-
-func (e *condEval) bitand() int64 {
-	v := e.equality()
-	for e.peek() == "&" {
-		e.next()
-		v &= e.equality()
-	}
-	return v
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func (e *condEval) equality() int64 {
-	v := e.relational()
-	for {
-		switch e.peek() {
-		case "==":
-			e.next()
-			v = b2i(v == e.relational())
-		case "!=":
-			e.next()
-			v = b2i(v != e.relational())
-		default:
-			return v
-		}
-	}
-}
-
-func (e *condEval) relational() int64 {
-	v := e.shift()
-	for {
-		switch e.peek() {
-		case "<":
-			e.next()
-			v = b2i(v < e.shift())
-		case ">":
-			e.next()
-			v = b2i(v > e.shift())
-		case "<=":
-			e.next()
-			v = b2i(v <= e.shift())
-		case ">=":
-			e.next()
-			v = b2i(v >= e.shift())
-		default:
-			return v
-		}
-	}
-}
-
-func (e *condEval) shift() int64 {
-	v := e.additive()
-	for {
-		switch e.peek() {
-		case "<<":
-			e.next()
-			v <<= uint64(e.additive()) & 63
-		case ">>":
-			e.next()
-			v >>= uint64(e.additive()) & 63
-		default:
-			return v
-		}
-	}
-}
-
-func (e *condEval) additive() int64 {
-	v := e.multiplicative()
-	for {
-		switch e.peek() {
-		case "+":
-			e.next()
-			v += e.multiplicative()
-		case "-":
-			e.next()
-			v -= e.multiplicative()
-		default:
-			return v
-		}
-	}
-}
-
-func (e *condEval) multiplicative() int64 {
-	v := e.unary()
-	for {
-		switch e.peek() {
-		case "*":
-			e.next()
-			v *= e.unary()
-		case "/":
-			e.next()
-			d := e.unary()
-			if d == 0 {
-				return e.fail("division by zero")
-			}
-			v /= d
-		case "%":
-			e.next()
-			d := e.unary()
-			if d == 0 {
-				return e.fail("modulo by zero")
-			}
-			v %= d
-		default:
-			return v
-		}
-	}
-}
-
-func (e *condEval) unary() int64 {
-	switch e.peek() {
-	case "!":
-		e.next()
-		return b2i(e.unary() == 0)
-	case "~":
-		e.next()
-		return ^e.unary()
-	case "-":
-		e.next()
-		return -e.unary()
-	case "+":
-		e.next()
-		return e.unary()
-	}
-	return e.primary()
-}
-
-func (e *condEval) primary() int64 {
-	t := e.next()
-	switch t.kind {
-	case tkNumber:
-		text := strings.TrimRight(t.text, "uUlL")
-		v, err := strconv.ParseInt(text, 0, 64)
-		if err != nil {
-			// Try unsigned range.
-			u, err2 := strconv.ParseUint(text, 0, 64)
-			if err2 != nil {
-				return e.fail(fmt.Sprintf("bad number %q", t.text))
-			}
-			return int64(u)
-		}
-		return v
-	case tkChar:
-		s := t.text
-		if len(s) >= 3 {
-			if s[1] == '\\' && len(s) >= 4 {
-				switch s[2] {
-				case 'n':
-					return '\n'
-				case 't':
-					return '\t'
-				case '0':
-					return 0
-				case 'r':
-					return '\r'
-				}
-				return int64(s[2])
-			}
-			return int64(s[1])
-		}
-		return e.fail("bad char literal")
-	case tkIdent:
-		return 0 // undefined identifiers are 0 in #if
-	case tkPunct:
-		if t.text == "(" {
-			v := e.ternary()
-			if e.peek() != ")" {
-				return e.fail("missing )")
-			}
-			e.next()
-			return v
-		}
-	}
-	return e.fail(fmt.Sprintf("unexpected token %q", t.text))
+	return err.Error()
 }

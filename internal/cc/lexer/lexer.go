@@ -262,9 +262,6 @@ func (l *Lexer) number(pos token.Pos) token.Token {
 	if l.peek() == '0' && (l.peek2() == 'x' || l.peek2() == 'X') {
 		l.advance()
 		l.advance()
-		if !isHex(l.peek()) {
-			l.errorf(pos, "malformed hex literal")
-		}
 		for l.off < len(l.src) && isHex(l.peek()) {
 			l.advance()
 		}

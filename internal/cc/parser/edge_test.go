@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flashmc/internal/cc/ast"
+	"flashmc/internal/cc/lexer"
 	"flashmc/internal/cc/types"
 )
 
@@ -74,6 +75,44 @@ func TestEnumNegativeAndExpr(t *testing.T) {
 		t.Errorf("C = %d want 17", arr.Len)
 	}
 	_ = f
+}
+
+// Enumerator values fold through ConstValue, which knows comparisons,
+// ?: and the lazy logical operators.
+func TestEnumFoldsComparisonsAndTernary(t *testing.T) {
+	lx := lexer.New("t.c", `enum { A = 1 < 2, B = A ? 5 : 6, C = 0 && 1/0, D = 1 || 1/0 };`)
+	p := New(lx.All(), Config{})
+	p.File("t.c")
+	if len(p.Errors()) != 0 {
+		t.Fatal(p.Errors())
+	}
+	want := map[string]int64{"A": 1, "B": 5, "C": 0, "D": 1}
+	for name, v := range want {
+		if got := p.EnumConsts()[name]; got != v {
+			t.Errorf("%s = %d, want %d", name, got, v)
+		}
+	}
+}
+
+func TestConstValueRejectsNonConstants(t *testing.T) {
+	for _, src := range []string{"1/0", "1%0", "x = 1", "f(1)", "1, 2", "(int)1", "sizeof(int)", "x", "1 ? x : 2"} {
+		e, err := ParseExprPattern(src, PatternContext{})
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if v, ok := ConstValue(e, nil); ok {
+			t.Errorf("%q folded to %d", src, v)
+		}
+	}
+}
+
+func TestMalformedIntegerLiteral(t *testing.T) {
+	for _, src := range []string{"int a = 0x;", "int a = 08;", "int a = 99999999999999999999;"} {
+		_, errs := ParseText("t.c", src)
+		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "malformed integer literal") {
+			t.Errorf("%q: errors %v", src, errs)
+		}
+	}
 }
 
 func TestDoWhileMissingSemicolonDiagnosed(t *testing.T) {

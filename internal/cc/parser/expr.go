@@ -158,7 +158,7 @@ func (p *Parser) typeName() types.Type {
 		ln := int64(-1)
 		if !p.at(token.RBracket) {
 			e := p.condExpr()
-			if v, ok := p.constEval(e); ok {
+			if v, ok := ConstValue(e, p.enumConst); ok {
 				ln = v
 			}
 		}
@@ -229,7 +229,11 @@ func (p *Parser) primaryExpr() ast.Expr {
 		return id
 	case token.IntLit:
 		p.next()
-		l := &ast.IntLit{Text: tk.Text, Value: parseIntText(tk.Text)}
+		v, ok := parseIntText(tk.Text)
+		if !ok {
+			p.errorf(tk.Pos, "malformed integer literal %s", tk.Text)
+		}
+		l := &ast.IntLit{Text: tk.Text, Value: v}
 		l.P = tk.Pos
 		return l
 	case token.FloatLit:

@@ -524,7 +524,7 @@ func (p *Parser) enum() types.Type {
 		name := p.expect(token.Ident).Text
 		if p.accept(token.Assign) {
 			e := p.condExpr()
-			if v, ok := p.constEval(e); ok {
+			if v, ok := ConstValue(e, p.enumConst); ok {
 				val = v
 			} else {
 				p.errorf(p.prevPos(), "enumerator value must be constant")
@@ -570,7 +570,7 @@ func (p *Parser) declarator(base types.Type) (name string, t types.Type, params 
 			ln := int64(-1)
 			if !p.at(token.RBracket) {
 				e := p.condExpr()
-				if v, ok := p.constEval(e); ok {
+				if v, ok := ConstValue(e, p.enumConst); ok {
 					ln = v
 				} else {
 					// Array sized by extern const "variable-ized macro
@@ -650,21 +650,40 @@ func (p *Parser) initializer() ast.Expr {
 	return p.assignExpr()
 }
 
-// constEval evaluates constant integer expressions (literals, unary
-// +/-/~/!, binary arithmetic, enum constants, parens).
-func (p *Parser) constEval(e ast.Expr) (int64, bool) {
+// ConstValue folds e as an integer constant expression in int64
+// arithmetic: literals, parentheses, unary + - ~ !, the binary
+// arithmetic, bitwise, shift, comparison and logical operators, and
+// ?:. ident gives an identifier's value; with a nil ident no
+// identifier is constant. As in C, && || and ?: evaluate only the
+// operands their result depends on, so an operand that is not
+// evaluated need not be constant. Division or modulo by zero,
+// assignments, calls, casts, sizeof and the comma operator are not
+// constants. Enumerator values and array sizes fold through it, and
+// so do cpp's #if expressions.
+func ConstValue(e ast.Expr, ident func(name string) (int64, bool)) (int64, bool) {
 	switch x := e.(type) {
 	case *ast.IntLit:
 		return x.Value, true
 	case *ast.CharLit:
 		return x.Value, true
 	case *ast.Ident:
-		v, ok := p.enumConsts[x.Name]
-		return v, ok
+		if ident == nil {
+			return 0, false
+		}
+		return ident(x.Name)
 	case *ast.Paren:
-		return p.constEval(x.X)
+		return ConstValue(x.X, ident)
+	case *ast.Cond:
+		c, ok := ConstValue(x.C, ident)
+		if !ok {
+			return 0, false
+		}
+		if c != 0 {
+			return ConstValue(x.Then, ident)
+		}
+		return ConstValue(x.Else, ident)
 	case *ast.Unary:
-		v, ok := p.constEval(x.X)
+		v, ok := ConstValue(x.X, ident)
 		if !ok {
 			return 0, false
 		}
@@ -676,16 +695,30 @@ func (p *Parser) constEval(e ast.Expr) (int64, bool) {
 		case token.Tilde:
 			return ^v, true
 		case token.Not:
-			if v == 0 {
-				return 1, true
-			}
-			return 0, true
+			return b2i(v == 0), true
 		}
 		return 0, false
 	case *ast.Binary:
-		a, ok1 := p.constEval(x.X)
-		b, ok2 := p.constEval(x.Y)
-		if !ok1 || !ok2 {
+		a, ok := ConstValue(x.X, ident)
+		if !ok {
+			return 0, false
+		}
+		switch x.Op {
+		case token.LogicalAnd:
+			if a == 0 {
+				return 0, true
+			}
+			b, ok := ConstValue(x.Y, ident)
+			return b2i(b != 0), ok
+		case token.LogicalOr:
+			if a != 0 {
+				return 1, true
+			}
+			b, ok := ConstValue(x.Y, ident)
+			return b2i(b != 0), ok
+		}
+		b, ok := ConstValue(x.Y, ident)
+		if !ok {
 			return 0, false
 		}
 		switch x.Op {
@@ -715,24 +748,47 @@ func (p *Parser) constEval(e ast.Expr) (int64, bool) {
 			return a & b, true
 		case token.BitXor:
 			return a ^ b, true
+		case token.Eq:
+			return b2i(a == b), true
+		case token.NotEq:
+			return b2i(a != b), true
+		case token.Less:
+			return b2i(a < b), true
+		case token.Greater:
+			return b2i(a > b), true
+		case token.LessEq:
+			return b2i(a <= b), true
+		case token.GreaterEq:
+			return b2i(a >= b), true
 		}
 		return 0, false
 	}
 	return 0, false
 }
 
-// parseIntText parses a C integer literal spelling.
-func parseIntText(text string) int64 {
-	s := strings.TrimRight(text, "uUlL")
-	v, err := strconv.ParseInt(s, 0, 64)
-	if err != nil {
-		u, err2 := strconv.ParseUint(s, 0, 64)
-		if err2 != nil {
-			return 0
-		}
-		return int64(u)
+func b2i(b bool) int64 {
+	if b {
+		return 1
 	}
-	return v
+	return 0
+}
+
+// enumConst is ConstValue's ident for protocol code: the enumerators
+// parsed so far.
+func (p *Parser) enumConst(name string) (int64, bool) {
+	v, ok := p.enumConsts[name]
+	return v, ok
+}
+
+// parseIntText parses a C integer literal spelling, reporting whether
+// it is one that fits in 64 bits.
+func parseIntText(text string) (int64, bool) {
+	s := strings.TrimRight(text, "uUlL")
+	if v, err := strconv.ParseInt(s, 0, 64); err == nil {
+		return v, true
+	}
+	u, err := strconv.ParseUint(s, 0, 64)
+	return int64(u), err == nil
 }
 
 // parseCharText evaluates a character literal spelling.

@@ -49,7 +49,10 @@ func ParseStmtPattern(text string, ctx PatternContext) (ast.Stmt, error) {
 	return s, nil
 }
 
-// ParseExprPattern compiles metal pattern text as an expression.
+// ParseExprPattern compiles metal pattern text as an expression. It is
+// also the C grammar's one entry point for a lone expression: cpp
+// parses #if expressions with it. Every error it returns carries the
+// position in text.
 func ParseExprPattern(text string, ctx PatternContext) (ast.Expr, error) {
 	lx := lexer.New("<pattern>", text)
 	toks := lx.All()
@@ -58,11 +61,11 @@ func ParseExprPattern(text string, ctx PatternContext) (ast.Expr, error) {
 	}
 	p := New(toks, Config{Wildcards: ctx.Wildcards, Typedefs: ctx.Typedefs})
 	e := p.expr()
+	if !p.at(token.EOF) {
+		p.errorf(p.cur().Pos, "unexpected %s after expression", p.cur())
+	}
 	if len(p.Errors()) > 0 {
 		return nil, p.Errors()[0]
-	}
-	if !p.at(token.EOF) {
-		return nil, errors.New("pattern has trailing tokens after expression")
 	}
 	return e, nil
 }
